@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .protocol import Effect
-
-WRITE = "write"
-READ = "read"
+from .seqspec import READ, WRITE
 
 
 @dataclass(frozen=True, order=True)
@@ -131,7 +129,7 @@ def _adopt(state: AbdState, reg: int, value: int, tag: Tag) -> None:
         state.values[reg] = value
 
 
-def invoke_write(state: AbdState, value: int) -> tuple[AbdState, Effect]:
+def invoke_write(state: AbdState, value: int) -> Effect:
     assert state.phase is None, "operations are sequential per process"
     eff = Effect()
     state.write_stamp += 1
@@ -140,10 +138,10 @@ def invoke_write(state: AbdState, value: int) -> tuple[AbdState, Effect]:
     state.ops_started += 1
     state.phase = WritePending(tag)
     eff.broadcasts.append(StoreMsg(state.me, value, tag, state.me, op_ref))
-    return state, eff
+    return eff
 
 
-def invoke_read(state: AbdState, target: int) -> tuple[AbdState, Effect]:
+def invoke_read(state: AbdState, target: int) -> Effect:
     assert state.phase is None, "operations are sequential per process"
     eff = Effect()
     state.read_count += 1
@@ -151,10 +149,10 @@ def invoke_read(state: AbdState, target: int) -> tuple[AbdState, Effect]:
     state.ops_started += 1
     state.phase = ReadQuerying(state.read_count, target)
     eff.broadcasts.append(QueryMsg(target, state.read_count, state.me, op_ref))
-    return state, eff
+    return eff
 
 
-def handle_message(state: AbdState, msg) -> tuple[AbdState, Effect]:
+def handle_message(state: AbdState, msg) -> Effect:
     eff = Effect()
     quorum = majority(state.n)
     if isinstance(msg, StoreMsg):
@@ -198,4 +196,4 @@ def handle_message(state: AbdState, msg) -> tuple[AbdState, Effect]:
                 eff.completions.append((READ, value))
     else:
         raise TypeError(f"unknown message {msg!r}")
-    return state, eff
+    return eff

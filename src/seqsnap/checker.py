@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .histories import OpRecord, READ, SNAPSHOT, WRITE, op_id
-from .seqspec import SeqOp, initial_state, seq_step
+from .histories import OpRecord, op_id
+from .seqspec import READ, SNAPSHOT, WRITE, SeqOp, initial_state, seq_step
 
 DEFAULT_BRUTE_BOUND = 10
 
@@ -135,8 +135,10 @@ def check_sc_fast(history: list[OpRecord], n: int,
     vectors are nondecreasing along each process order - and the witness
     assembled from these facts replays legally. A witness failure after the
     conditions pass falls back to the exhaustive oracle, keeping the verdict
-    exact. Incomplete snapshots are dropped; incomplete writes are kept as if
-    complete (the oracles additionally try dropping them).
+    exact; so does a 0 in the cell of a writer that wrote 0, which may be
+    version 0 or that write. Incomplete snapshots are dropped; incomplete
+    writes are kept as if complete (the oracles additionally try dropping
+    them).
     """
     if any(rec.kind == READ for rec in history):
         raise CheckRefusal("single-cell reads are only handled by the "
@@ -148,6 +150,13 @@ def check_sc_fast(history: list[OpRecord], n: int,
     versions, rejection = derive_versions(included, n)
     if rejection is not None:
         return rejection
+    # A writer that wrote 0 makes a 0 in its cell mean either version 0 or
+    # that write; version resolution cannot tell, so the oracle decides.
+    zero_writers = {rec.proc for rec in included
+                    if rec.kind == WRITE and rec.value == 0}
+    if any(rec.kind == SNAPSHOT and rec.result[q] == 0
+           for rec in included for q in zero_writers):
+        return check_sc_brute(history, n, bound=brute_bound)
 
     by_proc = {}
     for rec in sorted(included, key=lambda r: (r.proc, r.seq)):

@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-WRITE = "write"
-SNAPSHOT = "snapshot"
-READ = "read"
+from .seqspec import READ, SNAPSHOT, WRITE
 
 
 class TraceFormatError(Exception):

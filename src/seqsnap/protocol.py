@@ -10,20 +10,19 @@ fresh stamp of its own. An update validates once a strict majority of
 processes have stamped it and no update that must be ordered before it is
 still blocked; validating folds the value into the local view.
 
-Each state is single-owner: transitions mutate the passed state in place and
-are meant to be applied sequentially per process (the simulator enforces
-this). Distinct states may be driven concurrently; the module itself keeps no
-shared mutable data.
+Each state is single-owner: transitions mutate the passed state in place,
+return the Effect they ask of the network, and are meant to be applied
+sequentially per process (the simulator enforces this). Distinct states may
+be driven concurrently; the module itself keeps no shared mutable data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-INF = float("inf")
+from .seqspec import SNAPSHOT, WRITE
 
-WRITE = "write"
-SNAPSHOT = "snapshot"
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
                                     state.me, state.object_id))
 
 
-def invoke_write(state: ProcState, value: int) -> tuple[ProcState, Effect]:
+def invoke_write(state: ProcState, value: int) -> Effect:
     """Write to our own cell; completes immediately in both branches."""
     eff = Effect()
     if has_own_pending(state):
@@ -115,17 +114,17 @@ def invoke_write(state: ProcState, value: int) -> tuple[ProcState, Effect]:
     else:
         _broadcast_own(state, eff, value)
     eff.completions.append((WRITE, None))
-    return state, eff
+    return eff
 
 
-def invoke_snapshot(state: ProcState) -> tuple[ProcState, Effect]:
+def invoke_snapshot(state: ProcState) -> Effect:
     """Snapshot the array; immediate unless one of our updates is in flight."""
     eff = Effect()
     if state.deferred is None and not has_own_pending(state):
         eff.completions.append((SNAPSHOT, tuple(state.view)))
     else:
         state.snapshot_pending = True
-    return state, eff
+    return eff
 
 
 def depends(first: PendingUpdate, second: PendingUpdate, n: int) -> bool:
@@ -163,7 +162,7 @@ def compute_validable(pending: dict, n: int) -> list:
     return sorted(ready)
 
 
-def handle_message(state: ProcState, msg: UpdateMsg) -> tuple[ProcState, Effect]:
+def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     """Process one delivered update message.
 
     Stale copies (already-validated updates) skip the bookkeeping but the
@@ -206,4 +205,4 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> tuple[ProcState, Effect]
     if state.deferred is not None and not has_own_pending(state):
         _broadcast_own(state, eff, state.deferred)
         state.deferred = None
-    return state, eff
+    return eff

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
-from . import protocol
-from .checker import (CheckRefusal, Verdict, check_sc_brute, check_sc_fast,
+from . import workloads
+from .checker import (Verdict, check_sc_brute, check_sc_fast,
                       contains_process_order, replay_legal)
 from .histories import OpRecord, op_id
-from .sim import (AsyncDelay, CrashSpec, RunResult, SimConfig, WorkItem,
-                  run_simulation)
+from .sim import AsyncDelay, RunResult, SimConfig, WorkItem, run_simulation
 
 
 class DisciplineError(Exception):
@@ -41,34 +40,6 @@ class RoundConfig:
     event_cap: int = 1_000_000
 
 
-class RoundsNode:
-    """One protocol instance per round, dispatched by object id."""
-
-    def __init__(self, n, me, num_objects):
-        self.states = [protocol.init(n, me, object_id=obj)
-                       for obj in range(num_objects)]
-
-    def invoke(self, item):
-        state = self.states[item.object_id]
-        if item.action == "write":
-            return protocol.invoke_write(state, item.value)[1]
-        if item.action == "snapshot":
-            return protocol.invoke_snapshot(state)[1]
-        raise ValueError(f"unsupported action {item.action!r}")
-
-    def receive(self, payload):
-        return protocol.handle_message(self.states[payload.object_id], payload)[1]
-
-    def stamp_vector(self):
-        return None
-
-    def view_stamps(self, object_id):
-        return self.states[object_id].view_stamps
-
-    def pending_empty(self):
-        return all(not st.pending and st.deferred is None for st in self.states)
-
-
 def round_workload(config: RoundConfig) -> list[WorkItem]:
     """Per process: writes_per_round writes then snapshots_per_round
     snapshots on each round's object, with seeded think times."""
@@ -79,7 +50,7 @@ def round_workload(config: RoundConfig) -> list[WorkItem]:
         write_index = 0
         for obj in range(config.rounds):
             for _ in range(config.writes_per_round):
-                value = (write_index + 1) * 1000 + proc
+                value = workloads.encode_value(proc, write_index)
                 write_index += 1
                 items.append(WorkItem(proc, at, "write", value=value,
                                       object_id=obj))
@@ -91,16 +62,12 @@ def round_workload(config: RoundConfig) -> list[WorkItem]:
 
 
 def run_rounds(config: RoundConfig) -> RunResult:
-    workload = round_workload(config)
-    cutoff = {c.proc: c.at_time for c in config.crashes if c.at_time is not None}
-    workload = [item for item in workload
-                if item.proc not in cutoff or item.at < cutoff[item.proc]]
+    workload = workloads.trim_for_crashes(round_workload(config), config.crashes)
     sim_config = SimConfig(n=config.n, seed=config.seed, protocol="snapshot",
                            delay=config.delay, workload=workload,
                            crashes=list(config.crashes),
                            event_cap=config.event_cap)
-    factory = lambda n, me: RoundsNode(n, me, config.rounds)
-    return run_simulation(sim_config, node_factory=factory)
+    return run_simulation(sim_config)
 
 
 def check_discipline(history: list[OpRecord]) -> None:
@@ -133,10 +100,7 @@ def check_composition(history: list[OpRecord], n: int,
                 if rec.kind == "write" or rec.completed]
     if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
-    try:
-        return check_composition_brute(history, n, bound=brute_bound)
-    except CheckRefusal:
-        raise
+    return check_composition_brute(history, n, bound=brute_bound)
 
 
 def check_composition_brute(history: list[OpRecord], n: int,

@@ -26,16 +26,19 @@ from pathlib import Path
 
 from . import abd, protocol
 from .histories import OpRecord, history_lines
+from .seqspec import READ, SNAPSHOT, WRITE
 
 PRIO_SELF = 0   # own broadcast copies come before anything else at the same time
 PRIO_MAIN = 1
 
-SNAPSHOT_ACTIONS = ("write", "snapshot")
-ABD_ACTIONS = ("write", "read")
-
 
 class ConfigError(Exception):
     """The run is rejected before it starts."""
+
+
+# Delay models: validate() rejects bounds that admit a negative transit time;
+# arrival() gives the delivery time of one remote copy sent at `now` during
+# the sender's send_index-th broadcast, before the simulator's FIFO clamp.
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,14 @@ class AsyncDelay:
     low: float = 0.5
     high: float = 8.0
 
+    def validate(self) -> None:
+        if not (self.low >= 0 and self.high >= 0):
+            raise ConfigError(f"async delay bounds {self.low},{self.high} "
+                              f"allow negative transit times")
+
+    def arrival(self, rng, now, sender, recipient, send_index):
+        return now + rng.uniform(self.low, self.high)
+
 
 @dataclass(frozen=True)
 class SyncDelay:
@@ -52,6 +63,14 @@ class SyncDelay:
 
     latency: float = 5.0
     uncertainty: float = 2.0
+
+    def validate(self) -> None:
+        if not (self.latency >= 0 and self.latency - self.uncertainty >= 0):
+            raise ConfigError(f"sync delay {self.latency},{self.uncertainty} "
+                              f"allows negative transit times")
+
+    def arrival(self, rng, now, sender, recipient, send_index):
+        return now + rng.uniform(self.latency - self.uncertainty, self.latency)
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,22 @@ class ScriptedDelays:
     """
 
     table: dict
+
+    def validate(self) -> None:
+        """Transit times depend on when each broadcast is sent, so arrival()
+        checks them one delivery at a time."""
+
+    def arrival(self, rng, now, sender, recipient, send_index):
+        try:
+            at = self.table[(sender, send_index)][recipient]
+        except KeyError:
+            raise ConfigError(
+                f"scripted delays missing broadcast {send_index} "
+                f"of process {sender} to {recipient}") from None
+        if at < now:
+            raise ConfigError(
+                f"scripted delivery at {at} precedes its send at {now}")
+        return at
 
 
 @dataclass(frozen=True)
@@ -141,43 +176,55 @@ class RunResult:
 
 
 class SnapshotNode:
-    def __init__(self, n, me):
-        self.state = protocol.init(n, me)
+    """One snapshot-memory instance per object id, dispatched by object id.
+
+    A plain run uses object 0 only; a round-structured run uses one object
+    per round, and a process keeps handling messages for rounds it has left.
+    """
+
+    actions = (WRITE, SNAPSHOT)
+
+    def __init__(self, n, me, objects):
+        self.states = [protocol.init(n, me, object_id=obj)
+                       for obj in range(objects)]
 
     def invoke(self, item):
-        if item.action == "write":
-            return protocol.invoke_write(self.state, item.value)[1]
-        if item.action == "snapshot":
-            return protocol.invoke_snapshot(self.state)[1]
-        raise ConfigError(f"snapshot protocol cannot run action {item.action!r}")
+        state = self.states[item.object_id]
+        if item.action == WRITE:
+            return protocol.invoke_write(state, item.value)
+        return protocol.invoke_snapshot(state)
 
     def receive(self, payload):
-        return protocol.handle_message(self.state, payload)[1]
+        return protocol.handle_message(self.states[payload.object_id], payload)
 
     def stamp_vector(self):
-        return tuple(self.state.view_stamps)
+        # stamps of different objects are unrelated: no joint vector
+        if len(self.states) == 1:
+            return tuple(self.states[0].view_stamps)
+        return None
 
-    def view_stamps(self, object_id=0):
-        assert object_id == 0
-        return self.state.view_stamps
+    def view_stamps(self, object_id):
+        return self.states[object_id].view_stamps
 
     def pending_empty(self):
-        return not self.state.pending and self.state.deferred is None
+        return all(not st.pending and st.deferred is None for st in self.states)
 
 
 class AbdNode:
-    def __init__(self, n, me):
+    actions = (WRITE, READ)
+
+    def __init__(self, n, me, objects):
+        if objects != 1:
+            raise ConfigError("the register baseline runs on object 0 only")
         self.state = abd.init(n, me)
 
     def invoke(self, item):
-        if item.action == "write":
-            return abd.invoke_write(self.state, item.value)[1]
-        if item.action == "read":
-            return abd.invoke_read(self.state, item.target)[1]
-        raise ConfigError(f"abd protocol cannot run action {item.action!r}")
+        if item.action == WRITE:
+            return abd.invoke_write(self.state, item.value)
+        return abd.invoke_read(self.state, item.target)
 
     def receive(self, payload):
-        return abd.handle_message(self.state, payload)[1]
+        return abd.handle_message(self.state, payload)
 
     def stamp_vector(self):
         return None
@@ -186,12 +233,15 @@ class AbdNode:
         return self.state.phase is None
 
 
-_NODE_FACTORIES = {"snapshot": SnapshotNode, "abd": AbdNode}
+NODES = {"snapshot": SnapshotNode, "abd": AbdNode}
 
 
-def validate_config(config: SimConfig, actions=None) -> None:
+def validate_config(config: SimConfig) -> None:
     if config.n < 1:
         raise ConfigError("need at least one process")
+    if config.protocol not in NODES:
+        raise ConfigError(f"unknown protocol {config.protocol!r}")
+    config.delay.validate()
     budget = (config.n - 1) // 2
     allowed = budget if config.max_crashes is None else config.max_crashes
     if allowed > budget:
@@ -214,15 +264,15 @@ def validate_config(config: SimConfig, actions=None) -> None:
             raise ConfigError("crash needs exactly one of at_time / on_send")
         if crash.at_time is not None:
             crash_time[crash.proc] = crash.at_time
-    if actions is None:
-        actions = SNAPSHOT_ACTIONS if config.protocol == "snapshot" else ABD_ACTIONS
+    actions = NODES[config.protocol].actions
     last_at = {}
     last_obj = {}
     for item in config.workload:
         if not 0 <= item.proc < config.n:
             raise ConfigError(f"workload references out-of-range process {item.proc}")
         if item.action not in actions:
-            raise ConfigError(f"action {item.action!r} not supported here")
+            raise ConfigError(f"{config.protocol} protocol cannot run "
+                              f"action {item.action!r}")
         if item.proc in crash_time and item.at >= crash_time[item.proc]:
             raise ConfigError(
                 f"workload schedules process {item.proc} at {item.at} "
@@ -238,14 +288,13 @@ def validate_config(config: SimConfig, actions=None) -> None:
 
 
 class _Sim:
-    def __init__(self, config: SimConfig, node_factory=None):
+    def __init__(self, config: SimConfig):
         validate_config(config)
         self.config = config
         n = config.n
-        if node_factory is None:
-            node_factory = _NODE_FACTORIES[config.protocol]
+        objects = 1 + max((item.object_id for item in config.workload), default=0)
         self.rng = random.Random(f"net:{config.seed}")
-        self.nodes = [node_factory(n, me) for me in range(n)]
+        self.nodes = [NODES[config.protocol](n, me, objects) for me in range(n)]
         self.heap = []
         self.seq = itertools.count()
         self.alive = [True] * n
@@ -339,24 +388,8 @@ class _Sim:
             self.vc_trace.append((proc, now, vec))
 
     def _arrival(self, sender, recipient, now):
-        delay = self.config.delay
-        if isinstance(delay, ScriptedDelays):
-            try:
-                at = delay.table[(sender, self.send_count[sender])][recipient]
-            except KeyError:
-                raise ConfigError(
-                    f"scripted delays missing broadcast {self.send_count[sender]} "
-                    f"of process {sender} to {recipient}") from None
-            if at < now:
-                raise ConfigError(
-                    f"scripted delivery at {at} precedes its send at {now}")
-        elif isinstance(delay, AsyncDelay):
-            at = now + self.rng.uniform(delay.low, delay.high)
-        elif isinstance(delay, SyncDelay):
-            at = now + self.rng.uniform(delay.latency - delay.uncertainty,
-                                        delay.latency)
-        else:
-            raise ConfigError(f"unknown delay model {delay!r}")
+        at = self.config.delay.arrival(self.rng, now, sender, recipient,
+                                       self.send_count[sender])
         # reliable FIFO channel: never overtake an earlier message on this pair
         at = max(at, self.last_arrival.get((sender, recipient), 0.0))
         self.last_arrival[(sender, recipient)] = at
@@ -408,7 +441,7 @@ class _Sim:
         rec = self.current_op[proc]
         assert rec is not None and rec.kind == kind, "completion without invocation"
         rec.t_ret = now
-        if kind in ("snapshot", "read"):
+        if kind in (SNAPSHOT, READ):
             rec.result = value
         self.metrics.op_causal_depth[(proc, rec.seq)] = cause_chain
         self.busy[proc] = False
@@ -418,9 +451,9 @@ class _Sim:
                        "invoke", proc)
 
 
-def run_simulation(config: SimConfig, node_factory=None) -> RunResult:
+def run_simulation(config: SimConfig) -> RunResult:
     """Execute the workload to quiescence (or the event cap)."""
-    return _Sim(config, node_factory).run()
+    return _Sim(config).run()
 
 
 # ---------------------------------------------------------------------------

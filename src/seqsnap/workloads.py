@@ -16,13 +16,22 @@ def encode_value(proc: int, index: int) -> int:
     return (index + 1) * 1000 + proc
 
 
+def _split_ops(n: int, ops: int) -> list[int]:
+    """Operations per process; the first ops % n processes get one extra."""
+    if n < 1:
+        raise ValueError(f"need at least one process, got n={n}")
+    if ops < 0:
+        raise ValueError(f"operation count must be non-negative, got {ops}")
+    return [ops // n + (1 if p < ops % n else 0) for p in range(n)]
+
+
 def random_workload(n: int, ops: int, seed: int,
                     snapshot_ratio: float = 0.45) -> list[WorkItem]:
     """Interleaved writes and snapshots with seeded think times. A zero gap
     now and then puts a write and its successor in the same instant, which
     exercises the postponement path."""
     rng = random.Random(f"workload:{seed}")
-    per_proc = [ops // n + (1 if p < ops % n else 0) for p in range(n)]
+    per_proc = _split_ops(n, ops)
     items = []
     for proc in range(n):
         at = rng.uniform(0.0, 2.0)
@@ -43,7 +52,7 @@ def write_heavy_workload(n: int, ops: int, seed: int) -> list[WorkItem]:
     """Bursts of back-to-back writes closed by a snapshot: most writes land
     while the previous one is unconfirmed, stressing the write buffer."""
     rng = random.Random(f"write-heavy:{seed}")
-    per_proc = [ops // n + (1 if p < ops % n else 0) for p in range(n)]
+    per_proc = _split_ops(n, ops)
     items = []
     for proc in range(n):
         at = rng.uniform(0.0, 2.0)
@@ -64,7 +73,7 @@ def write_heavy_workload(n: int, ops: int, seed: int) -> list[WorkItem]:
 def abd_workload(n: int, ops: int, seed: int,
                  read_ratio: float = 0.5) -> list[WorkItem]:
     rng = random.Random(f"abd:{seed}")
-    per_proc = [ops // n + (1 if p < ops % n else 0) for p in range(n)]
+    per_proc = _split_ops(n, ops)
     items = []
     for proc in range(n):
         at = rng.uniform(0.0, 2.0)

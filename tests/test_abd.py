@@ -18,10 +18,10 @@ def test_tags_order_lexicographically():
 
 def test_two_sequential_writes_have_increasing_tags():
     state = abd.init(3, 0)
-    state, eff1 = abd.invoke_write(state, 1)
+    eff1 = abd.invoke_write(state, 1)
     first = eff1.broadcasts[0].tag
     state.phase = None
-    state, eff2 = abd.invoke_write(state, 2)
+    eff2 = abd.invoke_write(state, 2)
     assert first < eff2.broadcasts[0].tag
 
 

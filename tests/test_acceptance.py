@@ -195,13 +195,13 @@ def test_c7_scripted_scenarios_reproduce_the_validation_patterns():
     for proc in (0, 1, 2):
         assert when(proc, a) == when(proc, b)
     for node in cross.nodes:
-        assert node.state.view == [1, 0, 0, 0, 1]
+        assert node.states[0].view == [1, 0, 0, 0, 1]
 
     chain = replay_scripted("fig4b")
     assert chain.metrics.quiescent
     for node in chain.nodes:
-        assert node.state.view_stamps == [3, 0, 0, 3]
-        assert not node.state.pending and node.state.deferred is None
+        assert node.states[0].view_stamps == [3, 0, 0, 3]
+        assert not node.states[0].pending and node.states[0].deferred is None
     flushes = [m for m in chain.message_log
                if getattr(m.payload, "writer", None) == m.sender
                and m.payload.stamp == 3]

@@ -90,6 +90,18 @@ class TestFastChecker:
         assert witness.index((0, 0, 1)) == witness.index((0, 0, 2)) - 1
         assert witness.index((0, 0, 2)) < witness.index((0, 1, 0))
 
+    def test_written_zero_is_resolved_by_the_oracle(self):
+        # p1's first 0 is version 0, not p0's later write of 0
+        h = [W(0, 0, 5), W(0, 1, 0), S(1, 0, [0, 0]), S(1, 1, [5, 0])]
+        assert check_sc_brute(h, 2).accepted
+        assert check_sc_fast(h, 2).accepted
+
+    def test_written_zero_above_the_oracle_bound_is_refused(self):
+        h = ([W(0, 0, 5), W(0, 1, 0), S(1, 0, [0, 0]), S(1, 1, [5, 0])]
+             + [W(1, i, i + 1) for i in range(2, 9)])
+        with pytest.raises(CheckRefusal):
+            check_sc_fast(h, 2)
+
     def test_reads_are_refused(self):
         h = [OpRecord(0, 0, "read", 0.0, 1.0, target=0, result=0)]
         with pytest.raises(CheckRefusal):
@@ -157,6 +169,10 @@ def tiny_history(draw):
         time += draw(st.floats(0.0, 2.0, allow_nan=False))
         if draw(st.booleans()):
             value = len(written[proc]) * 10 + proc + 1
+            # now and then a writer writes 0 (once), so a 0 in its cell may
+            # be the initial value or that write
+            if 0 not in written[proc] and draw(st.integers(0, 3)) == 0:
+                value = 0
             written[proc].append(value)
             records.append(OpRecord(proc, seq, "write", time, time, value=value))
         else:

@@ -139,3 +139,17 @@ def test_check_dispatches_composed_traces(tmp_path):
 def test_usage_error_exit_code():
     assert main(["simulate"]) == 2          # missing --n
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--delay", "sync:1,5"],      # transit times down to -4
+    ["--n", "3", "--delay", "async:-5,-1"],
+    ["--n", "3", "--ops", "-4"],
+    ["--n", "0"],
+])
+def test_invalid_config_rejected_before_any_event(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "randrange" not in err
+    assert not out.exists()

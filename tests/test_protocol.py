@@ -39,7 +39,7 @@ class TestInit:
 class TestWrite:
     def test_fresh_write_broadcasts_with_own_stamp(self):
         state = init(5, 4)
-        state, eff = invoke_write(state, 1)
+        eff = invoke_write(state, 1)
         assert state.clock == 1
         assert eff.broadcasts == [UpdateMsg(1, 4, 1, 1, 4)]
         assert eff.completions == [("write", None)]
@@ -47,15 +47,15 @@ class TestWrite:
     def test_write_with_own_pending_is_buffered(self):
         state = init(3, 0)
         state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
-        state, eff = invoke_write(state, 7)
+        eff = invoke_write(state, 7)
         assert state.deferred == 7
         assert eff.broadcasts == [] and eff.completions == [("write", None)]
 
     def test_newer_buffered_write_drops_older(self):
         state = init(3, 0)
         state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
-        state, _ = invoke_write(state, 7)
-        state, eff = invoke_write(state, 9)
+        invoke_write(state, 7)
+        eff = invoke_write(state, 9)
         assert state.deferred == 9
         assert eff.broadcasts == []
 
@@ -64,23 +64,23 @@ class TestSnapshot:
     def test_immediate_when_nothing_outstanding(self):
         state = init(2, 1)
         state.view = [1, 0]
-        state, eff = invoke_snapshot(state)
+        eff = invoke_snapshot(state)
         assert eff.completions == [("snapshot", (1, 0))]
         assert not state.snapshot_pending
 
     def test_waits_for_own_update(self):
         state = init(3, 0)
         state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
-        state, eff = invoke_snapshot(state)
+        eff = invoke_snapshot(state)
         assert eff.completions == [] and state.snapshot_pending
 
     def test_single_process_write_then_snapshot(self):
         state = init(1, 0)
-        state, eff = invoke_write(state, 5)
+        eff = invoke_write(state, 5)
         msg = eff.broadcasts[0]
-        state, eff = handle_message(state, msg)   # own copy, instant
+        eff = handle_message(state, msg)  # own copy, instant
         assert eff.validated == [(0, 1)]
-        state, eff = invoke_snapshot(state)
+        eff = invoke_snapshot(state)
         assert eff.completions == [("snapshot", (5,))]
 
 
@@ -120,17 +120,17 @@ def deliver_all(states, eff_queue):
     while eff_queue:
         msg = eff_queue.pop(0)
         for state in states:
-            _, eff = handle_message(state, msg)
+            eff = handle_message(state, msg)
             eff_queue.extend(eff.broadcasts)
 
 
 class TestHandleMessage:
     def test_third_distinct_stamp_validates(self):
         state = init(5, 3)
-        state, eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
+        eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
         assert eff.broadcasts[0].relay_stamp == 1  # relayed with own stamp
-        state, _ = handle_message(state, eff.broadcasts[0])  # own copy
-        state, eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 2))
+        handle_message(state, eff.broadcasts[0])  # own copy
+        eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 2))
         assert eff.validated == [(4, 1)]
         assert state.view_stamps[4] == 1 and state.view[4] == 1
 
@@ -138,33 +138,33 @@ class TestHandleMessage:
         state = init(3, 0)
         state.view_stamps[1] = 5
         before = copy.deepcopy(state)
-        state, eff = handle_message(state, UpdateMsg(9, 1, 3, 3, 1))
+        eff = handle_message(state, UpdateMsg(9, 1, 3, 3, 1))
         assert state == before
         assert not eff.broadcasts and not eff.validated
 
     def test_duplicate_sighting_only_updates_stamp(self):
         state = init(5, 0)
-        state, _ = handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
+        handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
         clock_after_first = state.clock
-        state, eff = handle_message(state, UpdateMsg(1, 4, 1, 7, 2))
+        eff = handle_message(state, UpdateMsg(1, 4, 1, 7, 2))
         assert not eff.broadcasts
         assert state.clock == clock_after_first
         assert state.pending[(4, 1)].seen[2] == 7
 
     def test_writer_stamp_not_learned_from_relays(self):
         state = init(5, 0)
-        state, _ = handle_message(state, UpdateMsg(1, 4, 1, 3, 2))
+        handle_message(state, UpdateMsg(1, 4, 1, 3, 2))
         assert state.pending[(4, 1)].seen[4] == INF
         assert state.pending[(4, 1)].seen[2] == 3
 
     def test_buffered_write_flushes_on_validation(self):
         state = init(3, 0)
-        state, eff = invoke_write(state, 5)
+        eff = invoke_write(state, 5)
         own = eff.broadcasts[0]
-        state, _ = handle_message(state, own)
-        state, _ = invoke_write(state, 6)          # buffered behind (0, 1)
+        handle_message(state, own)
+        invoke_write(state, 6)  # buffered behind (0, 1)
         assert state.deferred == 6
-        state, eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
+        eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
         assert eff.validated == [(0, 1)]
         assert state.deferred is None
         flush = eff.broadcasts[0]
@@ -175,17 +175,17 @@ class TestHandleMessage:
         # the flush and the snapshot wait race inside one transition: the
         # snapshot must not complete in it
         state = init(3, 0)
-        state, eff = invoke_write(state, 5)
-        state, _ = handle_message(state, eff.broadcasts[0])
-        state, _ = invoke_write(state, 6)
-        state, eff = invoke_snapshot(state)
+        eff = invoke_write(state, 5)
+        handle_message(state, eff.broadcasts[0])
+        invoke_write(state, 6)
+        eff = invoke_snapshot(state)
         assert state.snapshot_pending
-        state, eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
+        eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
         assert state.snapshot_pending
         assert all(kind != "snapshot" for kind, _ in eff.completions)
         flush = eff.broadcasts[0]
-        state, _ = handle_message(state, flush)
-        state, eff = handle_message(state, UpdateMsg(6, 0, flush.stamp, 9, 2))
+        handle_message(state, flush)
+        eff = handle_message(state, UpdateMsg(6, 0, flush.stamp, 9, 2))
         assert eff.completions == [("snapshot", (6, 0, 0))]
         assert not state.snapshot_pending
 
@@ -214,8 +214,8 @@ def test_handler_is_deterministic_and_stamps_monotone(msgs):
     state_a, state_b = init(3, 0), init(3, 0)
     prev_stamps = list(state_a.view_stamps)
     for msg in msgs:
-        state_a, eff_a = handle_message(state_a, msg)
-        state_b, eff_b = handle_message(state_b, msg)
+        eff_a = handle_message(state_a, msg)
+        eff_b = handle_message(state_b, msg)
         assert state_a == state_b and eff_a == eff_b
         assert all(a >= b for a, b in zip(state_a.view_stamps, prev_stamps))
         prev_stamps = list(state_a.view_stamps)
@@ -227,7 +227,7 @@ def test_at_most_one_entry_per_update_and_no_own_entry_leak(msgs):
     state = init(3, 0)
     seen_keys = set()
     for msg in msgs:
-        state, eff = handle_message(state, msg)
+        eff = handle_message(state, msg)
         for bc in eff.broadcasts:
             assert bc.sender == 0
         keys = list(state.pending)

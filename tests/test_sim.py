@@ -58,8 +58,8 @@ def test_crash_mid_broadcast_still_validates_via_majority():
         crashes=[CrashSpec(2, on_send=1, recipients=(0,))])
     assert run.crashed == frozenset({2})
     for proc in (0, 1):
-        assert run.nodes[proc].state.view_stamps[2] == 1
-        assert run.nodes[proc].state.view[2] == 9
+        assert run.nodes[proc].states[0].view_stamps[2] == 1
+        assert run.nodes[proc].states[0].view[2] == 9
 
 
 def test_crashed_process_takes_no_further_transitions():
@@ -69,7 +69,7 @@ def test_crashed_process_takes_no_further_transitions():
     assert run.crashed == frozenset({1})
     # nobody ever heard of the update
     for proc in (0, 2):
-        assert run.nodes[proc].state.view_stamps[1] == 0
+        assert run.nodes[proc].states[0].view_stamps[1] == 0
     # dying inside the broadcast leaves the write unreturned
     assert len(run.history) == 1 and not run.history[0].completed
 
