@@ -1,8 +1,12 @@
 """Majority-quorum emulation of single-writer registers (comparison baseline).
 
-A writer broadcasts a freshly stamped value and completes after acks from a
-strict majority. A reader queries a majority for (value, tag), writes the
-largest tag back to a majority, then returns it. Both operation kinds block,
+After Attiya, Bar-Noy & Dolev, every operation is built from two quorum
+phases. A query asks every process for its (value, tag) of one register and
+waits for replies from a strict majority. A propagate sends a (value, tag)
+pair; each process adopts it if it is newer than its own and acks, and the
+phase ends at acks from a strict majority. A write is one propagate of a
+freshly stamped value. A read is a query, then a propagate of the largest
+pair it saw, and then it returns that value. Both operation kinds block,
 unlike the snapshot protocol's zero-latency writes.
 
 State is single-owner and driven by the same simulator as the snapshot
@@ -26,34 +30,14 @@ class Tag:
 
 
 @dataclass(frozen=True)
-class StoreMsg:
-    reg: int
-    value: int
-    tag: Tag
-    sender: int
-    op_ref: tuple
-
-
-@dataclass(frozen=True)
-class StoreAck:
-    reg: int
-    tag: Tag
-    sender: int
-    op_ref: tuple
-
-
-@dataclass(frozen=True)
 class QueryMsg:
     reg: int
-    qid: int
     sender: int
     op_ref: tuple
 
 
 @dataclass(frozen=True)
 class QueryReply:
-    reg: int
-    qid: int
     value: int
     tag: Tag
     sender: int
@@ -61,43 +45,31 @@ class QueryReply:
 
 
 @dataclass(frozen=True)
-class WriteBackMsg:
+class PropagateMsg:
     reg: int
     value: int
     tag: Tag
-    qid: int
     sender: int
     op_ref: tuple
 
 
 @dataclass(frozen=True)
-class WriteBackAck:
-    reg: int
-    qid: int
+class Ack:
     sender: int
     op_ref: tuple
 
 
 @dataclass
-class WritePending:
-    tag: Tag
-    acks: set = field(default_factory=set)
+class Phase:
+    """The one operation in flight at a process: a read while it queries, or
+    a write or read while it propagates (value, tag) to register reg."""
 
-
-@dataclass
-class ReadQuerying:
-    qid: int
-    target: int
-    replies: dict = field(default_factory=dict)  # sender -> (tag, value)
-
-
-@dataclass
-class ReadWritingBack:
-    qid: int
-    target: int
-    value: int
-    tag: Tag
-    acks: set = field(default_factory=set)
+    kind: str                # WRITE or READ: what completes after the propagate
+    reg: int
+    op_ref: tuple            # (process, local op index); replies echo it
+    querying: bool
+    value: int = 0
+    replies: dict = field(default_factory=dict)  # sender -> (tag, value) or None
 
 
 @dataclass
@@ -107,9 +79,8 @@ class AbdState:
     values: list[int]
     tags: list[Tag]
     write_stamp: int = 0     # stamps our own writes
-    read_count: int = 0      # distinguishes our read phases
     ops_started: int = 0     # local op index, used to attribute messages
-    phase: object = None     # None when no operation is in flight
+    phase: Phase | None = None  # None when no operation is in flight
 
 
 def init(n: int, me: int) -> AbdState:
@@ -123,77 +94,63 @@ def majority(n: int) -> int:
     return n // 2 + 1
 
 
-def _adopt(state: AbdState, reg: int, value: int, tag: Tag) -> None:
-    if state.tags[reg] < tag:
-        state.tags[reg] = tag
-        state.values[reg] = value
+def _begin(state: AbdState, kind: str, reg: int, querying: bool) -> Phase:
+    assert state.phase is None, "operations are sequential per process"
+    state.phase = Phase(kind, reg, (state.me, state.ops_started), querying)
+    state.ops_started += 1
+    return state.phase
+
+
+def _propagate(state: AbdState, eff: Effect, value: int, tag: Tag) -> None:
+    """Move the operation in flight to its propagate phase for (value, tag)."""
+    phase = state.phase
+    phase.querying, phase.value, phase.replies = False, value, {}
+    eff.broadcasts.append(PropagateMsg(phase.reg, value, tag, state.me,
+                                       phase.op_ref))
 
 
 def invoke_write(state: AbdState, value: int) -> Effect:
-    assert state.phase is None, "operations are sequential per process"
     eff = Effect()
+    _begin(state, WRITE, state.me, querying=False)
     state.write_stamp += 1
-    tag = Tag(state.write_stamp, state.me)
-    op_ref = (state.me, state.ops_started)
-    state.ops_started += 1
-    state.phase = WritePending(tag)
-    eff.broadcasts.append(StoreMsg(state.me, value, tag, state.me, op_ref))
+    _propagate(state, eff, value, Tag(state.write_stamp, state.me))
     return eff
 
 
 def invoke_read(state: AbdState, target: int) -> Effect:
-    assert state.phase is None, "operations are sequential per process"
     eff = Effect()
-    state.read_count += 1
-    op_ref = (state.me, state.ops_started)
-    state.ops_started += 1
-    state.phase = ReadQuerying(state.read_count, target)
-    eff.broadcasts.append(QueryMsg(target, state.read_count, state.me, op_ref))
+    phase = _begin(state, READ, target, querying=True)
+    eff.broadcasts.append(QueryMsg(target, state.me, phase.op_ref))
     return eff
 
 
 def handle_message(state: AbdState, msg) -> Effect:
     eff = Effect()
-    quorum = majority(state.n)
-    if isinstance(msg, StoreMsg):
-        _adopt(state, msg.reg, msg.value, msg.tag)
-        eff.sends.append((StoreAck(msg.reg, msg.tag, state.me, msg.op_ref),
-                          msg.sender))
-    elif isinstance(msg, StoreAck):
-        phase = state.phase
-        if isinstance(phase, WritePending) and phase.tag == msg.tag:
-            phase.acks.add(msg.sender)
-            if len(phase.acks) >= quorum:
-                state.phase = None
-                eff.completions.append((WRITE, None))
-    elif isinstance(msg, QueryMsg):
-        eff.sends.append((QueryReply(msg.reg, msg.qid, state.values[msg.reg],
-                                     state.tags[msg.reg], state.me, msg.op_ref),
-                          msg.sender))
-    elif isinstance(msg, QueryReply):
-        phase = state.phase
-        if isinstance(phase, ReadQuerying) and phase.qid == msg.qid:
-            phase.replies[msg.sender] = (msg.tag, msg.value)
-            if len(phase.replies) >= quorum:
-                tag, value = max(phase.replies.values())
+    phase = state.phase
+    if isinstance(msg, QueryMsg):
+        eff.sends.append((QueryReply(state.values[msg.reg], state.tags[msg.reg],
+                                     state.me, msg.op_ref), msg.sender))
+    elif isinstance(msg, PropagateMsg):
+        if state.tags[msg.reg] < msg.tag:
+            state.tags[msg.reg] = msg.tag
+            state.values[msg.reg] = msg.value
+        eff.sends.append((Ack(state.me, msg.op_ref), msg.sender))
+    elif not isinstance(msg, (QueryReply, Ack)):
+        raise TypeError(f"unknown message {msg!r}")
+    elif (phase is not None and phase.op_ref == msg.op_ref
+          and phase.querying == isinstance(msg, QueryReply)):
+        # a reply counts only towards the phase it answers: a late reply of
+        # an earlier operation, or a query reply after the read began to
+        # propagate, changes nothing
+        phase.replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
+        if len(phase.replies) >= majority(state.n):
+            if phase.querying:
                 # unconditional write-back: the freshest pair must reach a
                 # majority before the read may return
-                state.phase = ReadWritingBack(phase.qid, phase.target, value, tag)
-                op_ref = msg.op_ref
-                eff.broadcasts.append(WriteBackMsg(phase.target, value, tag,
-                                                   phase.qid, state.me, op_ref))
-    elif isinstance(msg, WriteBackMsg):
-        _adopt(state, msg.reg, msg.value, msg.tag)
-        eff.sends.append((WriteBackAck(msg.reg, msg.qid, state.me, msg.op_ref),
-                          msg.sender))
-    elif isinstance(msg, WriteBackAck):
-        phase = state.phase
-        if isinstance(phase, ReadWritingBack) and phase.qid == msg.qid:
-            phase.acks.add(msg.sender)
-            if len(phase.acks) >= quorum:
-                value = phase.value
+                tag, value = max(phase.replies.values())
+                _propagate(state, eff, value, tag)
+            else:
                 state.phase = None
-                eff.completions.append((READ, value))
-    else:
-        raise TypeError(f"unknown message {msg!r}")
+                eff.completions.append(
+                    (phase.kind, phase.value if phase.kind == READ else None))
     return eff

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .seqspec import READ, SNAPSHOT, WRITE
 from .sim import AsyncDelay, Metrics, RunResult, SimConfig, WorkItem, run_simulation
 
 QUIET_GAP = 100.0   # far larger than any sampled transit time
@@ -47,13 +48,13 @@ class AbdCosts:
 
 def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
     workload = [
-        WorkItem(0, 0.0, "write", value=1001),
-        WorkItem(0, QUIET_GAP, "snapshot"),                 # isolated: free
-        WorkItem(0, 2 * QUIET_GAP, "write", value=2001),
-        WorkItem(0, 2 * QUIET_GAP, "snapshot"),             # right after a write
-        WorkItem(0, 3 * QUIET_GAP, "write", value=3001),
-        WorkItem(0, 3 * QUIET_GAP, "write", value=4001),    # buffered
-        WorkItem(0, 3 * QUIET_GAP, "snapshot"),             # after two writes
+        WorkItem(0, 0.0, WRITE, value=1001),
+        WorkItem(0, QUIET_GAP, SNAPSHOT),                   # isolated: free
+        WorkItem(0, 2 * QUIET_GAP, WRITE, value=2001),
+        WorkItem(0, 2 * QUIET_GAP, SNAPSHOT),               # right after a write
+        WorkItem(0, 3 * QUIET_GAP, WRITE, value=3001),
+        WorkItem(0, 3 * QUIET_GAP, WRITE, value=4001),      # buffered
+        WorkItem(0, 3 * QUIET_GAP, SNAPSHOT),               # after two writes
     ]
     config = SimConfig(n=n, seed=seed, protocol="snapshot",
                        delay=MEASURE_DELAY, workload=workload)
@@ -62,8 +63,8 @@ def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
     # every message in this protocol belongs to some update; snapshots add none
     snapshot_sends = (run.metrics.messages_total
                       - sum(run.metrics.messages_per_update.values()))
-    writes = [rec.seq for rec in run.history if rec.kind == "write"]
-    snaps = [rec.seq for rec in run.history if rec.kind == "snapshot"]
+    writes = [rec.seq for rec in run.history if rec.kind == WRITE]
+    snaps = [rec.seq for rec in run.history if rec.kind == SNAPSHOT]
     return SnapshotCosts(
         n=n,
         write_depth=max(depth[(0, seq)] for seq in writes),
@@ -79,16 +80,16 @@ def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
 
 def measure_abd(n: int, seed: int = 0) -> AbdCosts:
     workload = [
-        WorkItem(0, 0.0, "write", value=7),
-        WorkItem(1 % n, QUIET_GAP, "read", target=0),
+        WorkItem(0, 0.0, WRITE, value=7),
+        WorkItem(1 % n, QUIET_GAP, READ, target=0),
     ]
     config = SimConfig(n=n, seed=seed, protocol="abd",
                        delay=MEASURE_DELAY, workload=workload)
     run = run_simulation(config)
     depth = run.metrics.op_causal_depth
     per_op = run.metrics.messages_per_op
-    write_rec = next(rec for rec in run.history if rec.kind == "write")
-    read_rec = next(rec for rec in run.history if rec.kind == "read")
+    write_rec = next(rec for rec in run.history if rec.kind == WRITE)
+    read_rec = next(rec for rec in run.history if rec.kind == READ)
     return AbdCosts(
         n=n,
         write_depth=depth[(write_rec.proc, write_rec.seq)],

@@ -133,12 +133,27 @@ def check_sc_fast(history: list[OpRecord], n: int,
     (2) each snapshot's own component equals the number of its own preceding
     writes (which also bounds it below every later own write), and (3) the
     vectors are nondecreasing along each process order - and the witness
-    assembled from these facts replays legally. A witness failure after the
-    conditions pass falls back to the exhaustive oracle, keeping the verdict
-    exact; so does a 0 in the cell of a writer that wrote 0, which may be
-    version 0 or that write. Incomplete snapshots are dropped; incomplete
+    assembled from these facts replays legally. A 0 in the cell of a writer
+    that wrote 0 may be version 0 or that write, so such a history goes to
+    the exhaustive oracle. Incomplete snapshots are dropped; incomplete
     writes are kept as if complete (the oracles additionally try dropping
     them).
+
+    Once (1)-(3) pass, the witness cannot fail its check on a history whose
+    op ids are unique, so the fallback to the oracle after that check is
+    safety code only:
+    - the witness puts each writer's version-w write just before the first
+      snapshot in the sorted chain whose component reaches w. Components
+      never decrease along the chain, so exactly versions 1..v[q] of each
+      writer q are replayed before a snapshot with vector v;
+    - so each snapshot replays its own vector;
+    - (3) and the (vector, proc, seq) sort keep each process's snapshots in
+      its order, (2) places its own writes before a snapshot exactly when
+      they precede it, and one writer's writes keep their version order, so
+      the order contains every process order.
+    A repeated op id, which the trace format does not exclude, fails the
+    process-order check and reaches the fallback; above the oracle's bound
+    that is a refusal.
     """
     if any(rec.kind == READ for rec in history):
         raise CheckRefusal("single-cell reads are only handled by the "
@@ -196,8 +211,8 @@ def check_sc_fast(history: list[OpRecord], n: int,
     witness = _build_witness(included, n, versions, order)
     if contains_process_order(witness, included) and replay_legal(witness, n):
         return Verdict(True, witness=[op_id(rec) for rec in witness])
-    # Conditions passed but the constructed order does not replay: defer to
-    # the exact oracle rather than guess.
+    # unreachable unless op ids repeat (see the docstring); the oracle keeps
+    # the verdict exact rather than guess
     return check_sc_brute(history, n, bound=brute_bound)
 
 

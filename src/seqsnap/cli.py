@@ -89,8 +89,7 @@ def _cmd_simulate(args) -> int:
     crashes = workloads.random_crashes(args.n, args.crashes, args.seed)
     items = workloads.trim_for_crashes(items, crashes)
     config = SimConfig(n=args.n, seed=args.seed, protocol=protocol,
-                       delay=args.delay, workload=items, crashes=crashes,
-                       max_crashes=args.crashes)
+                       delay=args.delay, workload=items, crashes=crashes)
     run = run_simulation(config)
     paths = write_run_files(run, args.out)
     for path in paths:

@@ -21,6 +21,7 @@ from . import workloads
 from .checker import (Verdict, check_sc_brute, check_sc_fast,
                       contains_process_order, replay_legal)
 from .histories import OpRecord, op_id
+from .seqspec import SNAPSHOT, WRITE
 from .sim import AsyncDelay, RunResult, SimConfig, WorkItem, run_simulation
 
 
@@ -43,6 +44,10 @@ class RoundConfig:
 def round_workload(config: RoundConfig) -> list[WorkItem]:
     """Per process: writes_per_round writes then snapshots_per_round
     snapshots on each round's object, with seeded think times."""
+    if config.rounds < 1:
+        raise ValueError(f"need at least one round, got {config.rounds}")
+    if config.writes_per_round < 0 or config.snapshots_per_round < 0:
+        raise ValueError("per-round operation counts must be non-negative")
     rng = random.Random(f"rounds:{config.seed}")
     items = []
     for proc in range(config.n):
@@ -52,11 +57,11 @@ def round_workload(config: RoundConfig) -> list[WorkItem]:
             for _ in range(config.writes_per_round):
                 value = workloads.encode_value(proc, write_index)
                 write_index += 1
-                items.append(WorkItem(proc, at, "write", value=value,
+                items.append(WorkItem(proc, at, WRITE, value=value,
                                       object_id=obj))
                 at += rng.uniform(0.0, 2.0)
             for _ in range(config.snapshots_per_round):
-                items.append(WorkItem(proc, at, "snapshot", object_id=obj))
+                items.append(WorkItem(proc, at, SNAPSHOT, object_id=obj))
                 at += rng.uniform(0.0, 2.0)
     return items
 
@@ -97,7 +102,7 @@ def check_composition(history: list[OpRecord], n: int,
             return verdict
         spliced.extend(id_to_record[i] for i in verdict.witness)
     included = [rec for rec in history
-                if rec.kind == "write" or rec.completed]
+                if rec.kind == WRITE or rec.completed]
     if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
     return check_composition_brute(history, n, bound=brute_bound)

@@ -17,6 +17,7 @@ the run.
 
 from __future__ import annotations
 
+from .seqspec import READ, WRITE
 from .sim import (AsyncDelay, RunResult, ScriptedDelays, SimConfig, WorkItem,
                   run_simulation)
 
@@ -85,8 +86,8 @@ def two_writers_cross_config() -> SimConfig:
         n=5, seed=0, protocol="snapshot",
         delay=ScriptedDelays(TWO_WRITERS_CROSS_DELIVERIES),
         workload=[
-            WorkItem(4, 0.0, "write", value=1),
-            WorkItem(0, 0.0, "write", value=1),
+            WorkItem(4, 0.0, WRITE, value=1),
+            WorkItem(0, 0.0, WRITE, value=1),
         ])
 
 
@@ -95,10 +96,10 @@ def postponed_chain_config() -> SimConfig:
         n=4, seed=0, protocol="snapshot",
         delay=ScriptedDelays(POSTPONED_CHAIN_DELIVERIES),
         workload=[
-            WorkItem(3, 0.0, "write", value=31),
-            WorkItem(3, 0.05, "write", value=32),
-            WorkItem(0, 0.0, "write", value=1),
-            WorkItem(0, 0.05, "write", value=2),
+            WorkItem(3, 0.0, WRITE, value=31),
+            WorkItem(3, 0.05, WRITE, value=32),
+            WorkItem(0, 0.0, WRITE, value=1),
+            WorkItem(0, 0.05, WRITE, value=2),
         ])
 
 
@@ -107,8 +108,8 @@ def abd_baseline_demo_config() -> SimConfig:
         n=3, seed=7, protocol="abd",
         delay=AsyncDelay(0.5, 3.0),
         workload=[
-            WorkItem(0, 0.0, "write", value=7),
-            WorkItem(1, 100.0, "read", target=0),
+            WorkItem(0, 0.0, WRITE, value=7),
+            WorkItem(1, 100.0, READ, target=0),
         ])
 
 

@@ -132,7 +132,6 @@ class SimConfig:
     delay: object = AsyncDelay()
     workload: list = field(default_factory=list)
     crashes: list = field(default_factory=list)
-    max_crashes: int | None = None
     event_cap: int = 1_000_000
 
 
@@ -243,15 +242,10 @@ def validate_config(config: SimConfig) -> None:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
     config.delay.validate()
     budget = (config.n - 1) // 2
-    allowed = budget if config.max_crashes is None else config.max_crashes
-    if allowed > budget:
+    if len(config.crashes) > budget:
         raise ConfigError(
-            f"{allowed} crashes not tolerated with n={config.n}: "
-            f"fewer than half the processes may crash")
-    if len(config.crashes) > allowed:
-        raise ConfigError(
-            f"{len(config.crashes)} crashes exceed the budget of {allowed} "
-            f"for n={config.n}")
+            f"{len(config.crashes)} crashes exceed the budget of {budget} "
+            f"for n={config.n}: fewer than half the processes may crash")
     seen_procs = set()
     crash_time = {}
     for crash in config.crashes:

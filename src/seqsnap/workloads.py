@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .seqspec import READ, SNAPSHOT, WRITE
 from .sim import CrashSpec, WorkItem
 
 
@@ -16,10 +17,14 @@ def encode_value(proc: int, index: int) -> int:
     return (index + 1) * 1000 + proc
 
 
-def _split_ops(n: int, ops: int) -> list[int]:
-    """Operations per process; the first ops % n processes get one extra."""
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"need at least one process, got n={n}")
+
+
+def _split_ops(n: int, ops: int) -> list[int]:
+    """Operations per process; the first ops % n processes get one extra."""
+    _check_n(n)
     if ops < 0:
         raise ValueError(f"operation count must be non-negative, got {ops}")
     return [ops // n + (1 if p < ops % n else 0) for p in range(n)]
@@ -38,9 +43,9 @@ def random_workload(n: int, ops: int, seed: int,
         writes = 0
         for _ in range(per_proc[proc]):
             if rng.random() < snapshot_ratio:
-                items.append(WorkItem(proc, at, "snapshot"))
+                items.append(WorkItem(proc, at, SNAPSHOT))
             else:
-                items.append(WorkItem(proc, at, "write",
+                items.append(WorkItem(proc, at, WRITE,
                                       value=encode_value(proc, writes)))
                 writes += 1
             gap = 0.0 if rng.random() < 0.3 else rng.uniform(0.3, 3.0)
@@ -61,10 +66,10 @@ def write_heavy_workload(n: int, ops: int, seed: int) -> list[WorkItem]:
         while left > 0:
             burst = min(left, rng.randint(2, 4))
             for _ in range(burst - 1):
-                items.append(WorkItem(proc, at, "write",
+                items.append(WorkItem(proc, at, WRITE,
                                       value=encode_value(proc, writes)))
                 writes += 1
-            items.append(WorkItem(proc, at, "snapshot"))
+            items.append(WorkItem(proc, at, SNAPSHOT))
             left -= burst
             at += rng.uniform(0.5, 4.0)
     return items
@@ -80,10 +85,10 @@ def abd_workload(n: int, ops: int, seed: int,
         writes = 0
         for _ in range(per_proc[proc]):
             if rng.random() < read_ratio:
-                items.append(WorkItem(proc, at, "read",
+                items.append(WorkItem(proc, at, READ,
                                       target=rng.randrange(n)))
             else:
-                items.append(WorkItem(proc, at, "write",
+                items.append(WorkItem(proc, at, WRITE,
                                       value=encode_value(proc, writes)))
                 writes += 1
             at += rng.uniform(0.3, 3.0)
@@ -93,9 +98,14 @@ def abd_workload(n: int, ops: int, seed: int,
 def random_crashes(n: int, count: int, seed: int) -> list[CrashSpec]:
     """Up to `count` distinct processes crash, mostly mid-broadcast (a seeded
     recipient subset gets the truncated message), sometimes between
-    transitions at a time instant."""
+    transitions at a time instant. `count` must be within the crash budget:
+    non-negative and below half of n."""
+    _check_n(n)
     budget = (n - 1) // 2
-    count = min(count, budget)
+    if not 0 <= count <= budget:
+        raise ValueError(
+            f"crash count must be between 0 and {budget} for n={n}: "
+            f"fewer than half the processes may crash, got {count}")
     rng = random.Random(f"crashes:{seed}")
     how_many = rng.randint(0, count) if count else 0
     procs = rng.sample(range(n), how_many)

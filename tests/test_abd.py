@@ -1,5 +1,8 @@
+import copy
+
 from seqsnap import abd
 from seqsnap.checker import check_lin_brute
+from seqsnap.protocol import Effect
 from seqsnap.sim import AsyncDelay, CrashSpec, SimConfig, WorkItem, run_simulation
 from seqsnap.workloads import abd_workload, trim_for_crashes
 
@@ -23,6 +26,67 @@ def test_two_sequential_writes_have_increasing_tags():
     state.phase = None
     eff2 = abd.invoke_write(state, 2)
     assert first < eff2.broadcasts[0].tag
+
+
+def reply(peer, msg):
+    """The one directed message a peer sends back for a broadcast."""
+    (answer, _dest), = abd.handle_message(peer, msg).sends
+    return answer
+
+
+def assert_ignored(state, msg):
+    before = copy.deepcopy(state)
+    assert abd.handle_message(state, msg) == Effect()
+    assert state == before
+
+
+def test_ack_of_a_finished_write_is_ignored_by_the_next_read():
+    state = abd.init(3, 0)
+    store = abd.invoke_write(state, 5).broadcasts[0]
+    acks = [reply(abd.init(3, j), store) for j in range(3)]
+    abd.handle_message(state, acks[0])
+    assert abd.handle_message(state, acks[1]).completions == [("write", None)]
+    query = abd.invoke_read(state, 1).broadcasts[0]
+    assert_ignored(state, acks[2])
+    for j in range(2):
+        abd.handle_message(state, reply(abd.init(3, j), query))
+    assert not state.phase.querying          # now in its write-back
+    assert_ignored(state, acks[2])
+
+
+def test_query_reply_after_the_write_back_began_is_ignored():
+    state = abd.init(3, 0)
+    query = abd.invoke_read(state, 1).broadcasts[0]
+    peers = [abd.init(3, j) for j in range(3)]
+    abd.handle_message(peers[1], abd.invoke_write(peers[1], 9).broadcasts[0])
+    replies = [reply(peer, query) for peer in peers]
+    abd.handle_message(state, replies[0])
+    write_back = abd.handle_message(state, replies[1]).broadcasts[0]
+    assert (write_back.value, write_back.tag) == (9, abd.Tag(1, 1))
+    assert_ignored(state, replies[2])
+
+
+def test_read_returns_largest_tag_after_majority_of_write_back_acks():
+    n = 5
+    peers = [abd.init(n, j) for j in range(n)]
+    first = abd.invoke_write(peers[2], 12).broadcasts[0]
+    peers[2].phase = None
+    second = abd.invoke_write(peers[2], 22).broadcasts[0]
+    abd.handle_message(peers[1], first)
+    abd.handle_message(peers[2], first)
+    abd.handle_message(peers[2], second)
+    reader = peers[0]
+    query = abd.invoke_read(reader, 2).broadcasts[0]
+    for peer in peers[:2]:
+        assert abd.handle_message(reader, reply(peer, query)) == Effect()
+    write_back = abd.handle_message(reader, reply(peers[2], query)).broadcasts[0]
+    assert (write_back.value, write_back.tag) == (22, abd.Tag(2, 2))
+    acks = [reply(peer, write_back) for peer in peers]
+    assert abd.handle_message(reader, acks[0]) == Effect()
+    assert abd.handle_message(reader, acks[0]) == Effect()   # same sender again
+    assert abd.handle_message(reader, acks[1]) == Effect()
+    assert abd.handle_message(reader, acks[4]).completions == [("read", 22)]
+    assert reader.phase is None and reader.values[2] == 22
 
 
 def test_crash_free_write_uses_one_round_and_majority_acks():

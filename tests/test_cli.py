@@ -146,10 +146,25 @@ def test_usage_error_exit_code():
     ["--n", "3", "--delay", "async:-5,-1"],
     ["--n", "3", "--ops", "-4"],
     ["--n", "0"],
+    ["--n", "3", "--crashes", "-1"],
 ])
 def test_invalid_config_rejected_before_any_event(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main(["simulate", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "randrange" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--rounds", "0"],
+    ["--n", "3", "--rounds", "-1"],
+    ["--n", "3", "--rounds", "2", "--crashes", "-1"],
+    ["--n", "5", "--rounds", "2", "--crashes", "3"],   # budget is 2
+])
+def test_invalid_rounds_config_rejected_before_any_event(tmp_path, capsys, argv):
+    out = tmp_path / "rounds"
+    assert main(["rounds", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "randrange" not in err
     assert not out.exists()
