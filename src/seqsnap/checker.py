@@ -54,6 +54,20 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     return True
 
 
+def _check_op_ids(history: list[OpRecord], n: int) -> None:
+    """Refuse an op whose process is outside 0..n-1 or whose
+    (object_id, proc, seq) repeats: no verdict is defined for either."""
+    seen = set()
+    for rec in history:
+        if not 0 <= rec.proc < n:
+            raise CheckRefusal(f"op by out-of-range process {rec.proc} "
+                               f"in an n={n} history")
+        key = op_id(rec)
+        if key in seen:
+            raise CheckRefusal(f"op id {key} repeats")
+        seen.add(key)
+
+
 def contains_process_order(records: list[OpRecord], included: list[OpRecord]) -> bool:
     if len(records) != len(included) or set(map(op_id, records)) != set(map(op_id, included)):
         return False
@@ -139,9 +153,10 @@ def check_sc_fast(history: list[OpRecord], n: int,
     writes are kept as if complete (the oracles additionally try dropping
     them).
 
-    Once (1)-(3) pass, the witness cannot fail its check on a history whose
-    op ids are unique, so the fallback to the oracle after that check is
-    safety code only:
+    Ops by a process outside 0..n-1 and repeated op ids are refused on
+    entry. Once (1)-(3) pass, the witness cannot fail its check on a history
+    whose op ids are unique, so the fallback to the oracle after that check
+    cannot be reached and stays as safety code only:
     - the witness puts each writer's version-w write just before the first
       snapshot in the sorted chain whose component reaches w. Components
       never decrease along the chain, so exactly versions 1..v[q] of each
@@ -151,10 +166,8 @@ def check_sc_fast(history: list[OpRecord], n: int,
       its order, (2) places its own writes before a snapshot exactly when
       they precede it, and one writer's writes keep their version order, so
       the order contains every process order.
-    A repeated op id, which the trace format does not exclude, fails the
-    process-order check and reaches the fallback; above the oracle's bound
-    that is a refusal.
     """
+    _check_op_ids(history, n)
     if any(rec.kind == READ for rec in history):
         raise CheckRefusal("single-cell reads are only handled by the "
                            "exhaustive checkers")
@@ -211,8 +224,8 @@ def check_sc_fast(history: list[OpRecord], n: int,
     witness = _build_witness(included, n, versions, order)
     if contains_process_order(witness, included) and replay_legal(witness, n):
         return Verdict(True, witness=[op_id(rec) for rec in witness])
-    # unreachable unless op ids repeat (see the docstring); the oracle keeps
-    # the verdict exact rather than guess
+    # unreachable (see the docstring); the oracle keeps the verdict exact
+    # rather than guess
     return check_sc_brute(history, n, bound=brute_bound)
 
 
@@ -301,6 +314,7 @@ def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
 
 
 def _oracle(history: list[OpRecord], n: int, bound: int, realtime: bool) -> Verdict:
+    _check_op_ids(history, n)
     completed = [rec for rec in history if rec.completed]
     incomplete_writes = [rec for rec in history
                          if not rec.completed and rec.kind == WRITE]

@@ -22,7 +22,7 @@ from .checker import (Verdict, check_sc_brute, check_sc_fast,
                       contains_process_order, replay_legal)
 from .histories import OpRecord, op_id
 from .seqspec import SNAPSHOT, WRITE
-from .sim import AsyncDelay, RunResult, SimConfig, WorkItem, run_simulation
+from .sim import RunResult, SimConfig, WorkItem, run_simulation
 
 
 class DisciplineError(Exception):
@@ -34,45 +34,33 @@ class RoundConfig:
     n: int
     rounds: int
     seed: int = 0
-    writes_per_round: int = 1
-    snapshots_per_round: int = 1
     crashes: list = field(default_factory=list)
-    delay: object = AsyncDelay()
-    event_cap: int = 1_000_000
 
 
 def round_workload(config: RoundConfig) -> list[WorkItem]:
-    """Per process: writes_per_round writes then snapshots_per_round
-    snapshots on each round's object, with seeded think times."""
+    """Per process and round: one write, then one snapshot, on the round's
+    object, with seeded think times."""
     if config.rounds < 1:
         raise ValueError(f"need at least one round, got {config.rounds}")
-    if config.writes_per_round < 0 or config.snapshots_per_round < 0:
-        raise ValueError("per-round operation counts must be non-negative")
     rng = random.Random(f"rounds:{config.seed}")
     items = []
     for proc in range(config.n):
         at = rng.uniform(0.0, 2.0)
-        write_index = 0
         for obj in range(config.rounds):
-            for _ in range(config.writes_per_round):
-                value = workloads.encode_value(proc, write_index)
-                write_index += 1
-                items.append(WorkItem(proc, at, WRITE, value=value,
-                                      object_id=obj))
-                at += rng.uniform(0.0, 2.0)
-            for _ in range(config.snapshots_per_round):
-                items.append(WorkItem(proc, at, SNAPSHOT, object_id=obj))
-                at += rng.uniform(0.0, 2.0)
+            items.append(WorkItem(proc, at, WRITE,
+                                  value=workloads.encode_value(proc, obj),
+                                  object_id=obj))
+            at += rng.uniform(0.0, 2.0)
+            items.append(WorkItem(proc, at, SNAPSHOT, object_id=obj))
+            at += rng.uniform(0.0, 2.0)
     return items
 
 
 def run_rounds(config: RoundConfig) -> RunResult:
     workload = workloads.trim_for_crashes(round_workload(config), config.crashes)
-    sim_config = SimConfig(n=config.n, seed=config.seed, protocol="snapshot",
-                           delay=config.delay, workload=workload,
-                           crashes=list(config.crashes),
-                           event_cap=config.event_cap)
-    return run_simulation(sim_config)
+    return run_simulation(SimConfig(n=config.n, seed=config.seed,
+                                    workload=workload,
+                                    crashes=list(config.crashes)))
 
 
 def check_discipline(history: list[OpRecord]) -> None:
@@ -85,8 +73,7 @@ def check_discipline(history: list[OpRecord]) -> None:
         last[rec.proc] = rec.object_id
 
 
-def check_composition(history: list[OpRecord], n: int,
-                      brute_bound: int = 10) -> Verdict:
+def check_composition(history: list[OpRecord], n: int) -> Verdict:
     """Accept iff some total order containing the process orders projects to
     a legal word on every object; built by splicing per-object witnesses in
     round order and verifying the splice by replay."""
@@ -105,7 +92,7 @@ def check_composition(history: list[OpRecord], n: int,
                 if rec.kind == WRITE or rec.completed]
     if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
-    return check_composition_brute(history, n, bound=brute_bound)
+    return check_composition_brute(history, n)
 
 
 def check_composition_brute(history: list[OpRecord], n: int,

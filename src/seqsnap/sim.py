@@ -30,6 +30,7 @@ from .seqspec import READ, SNAPSHOT, WRITE
 
 PRIO_SELF = 0   # own broadcast copies come before anything else at the same time
 PRIO_MAIN = 1
+EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
 
 
 class ConfigError(Exception):
@@ -132,7 +133,6 @@ class SimConfig:
     delay: object = AsyncDelay()
     workload: list = field(default_factory=list)
     crashes: list = field(default_factory=list)
-    event_cap: int = 1_000_000
 
 
 @dataclass
@@ -145,15 +145,9 @@ class Metrics:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    payload: object
-    sender: int
-    to: int
-    chain: int
-
-
-@dataclass(frozen=True)
 class MessageRecord:
+    """One sent message; each of its deliveries refers to this record."""
+
     time: float
     sender: int
     payload: object
@@ -256,6 +250,13 @@ def validate_config(config: SimConfig) -> None:
         seen_procs.add(crash.proc)
         if (crash.at_time is None) == (crash.on_send is None):
             raise ConfigError("crash needs exactly one of at_time / on_send")
+        if crash.on_send is not None and crash.on_send < 1:
+            raise ConfigError(f"crash on broadcast {crash.on_send}: "
+                              f"broadcasts are counted from 1")
+        if crash.recipients is not None and not all(
+                0 <= r < config.n for r in crash.recipients):
+            raise ConfigError(f"crash of process {crash.proc} forces "
+                              f"out-of-range recipients {crash.recipients}")
         if crash.at_time is not None:
             crash_time[crash.proc] = crash.at_time
     actions = NODES[config.protocol].actions
@@ -267,6 +268,12 @@ def validate_config(config: SimConfig) -> None:
         if item.action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {item.action!r}")
+        if item.action == WRITE and item.value is None:
+            raise ConfigError(f"write by process {item.proc} has no value")
+        if item.action == READ and (item.target is None
+                                    or not 0 <= item.target < config.n):
+            raise ConfigError(f"read by process {item.proc} targets "
+                              f"out-of-range cell {item.target}")
         if item.proc in crash_time and item.at >= crash_time[item.proc]:
             raise ConfigError(
                 f"workload schedules process {item.proc} at {item.at} "
@@ -292,7 +299,6 @@ class _Sim:
         self.heap = []
         self.seq = itertools.count()
         self.alive = [True] * n
-        self.busy = [False] * n
         self.current_op = [None] * n
         self.op_count = [0] * n
         self.send_count = [0] * n
@@ -322,7 +328,7 @@ class _Sim:
             if crash.at_time is not None:
                 self._push(crash.at_time, PRIO_MAIN, "crash", crash.proc)
         while self.heap:
-            if self.processed >= config.event_cap:
+            if self.processed >= EVENT_CAP:
                 self.metrics.quiescent = False
                 break
             time, _prio, _seq, kind, data = heappop(self.heap)
@@ -330,18 +336,19 @@ class _Sim:
                 self.alive[data] = False
                 continue
             if kind == "deliver":
-                env = data
-                if not self.alive[env.to]:
+                msg, to = data
+                if not self.alive[to]:
                     continue
                 self.processed += 1
-                self.delivery_log.append((time, env.sender, env.to, env.payload))
-                eff = self.nodes[env.to].receive(env.payload)
-                self._after_transition(env.to, eff, env.chain, time)
+                self.delivery_log.append((time, msg.sender, to, msg.payload))
+                eff = self.nodes[to].receive(msg.payload)
+                self._after_transition(to, eff, msg.chain, time)
             elif kind == "invoke":
                 proc = data
                 if not self.alive[proc]:
                     continue
-                assert not self.busy[proc], "invocation while an op is mid-flight"
+                assert self.current_op[proc] is None, \
+                    "invocation while an op is mid-flight"
                 item = self.queues[proc].popleft()
                 self.processed += 1
                 rec = OpRecord(proc=proc, seq=self.op_count[proc],
@@ -351,7 +358,6 @@ class _Sim:
                 self.op_count[proc] += 1
                 self.history.append(rec)
                 self.current_op[proc] = rec
-                self.busy[proc] = True
                 eff = self.nodes[proc].invoke(item)
                 self._after_transition(proc, eff, 0, time)
         crashed = frozenset(p for p in range(config.n) if not self.alive[p])
@@ -366,11 +372,12 @@ class _Sim:
         for payload in eff.broadcasts:
             if not self.alive[proc]:
                 break
-            self._do_broadcast(proc, payload, chain, now)
+            recipients = self._broadcast_recipients(proc)
+            self._send(proc, payload, recipients, chain, now)
         for payload, dest in eff.sends:
             if not self.alive[proc]:
                 break
-            self._do_send(proc, payload, dest, chain, now)
+            self._send(proc, payload, (dest,), chain, now)
         if not self.alive[proc]:
             return
         for kind, value in eff.completions:
@@ -389,38 +396,30 @@ class _Sim:
         self.last_arrival[(sender, recipient)] = at
         return at
 
-    def _do_broadcast(self, proc, payload, chain, now):
+    def _broadcast_recipients(self, proc):
+        """Everyone, or the surviving subset when the sender crashes during
+        this broadcast (drawn before any arrival time of it)."""
         self.send_count[proc] += 1
-        recipients = list(range(self.config.n))
+        n = self.config.n
         crash = self.crash_on_send.get(proc)
-        if crash is not None and self.send_count[proc] == crash.on_send:
-            if crash.recipients is not None:
-                recipients = sorted(set(crash.recipients))
-            else:
-                keep = self.rng.randint(0, self.config.n - 1)
-                recipients = sorted(self.rng.sample(range(self.config.n), keep))
-            self.alive[proc] = False
+        if crash is None or self.send_count[proc] != crash.on_send:
+            return tuple(range(n))
+        self.alive[proc] = False
+        if crash.recipients is not None:
+            return tuple(sorted(set(crash.recipients)))
+        keep = self.rng.randint(0, n - 1)
+        return tuple(sorted(self.rng.sample(range(n), keep)))
+
+    def _send(self, proc, payload, recipients, chain, now):
+        msg = MessageRecord(now, proc, payload, chain, recipients)
         for recipient in recipients:
-            env = Envelope(payload, proc, recipient, chain)
             if recipient == proc:
-                self._push(now, PRIO_SELF, "deliver", env)
+                self._push(now, PRIO_SELF, "deliver", (msg, recipient))
             else:
                 self._push(self._arrival(proc, recipient, now), PRIO_MAIN,
-                           "deliver", env)
-        self._count_sends(payload, len(recipients))
-        self.message_log.append(MessageRecord(now, proc, payload, chain,
-                                              tuple(recipients)))
-
-    def _do_send(self, proc, payload, dest, chain, now):
-        env = Envelope(payload, proc, dest, chain)
-        if dest == proc:
-            self._push(now, PRIO_SELF, "deliver", env)
-        else:
-            self._push(self._arrival(proc, dest, now), PRIO_MAIN, "deliver", env)
-        self._count_sends(payload, 1)
-        self.message_log.append(MessageRecord(now, proc, payload, chain, (dest,)))
-
-    def _count_sends(self, payload, count):
+                           "deliver", (msg, recipient))
+        self.message_log.append(msg)
+        count = len(recipients)
         self.metrics.messages_total += count
         if isinstance(payload, protocol.UpdateMsg):
             key = (payload.object_id, payload.writer, payload.stamp)
@@ -438,7 +437,6 @@ class _Sim:
         if kind in (SNAPSHOT, READ):
             rec.result = value
         self.metrics.op_causal_depth[(proc, rec.seq)] = cause_chain
-        self.busy[proc] = False
         self.current_op[proc] = None
         if self.queues[proc]:
             self._push(max(self.queues[proc][0].at, now), PRIO_MAIN,
@@ -446,7 +444,7 @@ class _Sim:
 
 
 def run_simulation(config: SimConfig) -> RunResult:
-    """Execute the workload to quiescence (or the event cap)."""
+    """Execute the workload to quiescence (or EVENT_CAP transitions)."""
     return _Sim(config).run()
 
 

@@ -75,8 +75,8 @@ def write_heavy_workload(n: int, ops: int, seed: int) -> list[WorkItem]:
     return items
 
 
-def abd_workload(n: int, ops: int, seed: int,
-                 read_ratio: float = 0.5) -> list[WorkItem]:
+def abd_workload(n: int, ops: int, seed: int) -> list[WorkItem]:
+    """Even odds of a read of a random cell and a write of the caller's."""
     rng = random.Random(f"abd:{seed}")
     per_proc = _split_ops(n, ops)
     items = []
@@ -84,7 +84,7 @@ def abd_workload(n: int, ops: int, seed: int,
         at = rng.uniform(0.0, 2.0)
         writes = 0
         for _ in range(per_proc[proc]):
-            if rng.random() < read_ratio:
+            if rng.random() < 0.5:
                 items.append(WorkItem(proc, at, READ,
                                       target=rng.randrange(n)))
             else:

@@ -108,6 +108,18 @@ class TestFastChecker:
             check_sc_fast(h, 1)
 
 
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute])
+@pytest.mark.parametrize("history", [
+    [W(0, 0, 1), S(0, 0, [1, 0])],
+    [OpRecord(3, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
+    [OpRecord(-1, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
+], ids=["repeated-op-id", "process-above-n", "negative-process"])
+def test_malformed_op_ids_are_refused(check, history):
+    with pytest.raises(CheckRefusal):
+        check(history, 2)
+
+
 class TestBruteChecker:
     def test_single_process_history_accepts_its_own_order(self):
         h = [W(0, 0, 1), S(0, 1, [1, 0]), W(0, 2, 2), S(0, 3, [2, 0])]

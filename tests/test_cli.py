@@ -75,6 +75,15 @@ def test_check_refuses_oversized_brute(tmp_path, capsys):
     assert main(["check", str(path), "--mode", "brute"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["fast", "brute", "lin"])
+def test_check_refuses_repeated_op_id(tmp_path, capsys, mode):
+    path = tmp_path / "dup.jsonl"
+    dump_history([OpRecord(0, 0, "write", 0.0, 0.0, value=1),
+                  OpRecord(0, 0, "snapshot", 1.0, 2.0, result=(1,))], path)
+    assert main(["check", str(path), "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_reports_malformed_line(tmp_path, capsys):
     path = tmp_path / "broken.jsonl"
     path.write_text("this is not json\n")

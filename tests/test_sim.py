@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqsnap import sim
 from seqsnap.protocol import UpdateMsg
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
                          SimConfig, SyncDelay, WorkItem, all_pending_empty,
@@ -100,12 +101,34 @@ def test_stamps_unique_per_sender_and_originals_self_stamped():
         assert stamps == sorted(stamps)
 
 
+def remote_transit_times(delay):
+    """Transit times of the remote copies of a lone writer's broadcast. Each
+    of its channels carries one message, so the FIFO clamp moves none."""
+    run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1)], delay=delay)
+    (original,) = [m for m in run.message_log if m.sender == 0]
+    return [time - original.time
+            for time, sender, to, payload in run.delivery_log
+            if sender == 0 and to != 0 and payload is original.payload]
+
+
 def test_sync_delay_bounds_respected():
-    run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1)],
-                       delay=SyncDelay(5.0, 2.0))
-    # remote copies of the original broadcast arrive within [3, 5]
-    deliveries = [m for m in run.message_log if m.chain == 1]
-    assert deliveries
+    transit = remote_transit_times(SyncDelay(5.0, 2.0))
+    assert len(transit) == 2
+    assert all(3.0 <= t <= 5.0 for t in transit)
+
+
+def test_async_delay_bounds_respected():
+    transit = remote_transit_times(AsyncDelay(0.5, 3.0))
+    assert len(transit) == 2
+    assert all(0.5 <= t <= 3.0 for t in transit)
+
+
+def test_event_cap_stops_the_run_not_quiescent(monkeypatch):
+    monkeypatch.setattr(sim, "EVENT_CAP", 40)
+    run = snapshot_run(3, random_workload(3, 12, seed=0))
+    assert run.metrics.quiescent is False
+    assert len(run.delivery_log) + len(run.history) == 40
+    assert '"quiescent":false' in serialize_run(run)["metrics"]
 
 
 def test_self_delivery_precedes_next_same_time_invocation():
@@ -179,6 +202,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(n=2, workload=[WorkItem(0, 0.0, "read",
                                                              target=1)]))
+
+    @pytest.mark.parametrize("protocol, workload, crashes", [
+        ("snapshot", [], [CrashSpec(1, on_send=0)]),
+        ("snapshot", [], [CrashSpec(1, on_send=-2)]),
+        ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(0, 5))]),
+        ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(-1,))]),
+        ("abd", [WorkItem(0, 0.0, "read", target=5)], []),
+        ("abd", [WorkItem(0, 0.0, "read", target=-1)], []),
+        ("abd", [WorkItem(0, 0.0, "read")], []),
+        ("snapshot", [WorkItem(0, 0.0, "write")], []),
+    ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
+            "recipient-negative", "read-target-above-n",
+            "read-target-negative", "read-without-target",
+            "write-without-value"])
+    def test_malformed_crash_or_item_rejected(self, protocol, workload,
+                                              crashes):
+        with pytest.raises(ConfigError):
+            run_simulation(SimConfig(n=3, protocol=protocol,
+                                     workload=workload, crashes=crashes))
 
     def test_scripted_table_must_cover_all_recipients(self):
         config = SimConfig(n=2, delay=ScriptedDelays({}),
