@@ -3,11 +3,11 @@ protocol state machines, a deterministic crash-prone network, history
 checkers and a quorum-register baseline."""
 
 from .checker import (CheckRefusal, Verdict, check_lin_brute, check_sc_brute,
-                      check_sc_fast, derive_versions)
+                      check_sc_fast)
 from .histories import OpRecord, dump_history, load_history
 from .rounds import RoundConfig, check_composition, check_composition_brute, run_rounds
 from .scenarios import replay_scripted
-from .seqspec import SeqOp, is_legal_word, seq_step
+from .seqspec import seq_step
 from .sim import (AsyncDelay, ConfigError, CrashSpec, Metrics, RunResult,
                   ScriptedDelays, SimConfig, SyncDelay, WorkItem,
                   all_pending_empty, liveness_violations, run_simulation,
@@ -15,10 +15,10 @@ from .sim import (AsyncDelay, ConfigError, CrashSpec, Metrics, RunResult,
 
 __all__ = [
     "AsyncDelay", "CheckRefusal", "ConfigError", "CrashSpec", "Metrics",
-    "OpRecord", "RoundConfig", "RunResult", "ScriptedDelays", "SeqOp",
-    "SimConfig", "SyncDelay", "Verdict", "WorkItem", "all_pending_empty",
+    "OpRecord", "RoundConfig", "RunResult", "ScriptedDelays", "SimConfig",
+    "SyncDelay", "Verdict", "WorkItem", "all_pending_empty",
     "check_composition", "check_composition_brute", "check_lin_brute",
-    "check_sc_brute", "check_sc_fast", "derive_versions", "dump_history",
-    "is_legal_word", "liveness_violations", "load_history", "replay_scripted",
-    "run_rounds", "run_simulation", "seq_step", "vc_total_order_violations",
+    "check_sc_brute", "check_sc_fast", "dump_history", "liveness_violations",
+    "load_history", "replay_scripted", "run_rounds", "run_simulation",
+    "seq_step", "vc_total_order_violations",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .seqspec import READ, SNAPSHOT, WRITE
-from .sim import AsyncDelay, Metrics, RunResult, SimConfig, WorkItem, run_simulation
+from .sim import AsyncDelay, SimConfig, WorkItem, run_simulation
 
 QUIET_GAP = 100.0   # far larger than any sampled transit time
 
@@ -32,7 +32,6 @@ class SnapshotCosts:
     update_messages: dict          # update key -> sends
     snapshot_messages: int
     snapshot_depths: dict          # scenario name -> chain length
-    run: RunResult
 
 
 @dataclass
@@ -43,7 +42,6 @@ class AbdCosts:
     read_depth: int
     read_messages: int
     read_result: int
-    run: RunResult
 
 
 def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
@@ -74,8 +72,7 @@ def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
             "isolated": depth[(0, snaps[0])],
             "after_write": depth[(0, snaps[1])],
             "after_two_writes": depth[(0, snaps[2])],
-        },
-        run=run)
+        })
 
 
 def measure_abd(n: int, seed: int = 0) -> AbdCosts:
@@ -96,8 +93,7 @@ def measure_abd(n: int, seed: int = 0) -> AbdCosts:
         write_messages=per_op[(write_rec.proc, write_rec.seq)],
         read_depth=depth[(read_rec.proc, read_rec.seq)],
         read_messages=per_op[(read_rec.proc, read_rec.seq)],
-        read_result=read_rec.result,
-        run=run)
+        read_result=read_rec.result)
 
 
 def bench_rows(n: int, seed: int = 0) -> list[dict]:

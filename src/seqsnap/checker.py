@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .histories import OpRecord, op_id
-from .seqspec import READ, SNAPSHOT, WRITE, SeqOp, initial_state, seq_step
+from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
 
-DEFAULT_BRUTE_BOUND = 10
+# The exhaustive oracles refuse a history with more operations than this.
+BRUTE_BOUND = 10
 
 
 class CheckRefusal(Exception):
@@ -34,38 +35,37 @@ class Verdict:
     reason: str = ""
 
 
-def _record_to_seqop(rec: OpRecord) -> SeqOp:
-    if rec.kind == WRITE:
-        return SeqOp.write(rec.proc, rec.value)
-    if rec.kind == SNAPSHOT:
-        return SeqOp.snapshot(rec.proc, rec.result)
-    return SeqOp.read(rec.proc, rec.target, rec.result)
-
-
 def replay_legal(records: list[OpRecord], n: int) -> bool:
     """Fold the records through the sequential object, one state per object id."""
     states = {}
     for rec in records:
         state = states.get(rec.object_id, initial_state(n))
-        state, ok = seq_step(state, _record_to_seqop(rec))
+        state, ok = seq_step(state, rec)
         if not ok:
             return False
         states[rec.object_id] = state
     return True
 
 
-def _check_op_ids(history: list[OpRecord], n: int) -> None:
-    """Refuse an op whose process is outside 0..n-1 or whose
-    (object_id, proc, seq) repeats: no verdict is defined for either."""
+def _check_ops(history: list[OpRecord], n: int) -> None:
+    """Refuse a malformed op, for which no verdict is defined: a repeated
+    (object_id, proc, seq), a process outside 0..n-1, an unknown kind, a
+    write without a value, a completed snapshot whose result is not a
+    vector of n cells, or a read whose target is not a cell."""
     seen = set()
     for rec in history:
-        if not 0 <= rec.proc < n:
-            raise CheckRefusal(f"op by out-of-range process {rec.proc} "
-                               f"in an n={n} history")
         key = op_id(rec)
         if key in seen:
             raise CheckRefusal(f"op id {key} repeats")
         seen.add(key)
+        if not (rec.proc in range(n)
+                and rec.kind in (WRITE, SNAPSHOT, READ)
+                and (rec.kind != WRITE or rec.value is not None)
+                and (rec.kind != SNAPSHOT or not rec.completed
+                     or isinstance(rec.result, (tuple, list))
+                     and len(rec.result) == n)
+                and (rec.kind != READ or rec.target in range(n))):
+            raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
 
 
 def contains_process_order(records: list[OpRecord], included: list[OpRecord]) -> bool:
@@ -89,13 +89,11 @@ def derive_versions(history: list[OpRecord], n: int):
     Version w of writer p is p's w-th write in process order; version 0 is
     the initial cell. Returns (mapping from op id to vector, None), or
     (None, rejecting Verdict) when a snapshot claims a value its writer
-    never wrote.
+    never wrote. The ops must have passed _check_ops.
     """
     writes_by = {p: [] for p in range(n)}
     for rec in sorted(history, key=lambda r: (r.proc, r.seq)):
         if rec.kind == WRITE:
-            if not 0 <= rec.proc < n:
-                raise CheckRefusal(f"write by out-of-range process {rec.proc}")
             writes_by[rec.proc].append(rec.value)
     version_of = {}
     for p, values in writes_by.items():
@@ -111,9 +109,6 @@ def derive_versions(history: list[OpRecord], n: int):
     for rec in history:
         if rec.kind != SNAPSHOT or not rec.completed:
             continue
-        if len(rec.result) != n:
-            raise CheckRefusal(
-                f"snapshot result of arity {len(rec.result)} in an n={n} history")
         vector = []
         for q in range(n):
             component = rec.result[q]
@@ -139,8 +134,7 @@ def _componentwise_leq(u, v) -> bool:
 # fast structural check
 
 
-def check_sc_fast(history: list[OpRecord], n: int,
-                  brute_bound: int = DEFAULT_BRUTE_BOUND) -> Verdict:
+def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     """Structural acceptance test for snapshot histories.
 
     Accepts iff (1) all snapshot version vectors are pairwise comparable,
@@ -153,10 +147,10 @@ def check_sc_fast(history: list[OpRecord], n: int,
     writes are kept as if complete (the oracles additionally try dropping
     them).
 
-    Ops by a process outside 0..n-1 and repeated op ids are refused on
-    entry. Once (1)-(3) pass, the witness cannot fail its check on a history
-    whose op ids are unique, so the fallback to the oracle after that check
-    cannot be reached and stays as safety code only:
+    Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass,
+    the witness cannot fail its check on a history whose op ids are unique,
+    so the fallback to the oracle after that check cannot be reached and
+    stays as safety code only:
     - the witness puts each writer's version-w write just before the first
       snapshot in the sorted chain whose component reaches w. Components
       never decrease along the chain, so exactly versions 1..v[q] of each
@@ -167,7 +161,7 @@ def check_sc_fast(history: list[OpRecord], n: int,
       they precede it, and one writer's writes keep their version order, so
       the order contains every process order.
     """
-    _check_op_ids(history, n)
+    _check_ops(history, n)
     if any(rec.kind == READ for rec in history):
         raise CheckRefusal("single-cell reads are only handled by the "
                            "exhaustive checkers")
@@ -184,7 +178,7 @@ def check_sc_fast(history: list[OpRecord], n: int,
                     if rec.kind == WRITE and rec.value == 0}
     if any(rec.kind == SNAPSHOT and rec.result[q] == 0
            for rec in included for q in zero_writers):
-        return check_sc_brute(history, n, bound=brute_bound)
+        return check_sc_brute(history, n)
 
     by_proc = {}
     for rec in sorted(included, key=lambda r: (r.proc, r.seq)):
@@ -226,7 +220,7 @@ def check_sc_fast(history: list[OpRecord], n: int,
         return Verdict(True, witness=[op_id(rec) for rec in witness])
     # unreachable (see the docstring); the oracle keeps the verdict exact
     # rather than guess
-    return check_sc_brute(history, n, bound=brute_bound)
+    return check_sc_brute(history, n)
 
 
 def _build_witness(included, n, versions, snap_order):
@@ -298,7 +292,7 @@ def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
             if realtime and blocked(rec, counts):
                 continue
             state = states.get(rec.object_id, initial_state(n))
-            new_state, ok = seq_step(state, _record_to_seqop(rec))
+            new_state, ok = seq_step(state, rec)
             if not ok:
                 continue
             new_states = dict(states)
@@ -313,15 +307,15 @@ def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
     return search((0,) * len(procs), {}, [])
 
 
-def _oracle(history: list[OpRecord], n: int, bound: int, realtime: bool) -> Verdict:
-    _check_op_ids(history, n)
+def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:
+    _check_ops(history, n)
     completed = [rec for rec in history if rec.completed]
     incomplete_writes = [rec for rec in history
                          if not rec.completed and rec.kind == WRITE]
     total = len(completed) + len(incomplete_writes)
-    if total > bound:
+    if total > BRUTE_BOUND:
         raise CheckRefusal(f"history has {total} operations, exhaustive bound "
-                           f"is {bound}")
+                           f"is {BRUTE_BOUND}")
     # An operation cut off by a crash may be treated as complete or as if it
     # never happened; try writes both ways (reads and snapshots without a
     # result can only be dropped).
@@ -335,17 +329,15 @@ def _oracle(history: list[OpRecord], n: int, bound: int, realtime: bool) -> Verd
                    reason="no legal interleaving contains the process order")
 
 
-def check_sc_brute(history: list[OpRecord], n: int,
-                   bound: int = DEFAULT_BRUTE_BOUND) -> Verdict:
+def check_sc_brute(history: list[OpRecord], n: int) -> Verdict:
     """Enumerate every interleaving containing the process orders; exact."""
-    return _oracle(history, n, bound, realtime=False)
+    return _oracle(history, n, realtime=False)
 
 
-def check_lin_brute(history: list[OpRecord], n: int,
-                    bound: int = DEFAULT_BRUTE_BOUND) -> Verdict:
+def check_lin_brute(history: list[OpRecord], n: int) -> Verdict:
     """As check_sc_brute, but interleavings must also respect real time:
     an operation that returned before another began is placed before it."""
-    return _oracle(history, n, bound, realtime=True)
+    return _oracle(history, n, realtime=True)
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError, DisciplineError, CheckRefusal, TraceFormatError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as exc:
+            ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

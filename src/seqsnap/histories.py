@@ -91,24 +91,20 @@ def record_from_json(line: str, lineno: int = 0) -> OpRecord:
             object_id=int(doc.get("object_id", 0)),
             run_seed=int(doc.get("run_seed", 0)),
         )
+        if kind not in (WRITE, SNAPSHOT, READ):
+            raise TraceFormatError(lineno, f"unknown op kind {kind!r}")
+        if kind == WRITE:
+            rec.value = int(doc["value"])
+        if kind == SNAPSHOT and rec.t_ret is not None:
+            if not isinstance(doc.get("result"), list):
+                raise TraceFormatError(lineno, "completed snapshot without result vector")
+            rec.result = tuple(int(v) for v in doc["result"])
+        if kind == READ:
+            rec.target = int(doc["target"])
+            if rec.t_ret is not None:
+                rec.result = int(doc["result"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(lineno, f"missing or bad field ({exc})") from exc
-    if kind not in (WRITE, SNAPSHOT, READ):
-        raise TraceFormatError(lineno, f"unknown op kind {kind!r}")
-    if kind == WRITE:
-        if "value" not in doc:
-            raise TraceFormatError(lineno, "write record without value")
-        rec.value = int(doc["value"])
-    if kind == SNAPSHOT and rec.t_ret is not None:
-        if not isinstance(doc.get("result"), list):
-            raise TraceFormatError(lineno, "completed snapshot without result vector")
-        rec.result = tuple(int(v) for v in doc["result"])
-    if kind == READ:
-        if "target" not in doc:
-            raise TraceFormatError(lineno, "read record without target")
-        rec.target = int(doc["target"])
-        if rec.t_ret is not None:
-            rec.result = int(doc["result"])
     return rec
 
 

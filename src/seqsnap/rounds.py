@@ -95,9 +95,8 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
     return check_composition_brute(history, n)
 
 
-def check_composition_brute(history: list[OpRecord], n: int,
-                            bound: int = 10) -> Verdict:
+def check_composition_brute(history: list[OpRecord], n: int) -> Verdict:
     """Exhaustive composed check: the interleaving search already folds one
     register array per object id."""
     check_discipline(history)
-    return check_sc_brute(history, n, bound=bound)
+    return check_sc_brute(history, n)

@@ -67,20 +67,6 @@ POSTPONED_CHAIN_DELIVERIES = {
 }
 
 
-def _check_fifo(table: dict) -> None:
-    seen = {}
-    for (sender, index), row in sorted(table.items()):
-        for recipient, at in row.items():
-            pair = (sender, recipient)
-            assert at >= seen.get(pair, 0.0), \
-                f"channel {pair} delivers broadcast {index} out of order"
-            seen[pair] = at
-
-
-_check_fifo(TWO_WRITERS_CROSS_DELIVERIES)
-_check_fifo(POSTPONED_CHAIN_DELIVERIES)
-
-
 def two_writers_cross_config() -> SimConfig:
     return SimConfig(
         n=5, seed=0, protocol="snapshot",

@@ -4,45 +4,19 @@ The reference object is an array of n integer cells, one per process. A
 process may overwrite only its own cell; a snapshot reads the whole array
 atomically. A sequence of operations is a legal word when every snapshot in
 it returns exactly the array state at its position. This module is the
-ground truth the history checkers fold against.
+ground truth the history checkers fold operation records against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .histories import OpRecord
 
 WRITE = "write"
 SNAPSHOT = "snapshot"
 READ = "read"
-
-
-@dataclass(frozen=True)
-class SeqOp:
-    """One operation of a sequential word.
-
-    Writes carry the written value and always target the writer's own cell.
-    Snapshots carry the full array they claim to have observed. Reads (used
-    only by the register baseline) carry the claimed value of a single cell.
-    """
-
-    proc: int
-    kind: str
-    value: int | None = None
-    expected: tuple[int, ...] | None = None
-    target: int | None = None
-
-    @staticmethod
-    def write(proc: int, value: int) -> "SeqOp":
-        return SeqOp(proc, WRITE, value=value)
-
-    @staticmethod
-    def snapshot(proc: int, expected: Sequence[int]) -> "SeqOp":
-        return SeqOp(proc, SNAPSHOT, expected=tuple(expected))
-
-    @staticmethod
-    def read(proc: int, target: int, value: int) -> "SeqOp":
-        return SeqOp(proc, READ, value=value, target=target)
 
 
 def initial_state(n: int) -> tuple[int, ...]:
@@ -52,12 +26,14 @@ def initial_state(n: int) -> tuple[int, ...]:
     return (0,) * n
 
 
-def seq_step(state: tuple[int, ...], op: SeqOp) -> tuple[tuple[int, ...], bool]:
-    """Apply one operation to the array.
+def seq_step(state: tuple[int, ...], op: OpRecord) -> tuple[tuple[int, ...], bool]:
+    """Apply one recorded operation to the array.
 
-    Returns the next state and whether the step was legal. Malformed
-    operations (wrong vector length, out-of-range ids) raise ValueError;
-    they are rejected input rather than an illegal step.
+    A write stores its value in the writer's cell; a snapshot must return
+    the whole array and a read the target cell. Returns the next state and
+    whether the step was legal. Malformed operations (wrong vector length,
+    out-of-range ids) raise ValueError; they are rejected input rather than
+    an illegal step.
     """
     n = len(state)
     if not 0 <= op.proc < n:
@@ -67,21 +43,11 @@ def seq_step(state: tuple[int, ...], op: SeqOp) -> tuple[tuple[int, ...], bool]:
             raise ValueError("write without a value")
         return state[: op.proc] + (op.value,) + state[op.proc + 1 :], True
     if op.kind == SNAPSHOT:
-        if op.expected is None or len(op.expected) != n:
+        if op.result is None or len(op.result) != n:
             raise ValueError("snapshot vector must have one entry per process")
-        return state, tuple(op.expected) == state
+        return state, tuple(op.result) == state
     if op.kind == READ:
         if op.target is None or not 0 <= op.target < n:
             raise ValueError("read needs an in-range target cell")
-        return state, state[op.target] == op.value
+        return state, state[op.target] == op.result
     raise ValueError(f"unknown operation kind {op.kind!r}")
-
-
-def is_legal_word(ops: Iterable[SeqOp], n: int) -> bool:
-    """True iff folding seq_step from the all-zero array keeps every step legal."""
-    state = initial_state(n)
-    for op in ops:
-        state, ok = seq_step(state, op)
-        if not ok:
-            return False
-    return True

@@ -85,8 +85,17 @@ class ScriptedDelays:
     table: dict
 
     def validate(self) -> None:
-        """Transit times depend on when each broadcast is sent, so arrival()
-        checks them one delivery at a time."""
+        """Each channel must deliver a sender's broadcasts in the order they
+        were sent. Transit times depend on when each broadcast is sent, so
+        arrival() checks them one delivery at a time."""
+        last = {}
+        for (sender, index), row in sorted(self.table.items()):
+            for recipient, at in row.items():
+                if at < last.get((sender, recipient), at):
+                    raise ConfigError(
+                        f"scripted channel {sender}->{recipient} delivers "
+                        f"broadcast {index} before an earlier one")
+                last[(sender, recipient)] = at
 
     def arrival(self, rng, now, sender, recipient, send_index):
         try:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqsnap import checker
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, derive_versions, replay_legal,
                              contains_process_order)
@@ -118,6 +121,22 @@ class TestFastChecker:
 def test_malformed_op_ids_are_refused(check, history):
     with pytest.raises(CheckRefusal):
         check(history, 2)
+
+
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute])
+@pytest.mark.parametrize("op", [
+    OpRecord(0, 0, "read", 0.0, 1.0, target=-1, result=0),
+    OpRecord(0, 0, "read", 0.0, 1.0, target=None, result=0),
+    S(0, 0, [0, 0, 0]),
+    OpRecord(0, 0, "snapshot", 0.0, 1.0, result=None),
+    OpRecord(0, 0, "write", 0.0, 1.0, value=None),
+    OpRecord(0, 0, "bogus", 0.0, 1.0),
+], ids=["read-target-negative", "read-target-none", "snapshot-arity",
+        "snapshot-result-none", "write-value-none", "unknown-kind"])
+def test_malformed_ops_are_refused(check, op):
+    with pytest.raises(CheckRefusal):
+        check([op], 2)
 
 
 class TestBruteChecker:
@@ -270,7 +289,8 @@ def test_witness_construction_never_needs_the_oracle(case):
     # With no oracle budget the fallback after the witness check can only
     # refuse, so a CheckRefusal here means a witness failed to replay.
     n, history = case
-    verdict = check_sc_fast(history, n, brute_bound=0)
+    with mock.patch.object(checker, "BRUTE_BOUND", 0):
+        verdict = check_sc_fast(history, n)
     if verdict.accepted:
         by_id = {op_id(r): r for r in history}
         witness = [by_id[i] for i in verdict.witness]

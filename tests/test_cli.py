@@ -91,6 +91,20 @@ def test_check_reports_malformed_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
+], ids=["read-without-result", "write-value-null", "snapshot-result-null",
+        "snapshot-result-string"])
+def test_check_reports_bad_field_with_line_number(tmp_path, capsys, line):
+    path = tmp_path / "broken.jsonl"
+    path.write_text(line + "\n")
+    assert main(["check", str(path)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_check_lin_mode_on_abd_trace(tmp_path):
     out = tmp_path / "abd"
     main(["simulate", "--n", "3", "--seed", "3", "--ops", "6",

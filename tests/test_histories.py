@@ -39,6 +39,19 @@ def test_missing_field_rejected():
         record_from_json('{"proc": 0, "op": "write", "t_inv": 0, "value": 1}', 4)
 
 
+@pytest.mark.parametrize("line", [
+    '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
+], ids=["read-without-result", "write-value-null", "snapshot-result-null",
+        "snapshot-result-string"])
+def test_bad_field_rejected_with_line_number(line):
+    with pytest.raises(TraceFormatError) as err:
+        record_from_json(line, 3)
+    assert err.value.lineno == 3
+
+
 def test_unknown_op_kind_rejected():
     with pytest.raises(TraceFormatError):
         record_from_json('{"proc": 0, "seq": 0, "op": "scan", "t_inv": 0}', 1)

@@ -48,7 +48,7 @@ def test_crashed_process_leaves_other_rounds_intact():
 def test_small_instance_passes_composed_brute_force():
     run = run_rounds(RoundConfig(n=2, rounds=2, seed=6))
     assert len(run.history) <= 10
-    assert check_composition_brute(run.history, 2, bound=10).accepted
+    assert check_composition_brute(run.history, 2).accepted
 
 
 def test_corrupted_round_snapshot_rejected_with_object_named():

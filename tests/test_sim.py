@@ -228,6 +228,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(config)
 
+    def test_scripted_table_must_be_fifo_per_channel(self):
+        # channel 0->1 would deliver p0's second broadcast before its first
+        table = {(0, 1): {1: 9.0}, (0, 2): {1: 4.0},
+                 (1, 1): {0: 1.0}, (1, 2): {0: 10.0}}
+        config = SimConfig(n=2, delay=ScriptedDelays(table),
+                           workload=[WorkItem(0, 0.0, "write", value=1),
+                                     WorkItem(1, 0.0, "write", value=1)])
+        with pytest.raises(ConfigError):
+            sim.validate_config(config)
+        with pytest.raises(ConfigError):
+            run_simulation(config)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 5))
