@@ -14,7 +14,8 @@ subset of operations witnessing the violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate
+from math import inf
 
 from .histories import OpRecord, op_id
 from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
@@ -47,13 +48,28 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     return True
 
 
+def counted_ops(history: list[OpRecord]) -> list[OpRecord]:
+    """The ops a legal order accounts for: every op that returned, and every
+    write, since one cut off by a crash may still have taken effect."""
+    return [rec for rec in history if rec.completed or rec.kind == WRITE]
+
+
 def _check_ops(history: list[OpRecord], n: int) -> None:
     """Refuse a malformed op, for which no verdict is defined: a repeated
     (object_id, proc, seq), a process outside 0..n-1, an unknown kind, a
     write without a value, a completed snapshot whose result is not a
-    vector of n cells, or a read whose target is not a cell."""
+    vector of n cells, a read whose target is not a cell, or an op after
+    one of its process's ops that never returned (a process runs one op at
+    a time, so only its last op can be cut off)."""
+    cut_off = {}    # per process, the lowest seq of an op that never returned
+    for rec in history:
+        if not rec.completed:
+            cut_off[rec.proc] = min(rec.seq, cut_off.get(rec.proc, rec.seq))
     seen = set()
     for rec in history:
+        if rec.seq > cut_off.get(rec.proc, rec.seq):
+            raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
+                               f"{rec.proc} that never returned")
         key = op_id(rec)
         if key in seen:
             raise CheckRefusal(f"op id {key} repeats")
@@ -143,9 +159,9 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     vectors are nondecreasing along each process order - and the witness
     assembled from these facts replays legally. A 0 in the cell of a writer
     that wrote 0 may be version 0 or that write, so such a history goes to
-    the exhaustive oracle. Incomplete snapshots are dropped; incomplete
-    writes are kept as if complete (the oracles additionally try dropping
-    them).
+    the exhaustive oracle. The ops judged are counted_ops; a write that
+    never returned is kept as if complete, since it is its process's last
+    op and, if no snapshot shows it, can go last in the witness.
 
     Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass,
     the witness cannot fail its check on a history whose op ids are unique,
@@ -167,8 +183,7 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
                            "exhaustive checkers")
     if len({rec.object_id for rec in history}) > 1:
         raise CheckRefusal("multi-object history: use the composition checker")
-    included = [rec for rec in history
-                if rec.kind == WRITE or (rec.kind == SNAPSHOT and rec.completed)]
+    included = counted_ops(history)
     versions, rejection = derive_versions(included, n)
     if rejection is not None:
         return rejection
@@ -250,46 +265,38 @@ def _build_witness(included, n, versions, snap_order):
 # exhaustive oracles
 
 
-def _subsets(items):
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
-
-
 def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
     """Depth-first search over interleavings containing every process order.
 
+    Every op that returned must be placed; a write that never returned is
+    last in its queue (see _check_ops), so the search may stop before it.
     Register states are a function of the per-process consumed counts, so
     dead count vectors are memoized. Returns a witness list or None.
     """
-    queues = {}
+    by_proc = {}
     for rec in sorted(ops, key=lambda r: (r.proc, r.seq)):
-        queues.setdefault(rec.proc, []).append(rec)
-    procs = sorted(queues)
-    total = len(ops)
-    returns = [(rec.t_ret, rec) for rec in ops if rec.t_ret is not None]
+        by_proc.setdefault(rec.proc, []).append(rec)
+    queues = list(by_proc.values())     # in process order, by the sort
+    # earliest[i][k]: the earliest return among queue i's ops from position k
+    # on. In real time an op may be placed only when every op that returned
+    # before it was invoked is placed, i.e. no unplaced op returned earlier.
+    earliest = [list(accumulate((r.t_ret if r.completed else inf
+                                 for r in reversed(queue)), min, initial=inf))[::-1]
+                for queue in queues] if realtime else None
     dead = set()
 
-    def blocked(candidate, counts):
-        # someone who returned before this op began must already be placed
-        for t_ret, rec in returns:
-            if t_ret >= candidate.t_inv:
-                continue
-            pos = queues[rec.proc].index(rec)
-            if counts[procs.index(rec.proc)] <= pos:
-                return True
-        return False
-
-    def search(counts, states, placed):
-        if len(placed) == total:
+    def search(counts, states, placed, left):
+        if left == 0:
             return placed
         if counts in dead:
             return None
-        for i, proc in enumerate(procs):
+        horizon = min(e[c] for e, c in zip(earliest, counts)) if realtime else inf
+        for i, queue in enumerate(queues):
             idx = counts[i]
-            if idx >= len(queues[proc]):
+            if idx == len(queue):
                 continue
-            rec = queues[proc][idx]
-            if realtime and blocked(rec, counts):
+            rec = queue[idx]
+            if horizon < rec.t_inv:
                 continue
             state = states.get(rec.object_id, initial_state(n))
             new_state, ok = seq_step(state, rec)
@@ -298,34 +305,26 @@ def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
             new_states = dict(states)
             new_states[rec.object_id] = new_state
             found = search(counts[:i] + (idx + 1,) + counts[i + 1:],
-                           new_states, placed + [rec])
+                           new_states, placed + [rec], left - rec.completed)
             if found is not None:
                 return found
         dead.add(counts)
         return None
 
-    return search((0,) * len(procs), {}, [])
+    return search((0,) * len(queues), {}, [], sum(rec.completed for rec in ops))
 
 
 def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:
     _check_ops(history, n)
-    completed = [rec for rec in history if rec.completed]
-    incomplete_writes = [rec for rec in history
-                         if not rec.completed and rec.kind == WRITE]
-    total = len(completed) + len(incomplete_writes)
-    if total > BRUTE_BOUND:
-        raise CheckRefusal(f"history has {total} operations, exhaustive bound "
-                           f"is {BRUTE_BOUND}")
-    # An operation cut off by a crash may be treated as complete or as if it
-    # never happened; try writes both ways (reads and snapshots without a
-    # result can only be dropped).
-    for extra in _subsets(incomplete_writes):
-        ops = completed + list(extra)
-        witness = _interleave_search(ops, n, realtime)
-        if witness is not None:
-            return Verdict(True, witness=[op_id(rec) for rec in witness])
+    ops = counted_ops(history)
+    if len(ops) > BRUTE_BOUND:
+        raise CheckRefusal(f"history has {len(ops)} operations, exhaustive "
+                           f"bound is {BRUTE_BOUND}")
+    witness = _interleave_search(ops, n, realtime)
+    if witness is not None:
+        return Verdict(True, witness=[op_id(rec) for rec in witness])
     return Verdict(False,
-                   certificate=[op_id(rec) for rec in completed],
+                   certificate=[op_id(rec) for rec in history if rec.completed],
                    reason="no legal interleaving contains the process order")
 
 

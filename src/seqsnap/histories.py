@@ -2,13 +2,15 @@
 
 One JSON object per line with fields: run_seed, proc, seq, op, t_inv, t_ret
 (absent while incomplete), value (writes), result (completed snapshots: the
-full vector; reads: the returned scalar), target (reads) and object_id. The
+full vector; reads: the returned scalar), target (reads) and object_id.
+Integer fields must be JSON integers and times finite JSON numbers. The
 checkers consume exactly this format.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +75,19 @@ def dump_history(history: list[OpRecord], path) -> None:
     Path(path).write_text("".join(line + "\n" for line in history_lines(history)))
 
 
+def _integer(value) -> int:
+    # JSON true/false load as bool, a subclass of int
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _time(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def record_from_json(line: str, lineno: int = 0) -> OpRecord:
     try:
         doc = json.loads(line)
@@ -83,26 +98,26 @@ def record_from_json(line: str, lineno: int = 0) -> OpRecord:
     try:
         kind = doc["op"]
         rec = OpRecord(
-            proc=int(doc["proc"]),
-            seq=int(doc["seq"]),
+            proc=_integer(doc["proc"]),
+            seq=_integer(doc["seq"]),
             kind=kind,
-            t_inv=float(doc["t_inv"]),
-            t_ret=float(doc["t_ret"]) if "t_ret" in doc else None,
-            object_id=int(doc.get("object_id", 0)),
-            run_seed=int(doc.get("run_seed", 0)),
+            t_inv=_time(doc["t_inv"]),
+            t_ret=_time(doc["t_ret"]) if "t_ret" in doc else None,
+            object_id=_integer(doc.get("object_id", 0)),
+            run_seed=_integer(doc.get("run_seed", 0)),
         )
         if kind not in (WRITE, SNAPSHOT, READ):
             raise TraceFormatError(lineno, f"unknown op kind {kind!r}")
         if kind == WRITE:
-            rec.value = int(doc["value"])
+            rec.value = _integer(doc["value"])
         if kind == SNAPSHOT and rec.t_ret is not None:
             if not isinstance(doc.get("result"), list):
                 raise TraceFormatError(lineno, "completed snapshot without result vector")
-            rec.result = tuple(int(v) for v in doc["result"])
+            rec.result = tuple(_integer(v) for v in doc["result"])
         if kind == READ:
-            rec.target = int(doc["target"])
+            rec.target = _integer(doc["target"])
             if rec.t_ret is not None:
-                rec.result = int(doc["result"])
+                rec.result = _integer(doc["result"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(lineno, f"missing or bad field ({exc})") from exc
     return rec

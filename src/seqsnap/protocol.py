@@ -120,7 +120,7 @@ def invoke_write(state: ProcState, value: int) -> Effect:
 def invoke_snapshot(state: ProcState) -> Effect:
     """Snapshot the array; immediate unless one of our updates is in flight."""
     eff = Effect()
-    if state.deferred is None and not has_own_pending(state):
+    if not has_own_pending(state):
         eff.completions.append((SNAPSHOT, tuple(state.view)))
     else:
         state.snapshot_pending = True

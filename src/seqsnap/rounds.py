@@ -19,7 +19,7 @@ import random
 
 from . import workloads
 from .checker import (Verdict, check_sc_brute, check_sc_fast,
-                      contains_process_order, replay_legal)
+                      contains_process_order, counted_ops, replay_legal)
 from .histories import OpRecord, op_id
 from .seqspec import SNAPSHOT, WRITE
 from .sim import RunResult, SimConfig, WorkItem, run_simulation
@@ -88,9 +88,8 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
             verdict.reason = f"object {obj}: {verdict.reason}"
             return verdict
         spliced.extend(id_to_record[i] for i in verdict.witness)
-    included = [rec for rec in history
-                if rec.kind == WRITE or rec.completed]
-    if contains_process_order(spliced, included) and replay_legal(spliced, n):
+    if (contains_process_order(spliced, counted_ops(history))
+            and replay_legal(spliced, n)):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
     return check_composition_brute(history, n)
 

@@ -179,8 +179,16 @@ def test_c6_quorum_baseline_cost_row_is_exact_and_linearizable():
         run = run_simulation(SimConfig(n=3, seed=seed, protocol="abd",
                                        workload=abd_workload(3, 8, seed)))
         assert check_lin_brute(run.history, 3).accepted, seed
+    for n in (3, 5):
+        for seed in range(100):
+            crashes = random_crashes(n, (n - 1) // 2, seed)
+            workload = trim_for_crashes(abd_workload(n, 8, seed), crashes)
+            run = run_simulation(SimConfig(n=n, seed=seed, protocol="abd",
+                                           workload=workload, crashes=crashes))
+            assert check_lin_brute(run.history, n).accepted, (n, seed)
     print("\nC6 PASS: register baseline shows read depth 4 / write depth 2, "
-          "message budget respected, 25 concurrent histories linearizable")
+          "message budget respected, 25 concurrent and 200 crash-injected "
+          "histories linearizable")
 
 
 def test_c7_scripted_scenarios_reproduce_the_validation_patterns():

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -117,7 +120,10 @@ class TestFastChecker:
     [W(0, 0, 1), S(0, 0, [1, 0])],
     [OpRecord(3, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
     [OpRecord(-1, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
-], ids=["repeated-op-id", "process-above-n", "negative-process"])
+    [OpRecord(0, 0, "write", 0.0, None, value=1), S(0, 1, [0, 0])],
+    [OpRecord(0, 0, "snapshot", 0.0, None), W(0, 1, 1)],
+], ids=["repeated-op-id", "process-above-n", "negative-process",
+        "op-after-cut-off-write", "op-after-cut-off-snapshot"])
 def test_malformed_op_ids_are_refused(check, history):
     with pytest.raises(CheckRefusal):
         check(history, 2)
@@ -190,14 +196,22 @@ class TestLinChecker:
 
 @st.composite
 def tiny_history(draw):
+    """Up to 6 ops; now and then a process's last op never returns (a write
+    keeps its value, a snapshot has no result) and it takes no more ops."""
     n = draw(st.integers(1, 3))
     records = []
     written = {p: [] for p in range(n)}
+    alive = list(range(n))
     time = 0.0
     for _ in range(draw(st.integers(0, 6))):
-        proc = draw(st.integers(0, n - 1))
+        if not alive:
+            break
+        proc = draw(st.sampled_from(alive))
         seq = sum(1 for r in records if r.proc == proc)
         time += draw(st.floats(0.0, 2.0, allow_nan=False))
+        returned = draw(st.integers(0, 5)) > 0
+        if not returned:
+            alive.remove(proc)
         if draw(st.booleans()):
             value = len(written[proc]) * 10 + proc + 1
             # now and then a writer writes 0 (once), so a 0 in its cell may
@@ -205,7 +219,8 @@ def tiny_history(draw):
             if 0 not in written[proc] and draw(st.integers(0, 3)) == 0:
                 value = 0
             written[proc].append(value)
-            records.append(OpRecord(proc, seq, "write", time, time, value=value))
+            records.append(OpRecord(proc, seq, "write", time,
+                                    time if returned else None, value=value))
         else:
             # plausible-to-garbled snapshot: per cell pick initial, any
             # written value, or garbage
@@ -218,8 +233,9 @@ def tiny_history(draw):
                     result.append(written[q][choice - 1])
                 else:
                     result.append(draw(st.sampled_from([0, 999])))
-            records.append(OpRecord(proc, seq, "snapshot", time, time + 1,
-                                    result=tuple(result)))
+            records.append(OpRecord(proc, seq, "snapshot", time,
+                                    time + 1 if returned else None,
+                                    result=tuple(result) if returned else None))
     return n, records
 
 
@@ -240,35 +256,74 @@ def test_lin_accept_implies_sc_accept(case):
         assert check_sc_brute(history, n).accepted
 
 
+def assert_witness_holds(verdict, history, n, realtime=False):
+    """An accepted witness replays legally and holds, in process order (and
+    in real-time order if asked), every op that returned plus whichever
+    cut-off writes it placed."""
+    by_id = {op_id(r): r for r in history}
+    witness = [by_id[i] for i in verdict.witness]
+    assert replay_legal(witness, n)
+    included = [r for r in history
+                if r.completed or (r.kind == "write" and op_id(r) in verdict.witness)]
+    assert contains_process_order(witness, included)
+    assert not realtime or not any(
+        later.completed and later.t_ret < earlier.t_inv
+        for k, earlier in enumerate(witness) for later in witness[k + 1:])
+
+
 @given(tiny_history())
 @settings(max_examples=200, deadline=None)
 def test_accepted_witnesses_replay_legally(case):
     n, history = case
     verdict = check_sc_fast(history, n)
     if verdict.accepted:
-        by_id = {op_id(r): r for r in history}
-        witness = [by_id[i] for i in verdict.witness]
-        assert replay_legal(witness, n)
-        included = [r for r in history
-                    if r.kind == "write" or (r.kind == "snapshot" and r.completed)]
-        assert contains_process_order(witness, included)
+        assert_witness_holds(verdict, history, n)
+
+
+def restart_reference(check, history, n):
+    """The oracle as one search per subset of the cut-off writes, each
+    subset forced in as if returned at the end of time."""
+    completed = [r for r in history if r.completed]
+    cut_off = [r for r in history if not r.completed and r.kind == "write"]
+    return any(check(completed + [replace(w, t_ret=math.inf) for w in subset],
+                     n).accepted
+               for size in range(len(cut_off) + 1)
+               for subset in combinations(cut_off, size))
+
+
+@pytest.mark.parametrize("check", [check_sc_brute, check_lin_brute])
+@given(case=tiny_history())
+@settings(max_examples=300, deadline=None)
+def test_one_search_matches_one_search_per_cut_off_subset(check, case):
+    n, history = case
+    verdict = check(history, n)
+    assert verdict.accepted == restart_reference(check, history, n)
+    if verdict.accepted:
+        assert_witness_holds(verdict, history, n,
+                             realtime=check is check_lin_brute)
 
 
 @st.composite
 def mid_history(draw):
     """11-30 ops with nonzero values unique per writer; about one op in eight
-    is left incomplete. A snapshot shows either the latest write of each
-    cell in generation order (so many histories are SC) or, per cell, any
-    version written so far."""
+    is left incomplete, and its process then takes no more ops (so the
+    history ends early once every process has stopped). A snapshot
+    shows either the latest write of each cell in generation order (so many
+    histories are SC) or, per cell, any version written so far."""
     n = draw(st.integers(1, 4))
     records = []
     written = {p: [] for p in range(n)}
+    alive = list(range(n))
     time = 0.0
     for _ in range(draw(st.integers(11, 30))):
-        proc = draw(st.integers(0, n - 1))
+        if not alive:
+            break
+        proc = draw(st.sampled_from(alive))
         seq = sum(1 for r in records if r.proc == proc)
         time += draw(st.floats(0.0, 2.0, allow_nan=False))
         t_ret = None if draw(st.integers(0, 7)) == 0 else time + 1
+        if t_ret is None:
+            alive.remove(proc)
         if draw(st.booleans()):
             value = (len(written[proc]) + 1) * 10 + proc + 1
             written[proc].append(value)

@@ -84,6 +84,15 @@ def test_check_refuses_repeated_op_id(tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["fast", "brute", "lin"])
+def test_check_refuses_op_after_cut_off_write(tmp_path, capsys, mode):
+    path = tmp_path / "cut.jsonl"
+    dump_history([OpRecord(0, 0, "write", 0.0, None, value=1),
+                  OpRecord(0, 1, "snapshot", 1.0, 2.0, result=(0, 0))], path)
+    assert main(["check", str(path), "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_reports_malformed_line(tmp_path, capsys):
     path = tmp_path / "broken.jsonl"
     path.write_text("this is not json\n")
@@ -96,8 +105,16 @@ def test_check_reports_malformed_line(tmp_path, capsys):
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
     '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
     '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1.5}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": "7"}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": true}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [1.5]}',
+    '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
 ], ids=["read-without-result", "write-value-null", "snapshot-result-null",
-        "snapshot-result-string"])
+        "snapshot-result-string", "value-float", "value-string", "value-bool",
+        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan"])
 def test_check_reports_bad_field_with_line_number(tmp_path, capsys, line):
     path = tmp_path / "broken.jsonl"
     path.write_text(line + "\n")

@@ -44,8 +44,16 @@ def test_missing_field_rejected():
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
     '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
     '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1.5}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": "7"}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": true}',
+    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [1.5]}',
+    '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
 ], ids=["read-without-result", "write-value-null", "snapshot-result-null",
-        "snapshot-result-string"])
+        "snapshot-result-string", "value-float", "value-string", "value-bool",
+        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan"])
 def test_bad_field_rejected_with_line_number(line):
     with pytest.raises(TraceFormatError) as err:
         record_from_json(line, 3)

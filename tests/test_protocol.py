@@ -7,6 +7,9 @@ from seqsnap import protocol
 from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
                               depends, handle_message, has_own_pending, init,
                               invoke_snapshot, invoke_write)
+from seqsnap.sim import SimConfig, run_simulation
+from seqsnap.workloads import (random_crashes, random_workload,
+                               trim_for_crashes, write_heavy_workload)
 
 
 def entry(writer, stamp, seen):
@@ -234,3 +237,28 @@ def test_at_most_one_entry_per_update_and_no_own_entry_leak(msgs):
         assert len(keys) == len(set(keys))
         assert sum(1 for (w, _s) in keys if w == 0) <= 1
         seen_keys.update(keys)
+
+
+def test_buffered_write_only_while_own_update_pending(monkeypatch):
+    # invoke_snapshot relies on this: a buffered write implies an own
+    # pending update, so has_own_pending alone decides whether to wait.
+    buffered = [0]
+
+    def checked(transition):
+        def call(state, *args):
+            eff = transition(state, *args)
+            assert state.deferred is None or has_own_pending(state)
+            buffered[0] += state.deferred is not None
+            return eff
+        return call
+
+    for name in ("invoke_write", "invoke_snapshot", "handle_message"):
+        monkeypatch.setattr(protocol, name, checked(getattr(protocol, name)))
+    for n in (2, 3, 5, 7):
+        for seed in range(100):
+            generate = write_heavy_workload if seed % 2 else random_workload
+            crashes = random_crashes(n, (n - 1) // 2, seed)
+            run_simulation(SimConfig(
+                n=n, seed=seed, crashes=crashes,
+                workload=trim_for_crashes(generate(n, 40, seed), crashes)))
+    assert buffered[0] > 0
