@@ -58,9 +58,10 @@ def _check_ops(history: list[OpRecord], n: int) -> None:
     """Refuse a malformed op, for which no verdict is defined: a repeated
     (object_id, proc, seq), a process outside 0..n-1, an unknown kind, a
     write without a value, a completed snapshot whose result is not a
-    vector of n cells, a read whose target is not a cell, or an op after
-    one of its process's ops that never returned (a process runs one op at
-    a time, so only its last op can be cut off)."""
+    vector of n cells, a read whose target is not a cell, an op that
+    returns before it is invoked, or an op after one of its process's ops
+    that never returned (a process runs one op at a time, so only its last
+    op can be cut off)."""
     cut_off = {}    # per process, the lowest seq of an op that never returned
     for rec in history:
         if not rec.completed:
@@ -80,7 +81,8 @@ def _check_ops(history: list[OpRecord], n: int) -> None:
                 and (rec.kind != SNAPSHOT or not rec.completed
                      or isinstance(rec.result, (tuple, list))
                      and len(rec.result) == n)
-                and (rec.kind != READ or rec.target in range(n))):
+                and (rec.kind != READ or rec.target in range(n))
+                and (not rec.completed or rec.t_inv <= rec.t_ret)):
             raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
 
 
@@ -200,17 +202,17 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
         by_proc.setdefault(rec.proc, []).append(rec)
     for proc, records in by_proc.items():
         writes_before = 0
+        last_write = None
         prev_snap = None
         for rec in records:
             if rec.kind == WRITE:
                 writes_before += 1
+                last_write = rec
                 continue
             vec = versions[op_id(rec)]
             if vec[proc] != writes_before:
                 cert = [op_id(rec)]
-                if writes_before:
-                    last_write = [r for r in records[:records.index(rec)]
-                                  if r.kind == WRITE][-1]
+                if last_write is not None:
                     cert.append(op_id(last_write))
                 return Verdict(False, certificate=cert,
                                reason=f"snapshot by {proc} shows version "

@@ -17,8 +17,7 @@ from . import bench, workloads
 from .checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                       check_sc_fast, verdict_document)
 from .histories import TraceFormatError, dump_history, infer_process_count, load_history
-from .rounds import (DisciplineError, RoundConfig, check_composition,
-                     run_rounds)
+from .rounds import RoundConfig, check_composition, run_rounds
 from .scenarios import SCENARIOS, replay_scripted
 from .sim import (AsyncDelay, ConfigError, SimConfig, SyncDelay,
                   run_simulation, write_run_files)
@@ -164,8 +163,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DisciplineError, CheckRefusal, TraceFormatError,
-            ValueError, FileNotFoundError) as exc:
+    except (ConfigError, CheckRefusal, TraceFormatError, ValueError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -173,36 +173,32 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     if msg.stamp > state.view_stamps[msg.writer]:
         key = (msg.writer, msg.stamp)
         entry = state.pending.get(key)
-        if entry is not None:
-            entry.seen[msg.sender] = msg.relay_stamp
-        else:
+        if entry is None:
             if msg.writer != state.me:
                 # first sighting of someone else's update: relay it stamped
                 state.clock += 1
                 eff.broadcasts.append(UpdateMsg(msg.value, msg.writer, msg.stamp,
                                                 state.clock, state.me,
                                                 state.object_id))
-            entry = PendingUpdate(msg.value, msg.writer, msg.stamp,
-                                  [INF] * state.n)
-            # Record only the sender's stamp. The writer's own stamp must
-            # come from the writer's copy: a relay says nothing about the
-            # order the writer saw concurrent updates.
-            entry.seen[msg.sender] = msg.relay_stamp
-            state.pending[key] = entry
+            entry = state.pending[key] = PendingUpdate(
+                msg.value, msg.writer, msg.stamp, [INF] * state.n)
+        # Record only the sender's stamp. The writer's own stamp must come
+        # from the writer's copy: a relay says nothing about the order the
+        # writer saw concurrent updates.
+        entry.seen[msg.sender] = msg.relay_stamp
     for key in compute_validable(state.pending, state.n):
         g = state.pending.pop(key)
         if state.view_stamps[g.writer] < g.stamp:
             state.view_stamps[g.writer] = g.stamp
             state.view[g.writer] = g.value
         eff.validated.append(key)
-    # The snapshot wait must treat the buffered write below as still
-    # outstanding, so resolve the snapshot before flushing the buffer: the
-    # flushed update is conceptually in flight the instant it is sent.
-    if (state.snapshot_pending and state.deferred is None
-            and not has_own_pending(state)):
-        state.snapshot_pending = False
-        eff.completions.append((SNAPSHOT, tuple(state.view)))
-    if state.deferred is not None and not has_own_pending(state):
-        _broadcast_own(state, eff, state.deferred)
-        state.deferred = None
+    if not has_own_pending(state):
+        # Flush a buffered write; a waiting snapshot then keeps waiting,
+        # since the flushed update is in flight the instant it is sent.
+        if state.deferred is not None:
+            _broadcast_own(state, eff, state.deferred)
+            state.deferred = None
+        elif state.snapshot_pending:
+            state.snapshot_pending = False
+            eff.completions.append((SNAPSHOT, tuple(state.view)))
     return eff

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
-from . import workloads
+from . import checker, workloads
 from .checker import (Verdict, check_sc_brute, check_sc_fast,
                       contains_process_order, counted_ops, replay_legal)
 from .histories import OpRecord, op_id
@@ -25,7 +25,7 @@ from .seqspec import SNAPSHOT, WRITE
 from .sim import RunResult, SimConfig, WorkItem, run_simulation
 
 
-class DisciplineError(Exception):
+class DisciplineError(checker.CheckRefusal):
     """The history is not round-structured; no consistency verdict applies."""
 
 
@@ -76,7 +76,9 @@ def check_discipline(history: list[OpRecord]) -> None:
 def check_composition(history: list[OpRecord], n: int) -> Verdict:
     """Accept iff some total order containing the process orders projects to
     a legal word on every object; built by splicing per-object witnesses in
-    round order and verifying the splice by replay."""
+    round order and verifying the splice by replay. The entry check runs on
+    the whole history, since its rules hold across objects."""
+    checker._check_ops(history, n)
     check_discipline(history)
     objects = sorted({rec.object_id for rec in history})
     id_to_record = {op_id(rec): rec for rec in history}

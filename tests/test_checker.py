@@ -138,8 +138,10 @@ def test_malformed_op_ids_are_refused(check, history):
     OpRecord(0, 0, "snapshot", 0.0, 1.0, result=None),
     OpRecord(0, 0, "write", 0.0, 1.0, value=None),
     OpRecord(0, 0, "bogus", 0.0, 1.0),
+    OpRecord(0, 0, "write", 5.0, 1.0, value=1),
 ], ids=["read-target-negative", "read-target-none", "snapshot-arity",
-        "snapshot-result-none", "write-value-none", "unknown-kind"])
+        "snapshot-result-none", "write-value-none", "unknown-kind",
+        "returns-before-invoked"])
 def test_malformed_ops_are_refused(check, op):
     with pytest.raises(CheckRefusal):
         check([op], 2)

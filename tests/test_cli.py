@@ -93,6 +93,27 @@ def test_check_refuses_op_after_cut_off_write(tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# an op that returns before it is invoked; an op after a never-returned op
+# of its process on another object
+REFUSED_TRACES = {
+    "returns-before-invoked": [
+        '{"proc":0,"seq":0,"op":"write","t_inv":5,"t_ret":1,"value":1}'],
+    "composed-op-after-cut-off": [
+        '{"proc":0,"seq":0,"op":"write","t_inv":0,"value":1,"object_id":0}',
+        '{"proc":0,"seq":1,"op":"snapshot","t_inv":2,"t_ret":3,"result":[0,0],"object_id":1}',
+        '{"proc":1,"seq":0,"op":"snapshot","t_inv":0,"t_ret":1,"result":[1,0],"object_id":0}'],
+}
+
+
+@pytest.mark.parametrize("mode", ["fast", "brute", "lin"])
+@pytest.mark.parametrize("trace", sorted(REFUSED_TRACES))
+def test_check_refuses_malformed_ops(tmp_path, capsys, trace, mode):
+    path = tmp_path / "refused.jsonl"
+    path.write_text("\n".join(REFUSED_TRACES[trace]) + "\n")
+    assert main(["check", str(path), "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_reports_malformed_line(tmp_path, capsys):
     path = tmp_path / "broken.jsonl"
     path.write_text("this is not json\n")

@@ -1,11 +1,13 @@
 import pytest
 
-from seqsnap.checker import check_sc_fast
+from seqsnap.checker import CheckRefusal, check_sc_brute, check_sc_fast
 from seqsnap.histories import OpRecord
 from seqsnap.rounds import (DisciplineError, RoundConfig, check_composition,
                             check_composition_brute, round_workload,
                             run_rounds)
-from seqsnap.sim import CrashSpec, SimConfig, run_simulation, serialize_run
+from seqsnap.sim import (CrashSpec, SimConfig, WorkItem, run_simulation,
+                         serialize_run)
+from seqsnap.workloads import encode_value
 
 
 def test_single_round_degenerates_to_plain_run():
@@ -72,8 +74,47 @@ def test_round_discipline_violation_is_an_error_not_a_verdict():
         OpRecord(0, 0, "write", 0.0, 0.0, value=1, object_id=1),
         OpRecord(0, 1, "write", 1.0, 1.0, value=2, object_id=0),
     ]
-    with pytest.raises(DisciplineError):
+    with pytest.raises(DisciplineError) as caught:
         check_composition(history, 1)
+    assert isinstance(caught.value, CheckRefusal)
+
+
+def test_entry_check_spans_objects():
+    # p0's snapshot on object 1 follows its own write on object 0 that never
+    # returned: refused, as it would be within one object
+    history = [
+        OpRecord(0, 0, "write", 0.0, None, value=1, object_id=0),
+        OpRecord(0, 1, "snapshot", 2.0, 3.0, result=(0, 0), object_id=1),
+        OpRecord(1, 0, "snapshot", 0.0, 1.0, result=(1, 0), object_id=0),
+    ]
+    with pytest.raises(CheckRefusal):
+        check_composition(history, 2)
+
+
+def dekker_workload(objects):
+    """p0 writes its object and snapshots p1's; p1 the other way round."""
+    x, y = objects
+    return [WorkItem(0, 0.0, "write", value=encode_value(0, 0), object_id=x),
+            WorkItem(0, 0.0, "snapshot", object_id=y),
+            WorkItem(1, 0.0, "write", value=encode_value(1, 0), object_id=y),
+            WorkItem(1, 0.0, "snapshot", object_id=x)]
+
+
+def test_dekker_is_sc_per_object_but_not_composed():
+    # sequential consistency does not compose in general: each object's
+    # projection is SC, the history over both objects is not
+    for seed in range(200):
+        run = run_simulation(SimConfig(n=2, seed=seed,
+                                       workload=dekker_workload((0, 1))))
+        for obj in (0, 1):
+            projection = [r for r in run.history if r.object_id == obj]
+            assert check_sc_fast(projection, 2).accepted, seed
+        assert not check_sc_brute(run.history, 2).accepted, seed
+        with pytest.raises(DisciplineError):
+            check_composition(run.history, 2)
+        twin = run_simulation(SimConfig(n=2, seed=seed,
+                                        workload=dekker_workload((0, 0))))
+        assert check_sc_fast(twin.history, 2).accepted, seed
 
 
 def test_processes_keep_relaying_for_rounds_they_left():

@@ -212,10 +212,11 @@ class TestConfigValidation:
         ("abd", [WorkItem(0, 0.0, "read", target=-1)], []),
         ("abd", [WorkItem(0, 0.0, "read")], []),
         ("snapshot", [WorkItem(0, 0.0, "write")], []),
+        ("snapshot", [WorkItem(0, 0.0, "snapshot", object_id=-1)], []),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
-            "write-without-value"])
+            "write-without-value", "object-negative"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
