@@ -21,7 +21,8 @@ from .sim import AsyncDelay, SimConfig, WorkItem, run_simulation
 QUIET_GAP = 100.0   # far larger than any sampled transit time
 
 # high < 2*low: a relayed copy can never overtake a direct one, so each
-# measured scenario exercises exactly its canonical message chain
+# measured scenario exercises exactly its canonical message chain whatever
+# the seed; the runs use the default seed
 MEASURE_DELAY = AsyncDelay(2.0, 3.5)
 
 
@@ -44,7 +45,7 @@ class AbdCosts:
     read_result: int
 
 
-def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
+def measure_snapshot(n: int) -> SnapshotCosts:
     workload = [
         WorkItem(0, 0.0, WRITE, value=1001),
         WorkItem(0, QUIET_GAP, SNAPSHOT),                   # isolated: free
@@ -54,8 +55,8 @@ def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
         WorkItem(0, 3 * QUIET_GAP, WRITE, value=4001),      # buffered
         WorkItem(0, 3 * QUIET_GAP, SNAPSHOT),               # after two writes
     ]
-    config = SimConfig(n=n, seed=seed, protocol="snapshot",
-                       delay=MEASURE_DELAY, workload=workload)
+    config = SimConfig(n=n, protocol="snapshot", delay=MEASURE_DELAY,
+                       workload=workload)
     run = run_simulation(config)
     depth = run.metrics.op_causal_depth
     # every message in this protocol belongs to some update; snapshots add none
@@ -75,13 +76,13 @@ def measure_snapshot(n: int, seed: int = 0) -> SnapshotCosts:
         })
 
 
-def measure_abd(n: int, seed: int = 0) -> AbdCosts:
+def measure_abd(n: int) -> AbdCosts:
     workload = [
         WorkItem(0, 0.0, WRITE, value=7),
         WorkItem(1 % n, QUIET_GAP, READ, target=0),
     ]
-    config = SimConfig(n=n, seed=seed, protocol="abd",
-                       delay=MEASURE_DELAY, workload=workload)
+    config = SimConfig(n=n, protocol="abd", delay=MEASURE_DELAY,
+                       workload=workload)
     run = run_simulation(config)
     depth = run.metrics.op_causal_depth
     per_op = run.metrics.messages_per_op
@@ -96,9 +97,9 @@ def measure_abd(n: int, seed: int = 0) -> AbdCosts:
         read_result=read_rec.result)
 
 
-def bench_rows(n: int, seed: int = 0) -> list[dict]:
-    snap = measure_snapshot(n, seed)
-    quorum = measure_abd(n, seed)
+def bench_rows(n: int) -> list[dict]:
+    snap = measure_snapshot(n)
+    quorum = measure_abd(n)
     update_msgs = max(snap.update_messages.values())
     depths = sorted(snap.snapshot_depths.values())
     return [

@@ -14,7 +14,7 @@ subset of operations witnessing the violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf
 
 from .histories import OpRecord, op_id
@@ -48,33 +48,20 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     return True
 
 
-def counted_ops(history: list[OpRecord]) -> list[OpRecord]:
-    """The ops a legal order accounts for: every op that returned, and every
-    write, since one cut off by a crash may still have taken effect."""
-    return [rec for rec in history if rec.completed or rec.kind == WRITE]
+def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
+    """Refuse a malformed op, for which no verdict is defined: a process
+    outside 0..n-1, an unknown kind, a write without a value, a completed
+    snapshot whose result is not a vector of n cells, a read whose target is
+    not a cell, an op that returns before it is invoked, two ops of one
+    process with the same seq (on any object), or an op after one of its
+    process's ops that never returned (a process runs one op at a time, so
+    only its last op can be cut off).
 
-
-def _check_ops(history: list[OpRecord], n: int) -> None:
-    """Refuse a malformed op, for which no verdict is defined: a repeated
-    (object_id, proc, seq), a process outside 0..n-1, an unknown kind, a
-    write without a value, a completed snapshot whose result is not a
-    vector of n cells, a read whose target is not a cell, an op that
-    returns before it is invoked, or an op after one of its process's ops
-    that never returned (a process runs one op at a time, so only its last
-    op can be cut off)."""
-    cut_off = {}    # per process, the lowest seq of an op that never returned
+    Returns the process order: one queue per process id, each in seq order,
+    of the ops a legal order accounts for. Those are every op that returned,
+    and every write, since one cut off by a crash may still have taken
+    effect."""
     for rec in history:
-        if not rec.completed:
-            cut_off[rec.proc] = min(rec.seq, cut_off.get(rec.proc, rec.seq))
-    seen = set()
-    for rec in history:
-        if rec.seq > cut_off.get(rec.proc, rec.seq):
-            raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
-                               f"{rec.proc} that never returned")
-        key = op_id(rec)
-        if key in seen:
-            raise CheckRefusal(f"op id {key} repeats")
-        seen.add(key)
         if not (rec.proc in range(n)
                 and rec.kind in (WRITE, SNAPSHOT, READ)
                 and (rec.kind != WRITE or rec.value is not None)
@@ -84,6 +71,19 @@ def _check_ops(history: list[OpRecord], n: int) -> None:
                 and (rec.kind != READ or rec.target in range(n))
                 and (not rec.completed or rec.t_inv <= rec.t_ret)):
             raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
+    queues = [[] for _ in range(n)]
+    prev = None
+    for rec in sorted(history, key=lambda r: (r.proc, r.seq)):
+        if prev is not None and prev.proc == rec.proc:
+            if prev.seq == rec.seq:
+                raise CheckRefusal(f"process {rec.proc} repeats seq {rec.seq}")
+            if not prev.completed:
+                raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
+                                   f"{rec.proc} that never returned")
+        if rec.completed or rec.kind == WRITE:
+            queues[rec.proc].append(rec)
+        prev = rec
+    return queues
 
 
 def contains_process_order(records: list[OpRecord], included: list[OpRecord]) -> bool:
@@ -101,31 +101,28 @@ def contains_process_order(records: list[OpRecord], included: list[OpRecord]) ->
 # version resolution
 
 
-def derive_versions(history: list[OpRecord], n: int):
+def derive_versions(queues: list[list[OpRecord]], n: int):
     """Resolve each completed snapshot to a vector of per-writer versions.
 
     Version w of writer p is p's w-th write in process order; version 0 is
-    the initial cell. Returns (mapping from op id to vector, None), or
-    (None, rejecting Verdict) when a snapshot claims a value its writer
-    never wrote. The ops must have passed _check_ops.
+    the initial cell. Takes the process order from _check_ops. Returns
+    (mapping from op id to vector, None), or (None, rejecting Verdict) when
+    a snapshot claims a value its writer never wrote.
     """
-    writes_by = {p: [] for p in range(n)}
-    for rec in sorted(history, key=lambda r: (r.proc, r.seq)):
-        if rec.kind == WRITE:
-            writes_by[rec.proc].append(rec.value)
-    version_of = {}
-    for p, values in writes_by.items():
+    version_of = []
+    for p, queue in enumerate(queues):
         table = {}
-        for idx, value in enumerate(values, 1):
+        for idx, value in enumerate((rec.value for rec in queue
+                                     if rec.kind == WRITE), 1):
             if value in table:
                 raise CheckRefusal(
                     f"process {p} wrote value {value} twice; version resolution "
                     f"needs unique values per writer")
             table[value] = idx
-        version_of[p] = table
+        version_of.append(table)
     versions = {}
-    for rec in history:
-        if rec.kind != SNAPSHOT or not rec.completed:
+    for rec in chain.from_iterable(queues):
+        if rec.kind != SNAPSHOT:
             continue
         vector = []
         for q in range(n):
@@ -161,12 +158,13 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     vectors are nondecreasing along each process order - and the witness
     assembled from these facts replays legally. A 0 in the cell of a writer
     that wrote 0 may be version 0 or that write, so such a history goes to
-    the exhaustive oracle. The ops judged are counted_ops; a write that
-    never returned is kept as if complete, since it is its process's last
-    op and, if no snapshot shows it, can go last in the witness.
+    the exhaustive oracle. The ops judged are those _check_ops counts; a
+    write that never returned is kept as if complete, since it is its
+    process's last op and, if no snapshot shows it, can go last in the
+    witness.
 
     Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass,
-    the witness cannot fail its check on a history whose op ids are unique,
+    the witness cannot fail its check on a history that passed _check_ops,
     so the fallback to the oracle after that check cannot be reached and
     stays as safety code only:
     - the witness puts each writer's version-w write just before the first
@@ -174,19 +172,19 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
       never decrease along the chain, so exactly versions 1..v[q] of each
       writer q are replayed before a snapshot with vector v;
     - so each snapshot replays its own vector;
-    - (3) and the (vector, proc, seq) sort keep each process's snapshots in
-      its order, (2) places its own writes before a snapshot exactly when
-      they precede it, and one writer's writes keep their version order, so
-      the order contains every process order.
+    - (3) and the sort by vector, stable from process order, keep each
+      process's snapshots in its order, (2) places its own writes before a
+      snapshot exactly when they precede it, and one writer's writes keep
+      their version order, so the order contains every process order.
     """
-    _check_ops(history, n)
+    queues = _check_ops(history, n)
     if any(rec.kind == READ for rec in history):
         raise CheckRefusal("single-cell reads are only handled by the "
                            "exhaustive checkers")
     if len({rec.object_id for rec in history}) > 1:
         raise CheckRefusal("multi-object history: use the composition checker")
-    included = counted_ops(history)
-    versions, rejection = derive_versions(included, n)
+    included = list(chain.from_iterable(queues))
+    versions, rejection = derive_versions(queues, n)
     if rejection is not None:
         return rejection
     # A writer that wrote 0 makes a 0 in its cell mean either version 0 or
@@ -197,14 +195,11 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
            for rec in included for q in zero_writers):
         return check_sc_brute(history, n)
 
-    by_proc = {}
-    for rec in sorted(included, key=lambda r: (r.proc, r.seq)):
-        by_proc.setdefault(rec.proc, []).append(rec)
-    for proc, records in by_proc.items():
+    for proc, queue in enumerate(queues):
         writes_before = 0
         last_write = None
         prev_snap = None
-        for rec in records:
+        for rec in queue:
             if rec.kind == WRITE:
                 writes_before += 1
                 last_write = rec
@@ -225,14 +220,15 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
             prev_snap = rec
 
     snaps = [rec for rec in included if rec.kind == SNAPSHOT]
-    order = sorted(snaps, key=lambda r: (versions[op_id(r)], r.proc, r.seq))
+    # stable, so snapshots with equal vectors stay in process order
+    order = sorted(snaps, key=lambda r: versions[op_id(r)])
     for before, after in zip(order, order[1:]):
         if not _componentwise_leq(versions[op_id(before)], versions[op_id(after)]):
             return Verdict(False,
                            certificate=[op_id(before), op_id(after)],
                            reason="incomparable snapshots")
 
-    witness = _build_witness(included, n, versions, order)
+    witness = _build_witness(queues, versions, order)
     if contains_process_order(witness, included) and replay_legal(witness, n):
         return Verdict(True, witness=[op_id(rec) for rec in witness])
     # unreachable (see the docstring); the oracle keeps the verdict exact
@@ -240,16 +236,14 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     return check_sc_brute(history, n)
 
 
-def _build_witness(included, n, versions, snap_order):
+def _build_witness(queues, versions, snap_order):
     """Place each writer's version-w write right before the first snapshot
-    whose component reaches w; leftovers go at the end in process order."""
-    writes_by = {}
-    for rec in sorted(included, key=lambda r: (r.proc, r.seq)):
-        if rec.kind == WRITE:
-            writes_by.setdefault(rec.proc, []).append(rec)
+    whose component reaches w; leftovers go at the end. Writes are dealt in
+    process order, so each slot is already in (proc, seq) order."""
     slots = [[] for _ in range(len(snap_order) + 1)]
-    for proc, writes in sorted(writes_by.items()):
+    for proc, queue in enumerate(queues):
         position = 0
+        writes = (rec for rec in queue if rec.kind == WRITE)
         for version, rec in enumerate(writes, 1):
             while (position < len(snap_order)
                    and versions[op_id(snap_order[position])][proc] < version):
@@ -257,9 +251,9 @@ def _build_witness(included, n, versions, snap_order):
             slots[position].append(rec)
     witness = []
     for idx, snap in enumerate(snap_order):
-        witness.extend(sorted(slots[idx], key=lambda r: (r.proc, r.seq)))
+        witness.extend(slots[idx])
         witness.append(snap)
-    witness.extend(sorted(slots[-1], key=lambda r: (r.proc, r.seq)))
+    witness.extend(slots[-1])
     return witness
 
 
@@ -267,18 +261,15 @@ def _build_witness(included, n, versions, snap_order):
 # exhaustive oracles
 
 
-def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
-    """Depth-first search over interleavings containing every process order.
+def _interleave_search(queues: list[list[OpRecord]], n: int, realtime: bool):
+    """Depth-first search over interleavings containing every process order,
+    given as _check_ops's queues.
 
     Every op that returned must be placed; a write that never returned is
     last in its queue (see _check_ops), so the search may stop before it.
     Register states are a function of the per-process consumed counts, so
     dead count vectors are memoized. Returns a witness list or None.
     """
-    by_proc = {}
-    for rec in sorted(ops, key=lambda r: (r.proc, r.seq)):
-        by_proc.setdefault(rec.proc, []).append(rec)
-    queues = list(by_proc.values())     # in process order, by the sort
     # earliest[i][k]: the earliest return among queue i's ops from position k
     # on. In real time an op may be placed only when every op that returned
     # before it was invoked is placed, i.e. no unplaced op returned earlier.
@@ -313,20 +304,22 @@ def _interleave_search(ops: list[OpRecord], n: int, realtime: bool):
         dead.add(counts)
         return None
 
-    return search((0,) * len(queues), {}, [], sum(rec.completed for rec in ops))
+    return search((0,) * len(queues), {}, [],
+                  sum(rec.completed for rec in chain.from_iterable(queues)))
 
 
 def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:
-    _check_ops(history, n)
-    ops = counted_ops(history)
-    if len(ops) > BRUTE_BOUND:
-        raise CheckRefusal(f"history has {len(ops)} operations, exhaustive "
+    queues = _check_ops(history, n)
+    size = sum(map(len, queues))
+    if size > BRUTE_BOUND:
+        raise CheckRefusal(f"history has {size} operations, exhaustive "
                            f"bound is {BRUTE_BOUND}")
-    witness = _interleave_search(ops, n, realtime)
+    witness = _interleave_search(queues, n, realtime)
     if witness is not None:
         return Verdict(True, witness=[op_id(rec) for rec in witness])
     return Verdict(False,
-                   certificate=[op_id(rec) for rec in history if rec.completed],
+                   certificate=[op_id(rec) for rec in chain.from_iterable(queues)
+                                if rec.completed],
                    reason="no legal interleaving contains the process order")
 
 

@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="per-operation cost table")
     ben.add_argument("--n", default="5",
                      help="process count, or comma list like 3,5,7")
-    ben.add_argument("--seed", type=int, default=0)
 
     rnd = sub.add_parser("rounds", help="round-structured run plus composition check")
     rnd.add_argument("--n", type=int, required=True)
@@ -127,7 +126,7 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     for n_text in str(args.n).split(","):
         n = int(n_text)
-        rows = bench.bench_rows(n, args.seed)
+        rows = bench.bench_rows(n)
         sys.stdout.write(bench.format_table(n, rows))
         sys.stdout.write("\n")
     return OK

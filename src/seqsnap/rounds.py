@@ -19,7 +19,7 @@ import random
 
 from . import checker, workloads
 from .checker import (Verdict, check_sc_brute, check_sc_fast,
-                      contains_process_order, counted_ops, replay_legal)
+                      contains_process_order, replay_legal)
 from .histories import OpRecord, op_id
 from .seqspec import SNAPSHOT, WRITE
 from .sim import RunResult, SimConfig, WorkItem, run_simulation
@@ -63,14 +63,15 @@ def run_rounds(config: RoundConfig) -> RunResult:
                                     crashes=list(config.crashes)))
 
 
-def check_discipline(history: list[OpRecord]) -> None:
-    last = {}
-    for rec in sorted(history, key=lambda r: (r.proc, r.seq)):
-        if rec.object_id < last.get(rec.proc, 0):
-            raise DisciplineError(
-                f"process {rec.proc} operates on object {rec.object_id} "
-                f"after object {last[rec.proc]}")
-        last[rec.proc] = rec.object_id
+def check_discipline(queues: list[list[OpRecord]]) -> None:
+    """Refuse a process order (checker._check_ops's queues) in which a
+    process returns to an earlier object."""
+    for queue in queues:
+        for before, after in zip(queue, queue[1:]):
+            if after.object_id < before.object_id:
+                raise DisciplineError(
+                    f"process {after.proc} operates on object "
+                    f"{after.object_id} after object {before.object_id}")
 
 
 def check_composition(history: list[OpRecord], n: int) -> Verdict:
@@ -78,8 +79,8 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
     a legal word on every object; built by splicing per-object witnesses in
     round order and verifying the splice by replay. The entry check runs on
     the whole history, since its rules hold across objects."""
-    checker._check_ops(history, n)
-    check_discipline(history)
+    queues = checker._check_ops(history, n)
+    check_discipline(queues)
     objects = sorted({rec.object_id for rec in history})
     id_to_record = {op_id(rec): rec for rec in history}
     spliced = []
@@ -90,8 +91,8 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
             verdict.reason = f"object {obj}: {verdict.reason}"
             return verdict
         spliced.extend(id_to_record[i] for i in verdict.witness)
-    if (contains_process_order(spliced, counted_ops(history))
-            and replay_legal(spliced, n)):
+    included = [rec for queue in queues for rec in queue]
+    if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
     return check_composition_brute(history, n)
 
@@ -99,5 +100,5 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
 def check_composition_brute(history: list[OpRecord], n: int) -> Verdict:
     """Exhaustive composed check: the interleaving search already folds one
     register array per object id."""
-    check_discipline(history)
+    check_discipline(checker._check_ops(history, n))
     return check_sc_brute(history, n)

@@ -22,6 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
+from math import isfinite
 from pathlib import Path
 
 from . import abd, protocol
@@ -37,9 +38,10 @@ class ConfigError(Exception):
     """The run is rejected before it starts."""
 
 
-# Delay models: validate() rejects bounds that admit a negative transit time;
-# arrival() gives the delivery time of one remote copy sent at `now` during
-# the sender's send_index-th broadcast, before the simulator's FIFO clamp.
+# Delay models: validate() rejects bounds that are not finite or that admit a
+# negative transit time; arrival() gives the delivery time of one remote copy
+# sent at `now` during the sender's send_index-th broadcast, before the
+# simulator's FIFO clamp.
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,9 @@ class AsyncDelay:
     high: float = 8.0
 
     def validate(self) -> None:
-        if not (self.low >= 0 and self.high >= 0):
+        if not all(isfinite(b) and b >= 0 for b in (self.low, self.high)):
             raise ConfigError(f"async delay bounds {self.low},{self.high} "
-                              f"allow negative transit times")
+                              f"must be finite and non-negative")
 
     def arrival(self, rng, now, sender, recipient, send_index):
         return now + rng.uniform(self.low, self.high)
@@ -66,9 +68,10 @@ class SyncDelay:
     uncertainty: float = 2.0
 
     def validate(self) -> None:
-        if not (self.latency >= 0 and self.latency - self.uncertainty >= 0):
+        if not (isfinite(self.latency) and isfinite(self.uncertainty)
+                and self.latency >= 0 and self.latency - self.uncertainty >= 0):
             raise ConfigError(f"sync delay {self.latency},{self.uncertainty} "
-                              f"allows negative transit times")
+                              f"is not finite or allows negative transit times")
 
     def arrival(self, rng, now, sender, recipient, send_index):
         return now + rng.uniform(self.latency - self.uncertainty, self.latency)
@@ -173,7 +176,7 @@ class RunResult:
     nodes: list
     message_log: list            # one record per send, in send order
     delivery_log: list           # (time, sender, to, payload), in processing order
-    validation_log: list         # (proc, time, (writer, stamp) or (obj, writer, stamp))
+    validation_log: list         # (proc, time, (writer, stamp)), on any object
     crashed: frozenset
 
 
@@ -319,7 +322,6 @@ class _Sim:
         self.message_log = []
         self.delivery_log = []
         self.validation_log = []
-        self.processed = 0
 
     def _push(self, time, prio, kind, data):
         heappush(self.heap, (time, prio, next(self.seq), kind, data))
@@ -333,7 +335,7 @@ class _Sim:
             if crash.at_time is not None:
                 self._push(crash.at_time, PRIO_MAIN, "crash", crash.proc)
         while self.heap:
-            if self.processed >= EVENT_CAP:
+            if len(self.delivery_log) + len(self.history) >= EVENT_CAP:
                 self.metrics.quiescent = False
                 break
             time, _prio, _seq, kind, data = heappop(self.heap)
@@ -344,7 +346,6 @@ class _Sim:
                 msg, to = data
                 if not self.alive[to]:
                     continue
-                self.processed += 1
                 self.delivery_log.append((time, msg.sender, to, msg.payload))
                 eff = self.nodes[to].receive(msg.payload)
                 self._after_transition(to, eff, msg.chain, time)
@@ -355,7 +356,6 @@ class _Sim:
                 assert self.current_op[proc] is None, \
                     "invocation while an op is mid-flight"
                 item = self.queues[proc].popleft()
-                self.processed += 1
                 rec = OpRecord(proc=proc, seq=self.op_count[proc],
                                kind=item.action, t_inv=time, value=item.value,
                                target=item.target, object_id=item.object_id,

@@ -8,11 +8,13 @@ invariant criteria that quantify over the same runs.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from seqsnap.bench import measure_abd, measure_snapshot
-from seqsnap.checker import check_lin_brute, check_sc_brute, check_sc_fast
+from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
+                             check_sc_fast, verdict_document)
 from seqsnap.histories import OpRecord
 from seqsnap.rounds import (RoundConfig, check_composition,
                             check_composition_brute, run_rounds)
@@ -98,8 +100,7 @@ def mutate_history(history, n, rng):
         choices = [0, 999_999] + written
         result = list(victim.result)
         result[cell] = rng.choice(choices)
-        mutated.append(OpRecord(rec.proc, rec.seq, rec.kind, rec.t_inv,
-                                rec.t_ret, result=tuple(result)))
+        mutated.append(replace(rec, result=tuple(result)))
     return mutated
 
 
@@ -136,6 +137,44 @@ def test_c2_checker_cross_validation_on_10k_histories():
     assert not check_sc_brute(handmade, 2).accepted
     print(f"\nC2 PASS: fast and exhaustive checkers agree on {checked} "
           f"histories (real + mutated); handcrafted violation rejected by both")
+
+
+def test_verdicts_do_not_depend_on_line_order():
+    """Every checker decides on the process order alone: shuffling a
+    history's lines leaves the verdict document (witness and certificate
+    included) unchanged."""
+    rng = random.Random("line-order")
+
+    def outcome(check, history, n):
+        try:
+            return verdict_document(check(history, n))
+        except CheckRefusal:
+            return "refused"
+
+    def with_mutants(history, n):
+        mutants = (mutate_history(history, n, rng) for _ in range(3))
+        return [history] + [m for m in mutants if m is not None]
+
+    cases = []
+    for seed in range(60):
+        n = (2, 3)[seed % 2]
+        run = run_simulation(SimConfig(
+            n=n, seed=seed,
+            workload=random_workload(n, 8, seed, snapshot_ratio=0.5)))
+        cases += [(check, h, n) for h in with_mutants(run.history, n)
+                  for check in (check_sc_fast, check_sc_brute, check_lin_brute)]
+    for seed in range(30):
+        n = (2, 3, 5)[seed % 3]
+        crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)] if n > 2 else []
+        run = run_rounds(RoundConfig(n=n, rounds=1 + seed % 5, seed=seed,
+                                     crashes=crashes))
+        cases += [(check_composition, h, n) for h in with_mutants(run.history, n)]
+    for check, history, n in cases:
+        expected = outcome(check, history, n)
+        for _ in range(2):
+            shuffled = rng.sample(history, len(history))
+            assert outcome(check, shuffled, n) == expected, (check.__name__, history)
+    print(f"\nline order: {len(cases)} checks unchanged under 2 shuffles each")
 
 
 def test_c3_stamp_vectors_totally_ordered_in_every_sweep_run(sweep_results):

@@ -11,6 +11,7 @@ from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, derive_versions, replay_legal,
                              contains_process_order)
 from seqsnap.histories import OpRecord, op_id
+from seqsnap.rounds import check_composition
 
 
 def W(proc, seq, value, t_inv=None, t_ret=None):
@@ -28,25 +29,26 @@ def S(proc, seq, result, t_inv=None, t_ret=None):
 
 class TestDeriveVersions:
     def test_initial_values_resolve_to_version_zero(self):
-        versions, rejection = derive_versions([S(0, 0, [0, 0])], 2)
+        versions, rejection = derive_versions(
+            checker._check_ops([S(0, 0, [0, 0])], 2), 2)
         assert rejection is None
         assert versions[(0, 0, 0)] == (0, 0)
 
     def test_value_maps_to_write_index(self):
         h = [W(0, 0, 1), W(0, 1, 2), S(1, 0, [2, 0])]
-        versions, rejection = derive_versions(h, 2)
+        versions, rejection = derive_versions(checker._check_ops(h, 2), 2)
         assert rejection is None
         assert versions[(0, 1, 0)] == (2, 0)
 
     def test_unknown_value_rejects(self):
         h = [W(0, 0, 1), S(1, 0, [9, 0])]
-        versions, rejection = derive_versions(h, 2)
+        versions, rejection = derive_versions(checker._check_ops(h, 2), 2)
         assert versions is None and not rejection.accepted
         assert rejection.certificate == [(0, 1, 0)]
 
     def test_duplicate_written_values_refused(self):
         with pytest.raises(CheckRefusal):
-            derive_versions([W(0, 0, 5), W(0, 1, 5)], 2)
+            derive_versions(checker._check_ops([W(0, 0, 5), W(0, 1, 5)], 2), 2)
 
 
 class TestFastChecker:
@@ -114,16 +116,25 @@ class TestFastChecker:
             check_sc_fast(h, 1)
 
 
+# one process's ops share a seq on two objects; whichever line comes first,
+# no process order is defined
+SAME_SEQ = [W(0, 0, 1), replace(S(0, 0, [0, 0]), object_id=1)]
+
+
 @pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
-                                   check_lin_brute])
+                                   check_lin_brute, check_composition])
 @pytest.mark.parametrize("history", [
     [W(0, 0, 1), S(0, 0, [1, 0])],
     [OpRecord(3, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
     [OpRecord(-1, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
     [OpRecord(0, 0, "write", 0.0, None, value=1), S(0, 1, [0, 0])],
     [OpRecord(0, 0, "snapshot", 0.0, None), W(0, 1, 1)],
+    SAME_SEQ,
+    SAME_SEQ[::-1],
 ], ids=["repeated-op-id", "process-above-n", "negative-process",
-        "op-after-cut-off-write", "op-after-cut-off-snapshot"])
+        "op-after-cut-off-write", "op-after-cut-off-snapshot",
+        "same-seq-two-objects-write-first",
+        "same-seq-two-objects-snapshot-first"])
 def test_malformed_op_ids_are_refused(check, history):
     with pytest.raises(CheckRefusal):
         check(history, 2)

@@ -93,8 +93,17 @@ def test_check_refuses_op_after_cut_off_write(tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# the Dekker trace (each process writes its own object, then snapshots the
+# other's) with both of p0's ops at seq 0
+DEKKER_SAME_SEQ = [
+    '{"proc":0,"seq":0,"op":"write","t_inv":0,"t_ret":1,"value":1,"object_id":0}',
+    '{"proc":0,"seq":0,"op":"snapshot","t_inv":0,"t_ret":2,"result":[0,0],"object_id":1}',
+    '{"proc":1,"seq":0,"op":"write","t_inv":0,"t_ret":1,"value":1,"object_id":1}',
+    '{"proc":1,"seq":1,"op":"snapshot","t_inv":1,"t_ret":2,"result":[0,0],"object_id":0}']
+
 # an op that returns before it is invoked; an op after a never-returned op
-# of its process on another object
+# of its process on another object; the same-seq Dekker trace in both orders
+# of p0's lines
 REFUSED_TRACES = {
     "returns-before-invoked": [
         '{"proc":0,"seq":0,"op":"write","t_inv":5,"t_ret":1,"value":1}'],
@@ -102,6 +111,9 @@ REFUSED_TRACES = {
         '{"proc":0,"seq":0,"op":"write","t_inv":0,"value":1,"object_id":0}',
         '{"proc":0,"seq":1,"op":"snapshot","t_inv":2,"t_ret":3,"result":[0,0],"object_id":1}',
         '{"proc":1,"seq":0,"op":"snapshot","t_inv":0,"t_ret":1,"result":[1,0],"object_id":0}'],
+    "dekker-same-seq-write-first": DEKKER_SAME_SEQ,
+    "dekker-same-seq-snapshot-first": [DEKKER_SAME_SEQ[1], DEKKER_SAME_SEQ[0],
+                                       *DEKKER_SAME_SEQ[2:]],
 }
 
 
@@ -208,6 +220,8 @@ def test_usage_error_exit_code():
     ["--n", "3", "--ops", "-4"],
     ["--n", "0"],
     ["--n", "3", "--crashes", "-1"],
+    ["--n", "3", "--delay", "async:0,inf"],
+    ["--n", "3", "--delay", "sync:inf,1"],
 ])
 def test_invalid_config_rejected_before_any_event(tmp_path, capsys, argv):
     out = tmp_path / "run"
