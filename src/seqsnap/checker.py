@@ -49,20 +49,22 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
-    """Refuse a malformed op, for which no verdict is defined: a process
-    outside 0..n-1, an unknown kind, a write without a value, a completed
-    snapshot whose result is not a vector of n cells, a read whose target is
-    not a cell, an op that returns before it is invoked, two ops of one
-    process with the same seq (on any object), or an op after one of its
-    process's ops that never returned (a process runs one op at a time, so
-    only its last op can be cut off).
+    """Refuse a malformed op, for which no verdict is defined: a process or
+    seq that is not an int (a bool is refused too), a process outside
+    0..n-1, an unknown kind, a write without a value, a completed snapshot
+    whose result is not a vector of n cells, a read whose target is not a
+    cell, an op that returns before it is invoked, two ops of one process
+    with the same seq (on any object), or an op after one of its process's
+    ops that never returned (a process runs one op at a time, so only its
+    last op can be cut off).
 
     Returns the process order: one queue per process id, each in seq order,
     of the ops a legal order accounts for. Those are every op that returned,
     and every write, since one cut off by a crash may still have taken
     effect."""
     for rec in history:
-        if not (rec.proc in range(n)
+        if not (type(rec.proc) is int and type(rec.seq) is int
+                and rec.proc in range(n)
                 and rec.kind in (WRITE, SNAPSHOT, READ)
                 and (rec.kind != WRITE or rec.value is not None)
                 and (rec.kind != SNAPSHOT or not rec.completed

@@ -48,12 +48,19 @@ class PendingUpdate:
     seen[j] is the stamp p_j attached when relaying this update, INF until a
     message from p_j arrives. The order in which one process stamped two
     updates is what the dependency relation below is computed from.
+
+    known counts the finite stamps in seen, and ahead[key] counts the
+    processes that stamped this update before the pending update `key`
+    (as `depends` would count them). handle_message keeps both current, so a
+    receipt costs O(|pending|) instead of rescanning every pair of updates.
     """
 
     value: int
     writer: int
     stamp: int
     seen: list[float]
+    known: int = 0
+    ahead: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -132,7 +139,9 @@ def depends(first: PendingUpdate, second: PendingUpdate, n: int) -> bool:
 
     The constraint is dropped only once a strict majority of processes is
     known to have stamped `second` before `first`. Unknown stamps (INF)
-    never count as earlier.
+    never count as earlier. compute_validable reads this count from the
+    `ahead` that handle_message keeps on `second`; this is the same test
+    stated on the stamps.
     """
     ahead = sum(1 for j in range(n) if second.seen[j] < first.seen[j])
     return ahead * 2 <= n
@@ -143,23 +152,63 @@ def compute_validable(pending: dict, n: int) -> list:
 
     Starts from the majority-stamped updates and repeatedly drops any that
     depends on an update left outside, so the returned set is closed under
-    the dependency relation within `pending`.
+    the dependency relation within `pending`. Reads the counts kept on each
+    entry; `depends` states the same test on the stamps themselves.
     """
-    ready = {key for key, g in pending.items()
-             if sum(1 for s in g.seen if s < INF) * 2 > n}
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(ready):
-            second = pending[key]
-            for other, first in pending.items():
-                if other in ready:
-                    continue
-                if depends(first, second, n):
-                    ready.discard(key)
-                    changed = True
+    ready = {key for key, g in pending.items() if g.known * 2 > n}
+    if not ready:
+        return []
+    # Only an update dropped in the last round can newly block one still in.
+    blocked = [key for key in pending if key not in ready]
+    while blocked:
+        dropped = []
+        for key in ready:
+            ahead = pending[key].ahead
+            for other in blocked:
+                if ahead[other] * 2 <= n:
+                    dropped.append(key)
                     break
+        ready.difference_update(dropped)
+        blocked = dropped
     return sorted(ready)
+
+
+def _admit(pending: dict, key: tuple, value: int, n: int) -> None:
+    """Add an update with no stamp yet: it is ahead of no other entry, and
+    each other entry is ahead of it at every stamp that entry has."""
+    entry = PendingUpdate(value, key[0], key[1], [INF] * n,
+                          ahead=dict.fromkeys(pending, 0))
+    for other in pending.values():
+        other.ahead[key] = other.known
+    pending[key] = entry
+
+
+def _record_stamp(pending: dict, key: tuple, j: int, stamp: int) -> None:
+    """Learn p_j's stamp on the entry at `key`, where seen[j] is still INF.
+
+    p_j sends one copy of each update, so each seen[j] is set exactly once.
+    The entry moves ahead of every entry that p_j stamped later or not yet.
+    An entry that p_j stamped later, whose copy overtook this one (which a
+    FIFO channel never does), loses its lead over this entry.
+    """
+    entry = pending[key]
+    entry.seen[j] = stamp
+    entry.known += 1
+    ahead = entry.ahead
+    for other_key, other in pending.items():
+        theirs = other.seen[j]
+        if stamp < theirs:  # never true of the entry itself
+            ahead[other_key] += 1
+            if theirs < INF:
+                other.ahead[key] -= 1
+
+
+def _retire(pending: dict, key: tuple) -> PendingUpdate:
+    """Remove a validated entry, and every other entry's count against it."""
+    entry = pending.pop(key)
+    for other in pending.values():
+        del other.ahead[key]
+    return entry
 
 
 def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
@@ -172,22 +221,20 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     eff = Effect()
     if msg.stamp > state.view_stamps[msg.writer]:
         key = (msg.writer, msg.stamp)
-        entry = state.pending.get(key)
-        if entry is None:
+        if key not in state.pending:
             if msg.writer != state.me:
                 # first sighting of someone else's update: relay it stamped
                 state.clock += 1
                 eff.broadcasts.append(UpdateMsg(msg.value, msg.writer, msg.stamp,
                                                 state.clock, state.me,
                                                 state.object_id))
-            entry = state.pending[key] = PendingUpdate(
-                msg.value, msg.writer, msg.stamp, [INF] * state.n)
+            _admit(state.pending, key, msg.value, state.n)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
-        entry.seen[msg.sender] = msg.relay_stamp
+        _record_stamp(state.pending, key, msg.sender, msg.relay_stamp)
     for key in compute_validable(state.pending, state.n):
-        g = state.pending.pop(key)
+        g = _retire(state.pending, key)
         if state.view_stamps[g.writer] < g.stamp:
             state.view_stamps[g.writer] = g.stamp
             state.view[g.writer] = g.value

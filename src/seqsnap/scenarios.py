@@ -1,14 +1,13 @@
 """Named replay fixtures with fully scripted delivery schedules.
 
-`two_writers_cross` (n=5): two concurrent writes a (by p4) and b (by p0)
-whose relays interleave so that p3 and p4 validate a strictly before b, while
-at p0, p1 and p2 the two updates are entangled by a dependency and validate
-together. `postponed_chain` (n=4): each of two writers issues a second write
-while its first is still unconfirmed; the second writes are buffered and
-released only upon validation, which is what keeps the cross dependencies from
-ever forming a cycle. `abd_baseline_demo` (n=3): a quiescent register write
-followed by a read, showing the 2- and 4-hop latencies of the quorum
-baseline.
+`fig4a` (n=5): two concurrent writes a (by p4) and b (by p0) whose relays
+interleave so that p3 and p4 validate a strictly before b, while at p0, p1
+and p2 the two updates are entangled by a dependency and validate together.
+`fig4b` (n=4): each of two writers issues a second write while its first is
+still unconfirmed; the second writes are buffered and released only upon
+validation, which is what keeps the cross dependencies from ever forming a
+cycle. `abd_baseline_demo` (n=3): a quiescent register write followed by a
+read, showing the 2- and 4-hop latencies of the quorum baseline.
 
 Delivery times are absolute and keyed by (sender, nth broadcast of sender);
 each table is FIFO-consistent per channel by construction and checked before

@@ -131,13 +131,28 @@ SAME_SEQ = [W(0, 0, 1), replace(S(0, 0, [0, 0]), object_id=1)]
     [OpRecord(0, 0, "snapshot", 0.0, None), W(0, 1, 1)],
     SAME_SEQ,
     SAME_SEQ[::-1],
+    [OpRecord(True, 0, "snapshot", 0.0, 1.0, result=(0, 0))],
+    [W(0, False, 1), S(0, 1, [1, 0])],
+    [W(0, None, 1, t_inv=0), W(0, 1, 2)],
+    [W(0, 1.0, 1)],
 ], ids=["repeated-op-id", "process-above-n", "negative-process",
         "op-after-cut-off-write", "op-after-cut-off-snapshot",
         "same-seq-two-objects-write-first",
-        "same-seq-two-objects-snapshot-first"])
+        "same-seq-two-objects-snapshot-first", "bool-process", "bool-seq",
+        "none-seq", "float-seq"])
 def test_malformed_op_ids_are_refused(check, history):
     with pytest.raises(CheckRefusal):
         check(history, 2)
+
+
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute])
+def test_unsortable_seq_is_refused_not_a_type_error(check):
+    # sorting by (proc, seq) would compare None with an int
+    history = [OpRecord(0, None, "write", 0.0, 1.0, value=1),
+               OpRecord(0, 1, "write", 2.0, 3.0, value=2)]
+    with pytest.raises(CheckRefusal):
+        check(history, 1)
 
 
 @pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,

@@ -12,8 +12,41 @@ from seqsnap.workloads import (random_crashes, random_workload,
                                trim_for_crashes, write_heavy_workload)
 
 
-def entry(writer, stamp, seen):
-    return PendingUpdate(1, writer, stamp, list(seen))
+def derived_counts(pending):
+    """Each entry's (known, ahead), computed from the seen vectors alone."""
+    return {key: (sum(1 for s in g.seen if s < INF),
+                  {other: sum(1 for mine, theirs in zip(g.seen, h.seen)
+                              if mine < theirs)
+                   for other, h in pending.items() if other != key})
+            for key, g in pending.items()}
+
+
+def pending_set(seen_by_key):
+    """A pending dict of value-1 entries, with the counts their stamps give."""
+    pending = {key: PendingUpdate(1, *key, list(seen))
+               for key, seen in seen_by_key.items()}
+    for key, (known, ahead) in derived_counts(pending).items():
+        pending[key].known, pending[key].ahead = known, ahead
+    return pending
+
+
+def reference_validable(pending, n):
+    """The validation fixpoint stated on the stamps through `depends`."""
+    ready = {key for key, g in pending.items()
+             if sum(1 for s in g.seen if s < INF) * 2 > n}
+    changed = True
+    while changed:
+        changed = False
+        for key in sorted(ready):
+            second = pending[key]
+            for other, first in pending.items():
+                if other in ready:
+                    continue
+                if depends(first, second, n):
+                    ready.discard(key)
+                    changed = True
+                    break
+    return sorted(ready)
 
 
 class TestInit:
@@ -49,14 +82,14 @@ class TestWrite:
 
     def test_write_with_own_pending_is_buffered(self):
         state = init(3, 0)
-        state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
+        state.pending = pending_set({(0, 1): [1, INF, INF]})
         eff = invoke_write(state, 7)
         assert state.deferred == 7
         assert eff.broadcasts == [] and eff.completions == [("write", None)]
 
     def test_newer_buffered_write_drops_older(self):
         state = init(3, 0)
-        state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
+        state.pending = pending_set({(0, 1): [1, INF, INF]})
         invoke_write(state, 7)
         eff = invoke_write(state, 9)
         assert state.deferred == 9
@@ -73,7 +106,7 @@ class TestSnapshot:
 
     def test_waits_for_own_update(self):
         state = init(3, 0)
-        state.pending[(0, 1)] = entry(0, 1, [1, INF, INF])
+        state.pending = pending_set({(0, 1): [1, INF, INF]})
         eff = invoke_snapshot(state)
         assert eff.completions == [] and state.snapshot_pending
 
@@ -89,17 +122,19 @@ class TestSnapshot:
 
 class TestDepends:
     def test_minority_ahead_keeps_dependency(self):
-        first = entry(0, 1, [3, 4, INF, INF, INF])
-        second = entry(1, 1, [1, 2, INF, INF, INF])
+        first, second = pending_set({(0, 1): [3, 4, INF, INF, INF],
+                                     (1, 1): [1, 2, INF, INF, INF]}).values()
         assert depends(first, second, 5)
+        assert second.ahead[(0, 1)] == 2
 
     def test_majority_ahead_breaks_dependency(self):
-        first = entry(0, 1, [4, 5, 6, INF, INF])
-        second = entry(1, 1, [1, 2, 3, INF, INF])
+        first, second = pending_set({(0, 1): [4, 5, 6, INF, INF],
+                                     (1, 1): [1, 2, 3, INF, INF]}).values()
         assert not depends(first, second, 5)
+        assert second.ahead[(0, 1)] == 3
 
     def test_reflexive(self):
-        g = entry(0, 1, [1, 2, INF, INF, INF])
+        g, = pending_set({(0, 1): [1, 2, INF, INF, INF]}).values()
         assert depends(g, g, 5)
 
 
@@ -108,14 +143,26 @@ class TestComputeValidable:
         assert compute_validable({}, 5) == []
 
     def test_single_majority_stamped_entry(self):
-        g = entry(2, 1, [1, 1, 1, INF, INF])
-        assert compute_validable({(2, 1): g}, 5) == [(2, 1)]
+        pending = pending_set({(2, 1): [1, 1, 1, INF, INF]})
+        assert compute_validable(pending, 5) == [(2, 1)]
 
     def test_majority_entry_behind_a_blocked_one_stays(self):
         # b has majority stamps, a does not, and no majority saw b before a
-        a = entry(4, 1, [2, INF, 1, INF, INF])
-        b = entry(0, 1, [1, 1, 2, INF, INF])
-        assert compute_validable({(4, 1): a, (0, 1): b}, 5) == []
+        pending = pending_set({(4, 1): [2, INF, 1, INF, INF],
+                               (0, 1): [1, 1, 2, INF, INF]})
+        b = pending[(0, 1)]
+        assert b.known == 3 and b.ahead[(4, 1)] == 2
+        assert compute_validable(pending, 5) == []
+
+    def test_chain_of_blocked_entries_is_followed(self):
+        # a is blocked (one stamp); b depends on a, c on b only
+        pending = pending_set({(0, 1): [1, INF, INF],
+                               (1, 1): [2, 1, INF],
+                               (2, 1): [3, 2, 1]})
+        assert pending[(2, 1)].ahead[(0, 1)] == 2
+        assert compute_validable(pending, 3) == []
+        protocol._retire(pending, (0, 1))
+        assert compute_validable(pending, 3) == [(1, 1), (2, 1)]
 
 
 def deliver_all(states, eff_queue):
@@ -239,16 +286,69 @@ def test_at_most_one_entry_per_update_and_no_own_entry_leak(msgs):
         seen_keys.update(keys)
 
 
-def test_buffered_write_only_while_own_update_pending(monkeypatch):
-    # invoke_snapshot relies on this: a buffered write implies an own
-    # pending update, so has_own_pending alone decides whether to wait.
-    buffered = [0]
+@st.composite
+def stamp_arrivals(draw):
+    """n, and the arrivals (key, sender, stamp) of relays of random updates.
 
+    Each sender stamps a subset of the updates in an order of its own with
+    rising stamps, and its copies arrive in that order (FIFO channels); the
+    senders' streams interleave at random. One case in two drops FIFO, so
+    that a copy may arrive after a copy its sender stamped later.
+    """
+    n = draw(st.integers(1, 9))
+    keys = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 4)),
+                         min_size=1, max_size=7, unique=True))
+    fifo = draw(st.booleans())
+    streams = []
+    for sender in range(n):
+        order = draw(st.permutations(keys))[:draw(st.integers(0, len(keys)))]
+        gaps = draw(st.lists(st.integers(1, 3), min_size=len(order),
+                             max_size=len(order)))
+        stamps = [sum(gaps[:i + 1]) for i in range(len(order))]
+        if not fifo:
+            stamps = draw(st.permutations(stamps))
+        streams.append([(key, sender, stamp)
+                        for key, stamp in zip(order, stamps)])
+    turns = draw(st.permutations([sender for sender, stream in
+                                  enumerate(streams) for _ in stream]))
+    cursors = [iter(stream) for stream in streams]
+    return n, [next(cursors[sender]) for sender in turns]
+
+
+@given(stamp_arrivals(), st.data())
+@settings(max_examples=300)
+def test_incremental_counts_match_the_reference_fixpoint(case, data):
+    n, arrivals = case
+    pending, retired = {}, set()
+
+    def agree():
+        got = compute_validable(pending, n)
+        assert got == reference_validable(pending, n)
+        assert derived_counts(pending) == {
+            key: (g.known, g.ahead) for key, g in pending.items()}
+        return got
+
+    for key, sender, stamp in arrivals:
+        if key in retired:  # a validated update's late copies are stale
+            continue
+        if key not in pending:
+            protocol._admit(pending, key, 1, n)
+        protocol._record_stamp(pending, key, sender, stamp)
+        validable = agree()
+        while validable:
+            key = data.draw(st.sampled_from(validable))
+            protocol._retire(pending, key)
+            retired.add(key)
+            validable = agree()
+
+
+def run_sweep_checking(monkeypatch, invariant):
+    """Run 400 crash-prone sweep configs (n = 2, 3, 5, 7), checking
+    `invariant(state)` after every protocol transition."""
     def checked(transition):
         def call(state, *args):
             eff = transition(state, *args)
-            assert state.deferred is None or has_own_pending(state)
-            buffered[0] += state.deferred is not None
+            invariant(state)
             return eff
         return call
 
@@ -261,4 +361,28 @@ def test_buffered_write_only_while_own_update_pending(monkeypatch):
             run_simulation(SimConfig(
                 n=n, seed=seed, crashes=crashes,
                 workload=trim_for_crashes(generate(n, 40, seed), crashes)))
+
+
+def test_buffered_write_only_while_own_update_pending(monkeypatch):
+    # invoke_snapshot relies on this: a buffered write implies an own
+    # pending update, so has_own_pending alone decides whether to wait.
+    buffered = [0]
+
+    def invariant(state):
+        assert state.deferred is None or has_own_pending(state)
+        buffered[0] += state.deferred is not None
+
+    run_sweep_checking(monkeypatch, invariant)
     assert buffered[0] > 0
+
+
+def test_pending_counts_match_the_stamps_after_every_transition(monkeypatch):
+    largest = [0]
+
+    def invariant(state):
+        assert derived_counts(state.pending) == {
+            key: (g.known, g.ahead) for key, g in state.pending.items()}
+        largest[0] = max(largest[0], len(state.pending))
+
+    run_sweep_checking(monkeypatch, invariant)
+    assert largest[0] > 2

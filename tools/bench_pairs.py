@@ -1,0 +1,150 @@
+"""Before/after benchmark pairs: a parent revision against the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_validation.json
+
+Exports the parent revision with ``git archive`` and the working tree's
+tracked and unignored files into one temporary directory each, then runs
+``perfbench/run.py --trace 0`` of each checkout in ten alternating pairs per
+case, each run as long as ``BENCHMARK.json`` sets (the side that runs first
+alternates too, so that a drift of the host's speed falls on both sides
+alike). Every result line is written to ``--out``, together with the Python
+version, the core count, both commits and a digest of each side's ``src/``
+and ``perfbench/``, plus per-case medians and how many pairs the working
+tree won. Stdlib only; run from the root of a git checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# (workload, seed) cases, in run order
+CASES = [("sweep", 0), ("oracle", 0), ("quorum", 0), ("sweep", 1), ("wide", 0)]
+COMPARED = ("deliveries_per_s", "items_per_s")
+# a gain is claimed only when the change wins nine pairs in ten
+PAIRS = 10
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export_revision(rev: str, dest: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest)
+
+
+def export_working_tree(dest: Path) -> None:
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def source_digest(checkout: Path) -> str:
+    """SHA-256 over the path and bytes of every file the benchmark runs."""
+    digest = hashlib.sha256()
+    for top in ("src", "perfbench"):
+        for path in sorted((checkout / top).rglob("*.py")):
+            digest.update(str(path.relative_to(checkout)).encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {checkout} ({workload}, seed "
+                         f"{seed}, exit {proc.returncode}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    result.update(next(json.loads(line) for line in lines
+                       if line.startswith('{"environment"')))
+    return result
+
+
+def summarize(runs: list) -> list:
+    """Per case and compared metric: each side's median, the parent's
+    quartiles, and the number of pairs the working tree won."""
+    summary = []
+    for workload, seed in CASES:
+        case = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
+        for metric in COMPARED:
+            value = {side: [r["result"]["metrics"][metric]["value"]
+                            for r in case if r["side"] == side]
+                     for side in ("parent", "change")}
+            parent_q = statistics.quantiles(value["parent"], n=4)
+            summary.append({
+                "workload": workload, "seed": seed, "metric": metric,
+                "parent_median": statistics.median(value["parent"]),
+                "change_median": statistics.median(value["change"]),
+                "parent_quartiles": [parent_q[0], parent_q[2]],
+                "change_wins": sum(c > p for p, c in zip(value["parent"],
+                                                         value["change"])),
+                "pairs": len(value["parent"]),
+            })
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args()
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    parent_commit = git("rev-parse", args.parent).decode().strip()
+    head = git("rev-parse", "HEAD").decode().strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export_revision(parent_commit, sides["parent"])
+        export_working_tree(sides["change"])
+        runs = []
+        for workload, seed in CASES:
+            for pair in range(PAIRS):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(sides[side], workload, seed, seconds)
+                    if not result["correct"]:
+                        raise SystemExit(f"{side} is not correct on {workload}, "
+                                         f"seed {seed}: {result}")
+                    runs.append({"workload": workload, "seed": seed, "pair": pair,
+                                 "side": side, "result": result})
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          f"{result['metrics']['deliveries_per_s']['value']:.0f} "
+                          "deliveries/s", file=sys.stderr, flush=True)
+        digests = {side: source_digest(path) for side, path in sides.items()}
+    document = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "parent": {"commit": parent_commit, "sources_sha256": digests["parent"]},
+        "change": {"commit": "working tree on " + head,
+                   "sources_sha256": digests["change"]},
+        "seconds_per_run": seconds,
+        "pairs": PAIRS,
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(document, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
