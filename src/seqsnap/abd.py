@@ -16,36 +16,33 @@ protocol; messages reuse the Effect container from `protocol`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .protocol import Effect
 from .seqspec import READ, WRITE
 
 
-@dataclass(frozen=True, order=True)
-class Tag:
+class Tag(NamedTuple):
     """Write version tag, totally ordered by (stamp, writer)."""
 
     stamp: int
     writer: int
 
 
-@dataclass(frozen=True)
-class QueryMsg:
+class QueryMsg(NamedTuple):
     reg: int
     sender: int
     op_ref: tuple
 
 
-@dataclass(frozen=True)
-class QueryReply:
+class QueryReply(NamedTuple):
     value: int
     tag: Tag
     sender: int
     op_ref: tuple
 
 
-@dataclass(frozen=True)
-class PropagateMsg:
+class PropagateMsg(NamedTuple):
     reg: int
     value: int
     tag: Tag
@@ -53,8 +50,7 @@ class PropagateMsg:
     op_ref: tuple
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     sender: int
     op_ref: tuple
 
@@ -126,31 +122,34 @@ def invoke_read(state: AbdState, target: int) -> Effect:
 
 def handle_message(state: AbdState, msg) -> Effect:
     eff = Effect()
-    phase = state.phase
-    if isinstance(msg, QueryMsg):
+    kind = type(msg)
+    if kind is QueryMsg:
         eff.sends.append((QueryReply(state.values[msg.reg], state.tags[msg.reg],
                                      state.me, msg.op_ref), msg.sender))
-    elif isinstance(msg, PropagateMsg):
+    elif kind is PropagateMsg:
         if state.tags[msg.reg] < msg.tag:
             state.tags[msg.reg] = msg.tag
             state.values[msg.reg] = msg.value
         eff.sends.append((Ack(state.me, msg.op_ref), msg.sender))
-    elif not isinstance(msg, (QueryReply, Ack)):
+    elif kind is not QueryReply and kind is not Ack:
         raise TypeError(f"unknown message {msg!r}")
-    elif (phase is not None and phase.op_ref == msg.op_ref
-          and phase.querying == isinstance(msg, QueryReply)):
-        # a reply counts only towards the phase it answers: a late reply of
-        # an earlier operation, or a query reply after the read began to
-        # propagate, changes nothing
-        phase.replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
-        if len(phase.replies) >= majority(state.n):
-            if phase.querying:
-                # unconditional write-back: the freshest pair must reach a
-                # majority before the read may return
-                tag, value = max(phase.replies.values())
-                _propagate(state, eff, value, tag)
-            else:
-                state.phase = None
-                eff.completions.append(
-                    (phase.kind, phase.value if phase.kind == READ else None))
+    else:
+        phase = state.phase
+        if (phase is not None and phase.op_ref == msg.op_ref
+                and phase.querying == (kind is QueryReply)):
+            # a reply counts only towards the phase it answers: a late reply
+            # of an earlier operation, or a query reply after the read began
+            # to propagate, changes nothing
+            replies = phase.replies
+            replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
+            if len(replies) >= majority(state.n):
+                if phase.querying:
+                    # unconditional write-back: the freshest pair must reach
+                    # a majority before the read may return
+                    tag, value = max(replies.values())
+                    _propagate(state, eff, value, tag)
+                else:
+                    state.phase = None
+                    eff.completions.append(
+                        (phase.kind, phase.value if phase.kind == READ else None))
     return eff

@@ -49,14 +49,15 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
-    """Refuse a malformed op, for which no verdict is defined: a process or
-    seq that is not an int (a bool is refused too), a process outside
-    0..n-1, an unknown kind, a write without a value, a completed snapshot
-    whose result is not a vector of n cells, a read whose target is not a
-    cell, an op that returns before it is invoked, two ops of one process
-    with the same seq (on any object), or an op after one of its process's
-    ops that never returned (a process runs one op at a time, so only its
-    last op can be cut off).
+    """Refuse a malformed op, for which no verdict is defined: a process,
+    seq, write value, snapshot cell, read target or read result that is not
+    an int (a bool is refused too, rather than read as 0 or 1), a process
+    outside 0..n-1, an unknown kind, a completed snapshot whose result is
+    not a vector of n cells, a read whose target is not a cell, an op that
+    returns before it is invoked, two ops of one process with the same seq
+    (on any object), or an op after one of its process's ops that never
+    returned (a process runs one op at a time, so only its last op can be
+    cut off).
 
     Returns the process order: one queue per process id, each in seq order,
     of the ops a legal order accounts for. Those are every op that returned,
@@ -66,11 +67,14 @@ def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
         if not (type(rec.proc) is int and type(rec.seq) is int
                 and rec.proc in range(n)
                 and rec.kind in (WRITE, SNAPSHOT, READ)
-                and (rec.kind != WRITE or rec.value is not None)
+                and (rec.kind != WRITE or type(rec.value) is int)
                 and (rec.kind != SNAPSHOT or not rec.completed
                      or isinstance(rec.result, (tuple, list))
-                     and len(rec.result) == n)
-                and (rec.kind != READ or rec.target in range(n))
+                     and len(rec.result) == n
+                     and all(type(cell) is int for cell in rec.result))
+                and (rec.kind != READ
+                     or type(rec.target) is int and rec.target in range(n)
+                     and (not rec.completed or type(rec.result) is int))
                 and (not rec.completed or rec.t_inv <= rec.t_ret)):
             raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
     queues = [[] for _ in range(n)]

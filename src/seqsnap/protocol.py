@@ -63,7 +63,7 @@ class PendingUpdate:
     ahead: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Effect:
     """What one transition asks of the outside world.
 
@@ -88,6 +88,7 @@ class ProcState:
     view_stamps: list[int]   # stamp the writer attached to view[j], 0 if none
     clock: int = 0           # bumped on every broadcast; stamps are unique per process
     pending: dict = field(default_factory=dict)  # (writer, stamp) -> PendingUpdate
+    own_pending: int = 0     # entries of pending whose writer is me
     deferred: int | None = None                  # newest write waiting for an older one
     snapshot_pending: bool = False
     object_id: int = 0
@@ -101,7 +102,7 @@ def init(n: int, me: int, object_id: int = 0) -> ProcState:
 
 
 def has_own_pending(state: ProcState) -> bool:
-    return any(writer == state.me for (writer, _stamp) in state.pending)
+    return state.own_pending > 0
 
 
 def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
@@ -173,17 +174,20 @@ def compute_validable(pending: dict, n: int) -> list:
     return sorted(ready)
 
 
-def _admit(pending: dict, key: tuple, value: int, n: int) -> None:
+def _admit(state: ProcState, key: tuple, value: int) -> None:
     """Add an update with no stamp yet: it is ahead of no other entry, and
     each other entry is ahead of it at every stamp that entry has."""
-    entry = PendingUpdate(value, key[0], key[1], [INF] * n,
+    pending = state.pending
+    entry = PendingUpdate(value, key[0], key[1], [INF] * state.n,
                           ahead=dict.fromkeys(pending, 0))
     for other in pending.values():
         other.ahead[key] = other.known
     pending[key] = entry
+    if key[0] == state.me:
+        state.own_pending += 1
 
 
-def _record_stamp(pending: dict, key: tuple, j: int, stamp: int) -> None:
+def _record_stamp(state: ProcState, key: tuple, j: int, stamp: int) -> None:
     """Learn p_j's stamp on the entry at `key`, where seen[j] is still INF.
 
     p_j sends one copy of each update, so each seen[j] is set exactly once.
@@ -191,6 +195,7 @@ def _record_stamp(pending: dict, key: tuple, j: int, stamp: int) -> None:
     An entry that p_j stamped later, whose copy overtook this one (which a
     FIFO channel never does), loses its lead over this entry.
     """
+    pending = state.pending
     entry = pending[key]
     entry.seen[j] = stamp
     entry.known += 1
@@ -203,11 +208,14 @@ def _record_stamp(pending: dict, key: tuple, j: int, stamp: int) -> None:
                 other.ahead[key] -= 1
 
 
-def _retire(pending: dict, key: tuple) -> PendingUpdate:
+def _retire(state: ProcState, key: tuple) -> PendingUpdate:
     """Remove a validated entry, and every other entry's count against it."""
+    pending = state.pending
     entry = pending.pop(key)
     for other in pending.values():
         del other.ahead[key]
+    if key[0] == state.me:
+        state.own_pending -= 1
     return entry
 
 
@@ -228,13 +236,13 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
                 eff.broadcasts.append(UpdateMsg(msg.value, msg.writer, msg.stamp,
                                                 state.clock, state.me,
                                                 state.object_id))
-            _admit(state.pending, key, msg.value, state.n)
+            _admit(state, key, msg.value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
-        _record_stamp(state.pending, key, msg.sender, msg.relay_stamp)
+        _record_stamp(state, key, msg.sender, msg.relay_stamp)
     for key in compute_validable(state.pending, state.n):
-        g = _retire(state.pending, key)
+        g = _retire(state, key)
         if state.view_stamps[g.writer] < g.stamp:
             state.view_stamps[g.writer] = g.stamp
             state.view[g.writer] = g.value

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from math import isfinite
 from pathlib import Path
+from typing import NamedTuple
 
 from . import abd, protocol
 from .histories import OpRecord, history_lines
@@ -32,6 +33,7 @@ from .seqspec import READ, SNAPSHOT, WRITE
 PRIO_SELF = 0   # own broadcast copies come before anything else at the same time
 PRIO_MAIN = 1
 EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
+CRASH = object()        # heap payload of a crash at a time instant
 
 
 class ConfigError(Exception):
@@ -156,8 +158,7 @@ class Metrics:
     quiescent: bool = True
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """One sent message; each of its deliveries refers to this record."""
 
     time: float
@@ -202,10 +203,12 @@ class SnapshotNode:
     def receive(self, payload):
         return protocol.handle_message(self.states[payload.object_id], payload)
 
-    def stamp_vector(self):
-        # stamps of different objects are unrelated: no joint vector
+    def stamp_list(self):
+        """The stamp list that every transition updates in place, or None:
+        stamps of different objects are unrelated, so a multi-object node
+        has no joint vector."""
         if len(self.states) == 1:
-            return tuple(self.states[0].view_stamps)
+            return self.states[0].view_stamps
         return None
 
     def view_stamps(self, object_id):
@@ -231,7 +234,7 @@ class AbdNode:
     def receive(self, payload):
         return abd.handle_message(self.state, payload)
 
-    def stamp_vector(self):
+    def stamp_list(self):
         return None
 
     def pending_empty(self):
@@ -297,6 +300,15 @@ def validate_config(config: SimConfig) -> None:
 
 
 class _Sim:
+    """One run: a heap of events processed in (time, prio, seq) order.
+
+    Each heap entry is (time, prio, seq, proc, msg). msg is the MessageRecord
+    that `proc` receives, None for the invocation of `proc`'s next op, or
+    CRASH for `proc`'s crash at a time instant. seq counts pushes, so two
+    events at the same time and priority run in the order they were
+    scheduled, and the comparison never reaches proc or msg.
+    """
+
     def __init__(self, config: SimConfig):
         validate_config(config)
         self.config = config
@@ -304,8 +316,12 @@ class _Sim:
         objects = 1 + max((item.object_id for item in config.workload), default=0)
         self.rng = random.Random(f"net:{config.seed}")
         self.nodes = [NODES[config.protocol](n, me, objects) for me in range(n)]
+        # stamp vectors are traced only where one joint vector exists
+        stamps = [node.stamp_list() for node in self.nodes]
+        self.stamps = stamps if stamps[0] is not None else None
         self.heap = []
-        self.seq = itertools.count()
+        self.next_seq = itertools.count().__next__
+        self.everyone = tuple(range(n))
         self.alive = [True] * n
         self.current_op = [None] * n
         self.op_count = [0] * n
@@ -313,9 +329,12 @@ class _Sim:
         self.queues = [deque() for _ in range(n)]
         for item in config.workload:
             self.queues[item.proc].append(item)
-        self.crash_on_send = {c.proc: c for c in config.crashes
-                              if c.on_send is not None}
-        self.last_arrival = {}
+        self.crash_on_send = [None] * n
+        for crash in config.crashes:
+            if crash.on_send is not None:
+                self.crash_on_send[crash.proc] = crash
+        # last_arrival[sender][recipient]: latest delivery time on that channel
+        self.last_arrival = [[0.0] * n for _ in range(n)]
         self.history = []
         self.metrics = Metrics()
         self.vc_trace = []
@@ -323,117 +342,122 @@ class _Sim:
         self.delivery_log = []
         self.validation_log = []
 
-    def _push(self, time, prio, kind, data):
-        heappush(self.heap, (time, prio, next(self.seq), kind, data))
-
     def run(self) -> RunResult:
         config = self.config
+        heap, next_seq, alive = self.heap, self.next_seq, self.alive
+        receive = [node.receive for node in self.nodes]
+        log_delivery = self.delivery_log.append
+        after_transition = self._after_transition
         for proc, queue in enumerate(self.queues):
             if queue:
-                self._push(queue[0].at, PRIO_MAIN, "invoke", proc)
+                heappush(heap, (queue[0].at, PRIO_MAIN, next_seq(), proc, None))
         for crash in config.crashes:
             if crash.at_time is not None:
-                self._push(crash.at_time, PRIO_MAIN, "crash", crash.proc)
-        while self.heap:
-            if len(self.delivery_log) + len(self.history) >= EVENT_CAP:
+                heappush(heap, (crash.at_time, PRIO_MAIN, next_seq(),
+                                crash.proc, CRASH))
+        cap = EVENT_CAP
+        events = 0      # transitions so far: deliveries and invocations
+        while heap:
+            if events >= cap:
                 self.metrics.quiescent = False
                 break
-            time, _prio, _seq, kind, data = heappop(self.heap)
-            if kind == "crash":
-                self.alive[data] = False
-                continue
-            if kind == "deliver":
-                msg, to = data
-                if not self.alive[to]:
-                    continue
-                self.delivery_log.append((time, msg.sender, to, msg.payload))
-                eff = self.nodes[to].receive(msg.payload)
-                self._after_transition(to, eff, msg.chain, time)
-            elif kind == "invoke":
-                proc = data
-                if not self.alive[proc]:
-                    continue
-                assert self.current_op[proc] is None, \
-                    "invocation while an op is mid-flight"
-                item = self.queues[proc].popleft()
-                rec = OpRecord(proc=proc, seq=self.op_count[proc],
-                               kind=item.action, t_inv=time, value=item.value,
-                               target=item.target, object_id=item.object_id,
-                               run_seed=config.seed)
-                self.op_count[proc] += 1
-                self.history.append(rec)
-                self.current_op[proc] = rec
-                eff = self.nodes[proc].invoke(item)
-                self._after_transition(proc, eff, 0, time)
-        crashed = frozenset(p for p in range(config.n) if not self.alive[p])
+            time, _prio, _seq, proc, msg = heappop(heap)
+            if msg is None:
+                if alive[proc]:
+                    events += 1
+                    self._invoke(proc, time)
+            elif msg is CRASH:
+                alive[proc] = False
+            elif alive[proc]:
+                events += 1
+                payload = msg.payload
+                log_delivery((time, msg.sender, proc, payload))
+                after_transition(proc, receive[proc](payload), msg.chain, time)
+        crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
                          nodes=self.nodes, message_log=self.message_log,
                          delivery_log=self.delivery_log,
                          validation_log=self.validation_log, crashed=crashed)
 
+    def _invoke(self, proc, now):
+        assert self.current_op[proc] is None, \
+            "invocation while an op is mid-flight"
+        item = self.queues[proc].popleft()
+        rec = OpRecord(proc=proc, seq=self.op_count[proc],
+                       kind=item.action, t_inv=now, value=item.value,
+                       target=item.target, object_id=item.object_id,
+                       run_seed=self.config.seed)
+        self.op_count[proc] += 1
+        self.history.append(rec)
+        self.current_op[proc] = rec
+        self._after_transition(proc, self.nodes[proc].invoke(item), 0, now)
+
     def _after_transition(self, proc, eff, cause_chain, now):
+        alive = self.alive
         chain = cause_chain + 1
         for payload in eff.broadcasts:
-            if not self.alive[proc]:
+            if not alive[proc]:
                 break
             recipients = self._broadcast_recipients(proc)
             self._send(proc, payload, recipients, chain, now)
         for payload, dest in eff.sends:
-            if not self.alive[proc]:
+            if not alive[proc]:
                 break
             self._send(proc, payload, (dest,), chain, now)
-        if not self.alive[proc]:
+        if not alive[proc]:
             return
         for kind, value in eff.completions:
             self._complete(proc, kind, value, now, cause_chain)
         for key in eff.validated:
             self.validation_log.append((proc, now, key))
-        vec = self.nodes[proc].stamp_vector()
-        if vec is not None:
-            self.vc_trace.append((proc, now, vec))
-
-    def _arrival(self, sender, recipient, now):
-        at = self.config.delay.arrival(self.rng, now, sender, recipient,
-                                       self.send_count[sender])
-        # reliable FIFO channel: never overtake an earlier message on this pair
-        at = max(at, self.last_arrival.get((sender, recipient), 0.0))
-        self.last_arrival[(sender, recipient)] = at
-        return at
+        if self.stamps is not None:
+            self.vc_trace.append((proc, now, tuple(self.stamps[proc])))
 
     def _broadcast_recipients(self, proc):
         """Everyone, or the surviving subset when the sender crashes during
         this broadcast (drawn before any arrival time of it)."""
         self.send_count[proc] += 1
-        n = self.config.n
-        crash = self.crash_on_send.get(proc)
+        crash = self.crash_on_send[proc]
         if crash is None or self.send_count[proc] != crash.on_send:
-            return tuple(range(n))
+            return self.everyone
         self.alive[proc] = False
         if crash.recipients is not None:
             return tuple(sorted(set(crash.recipients)))
+        n = self.config.n
         keep = self.rng.randint(0, n - 1)
         return tuple(sorted(self.rng.sample(range(n), keep)))
 
     def _send(self, proc, payload, recipients, chain, now):
         msg = MessageRecord(now, proc, payload, chain, recipients)
+        heap, next_seq, rng = self.heap, self.next_seq, self.rng
+        arrival = self.config.delay.arrival
+        last_arrival = self.last_arrival[proc]
+        send_index = self.send_count[proc]
         for recipient in recipients:
             if recipient == proc:
-                self._push(now, PRIO_SELF, "deliver", (msg, recipient))
+                heappush(heap, (now, PRIO_SELF, next_seq(), proc, msg))
+                continue
+            at = arrival(rng, now, proc, recipient, send_index)
+            # reliable FIFO channel: never overtake an earlier message on it
+            if at < last_arrival[recipient]:
+                at = last_arrival[recipient]
             else:
-                self._push(self._arrival(proc, recipient, now), PRIO_MAIN,
-                           "deliver", (msg, recipient))
+                last_arrival[recipient] = at
+            heappush(heap, (at, PRIO_MAIN, next_seq(), recipient, msg))
         self.message_log.append(msg)
         count = len(recipients)
-        self.metrics.messages_total += count
+        metrics = self.metrics
+        metrics.messages_total += count
         if isinstance(payload, protocol.UpdateMsg):
             key = (payload.object_id, payload.writer, payload.stamp)
-            self.metrics.messages_per_update[key] = (
-                self.metrics.messages_per_update.get(key, 0) + count)
+            metrics.messages_per_update[key] = (
+                metrics.messages_per_update.get(key, 0) + count)
+            return
         op_ref = getattr(payload, "op_ref", None)
         if op_ref is not None:
-            self.metrics.messages_per_op[op_ref] = (
-                self.metrics.messages_per_op.get(op_ref, 0) + count)
+            metrics.messages_per_op[op_ref] = (
+                metrics.messages_per_op.get(op_ref, 0) + count)
 
     def _complete(self, proc, kind, value, now, cause_chain):
         rec = self.current_op[proc]
@@ -443,9 +467,10 @@ class _Sim:
             rec.result = value
         self.metrics.op_causal_depth[(proc, rec.seq)] = cause_chain
         self.current_op[proc] = None
-        if self.queues[proc]:
-            self._push(max(self.queues[proc][0].at, now), PRIO_MAIN,
-                       "invoke", proc)
+        queue = self.queues[proc]
+        if queue:
+            heappush(self.heap, (max(queue[0].at, now), PRIO_MAIN,
+                                 self.next_seq(), proc, None))
 
 
 def run_simulation(config: SimConfig) -> RunResult:

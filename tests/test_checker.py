@@ -165,9 +165,14 @@ def test_unsortable_seq_is_refused_not_a_type_error(check):
     OpRecord(0, 0, "write", 0.0, 1.0, value=None),
     OpRecord(0, 0, "bogus", 0.0, 1.0),
     OpRecord(0, 0, "write", 5.0, 1.0, value=1),
+    OpRecord(0, 0, "read", 0.0, 1.0, target=False, result=0),
+    OpRecord(0, 0, "read", 0.0, 1.0, target=0, result=False),
+    S(0, 0, [True, 0]),
+    OpRecord(0, 0, "write", 0.0, 1.0, value=True),
 ], ids=["read-target-negative", "read-target-none", "snapshot-arity",
         "snapshot-result-none", "write-value-none", "unknown-kind",
-        "returns-before-invoked"])
+        "returns-before-invoked", "read-target-bool", "read-result-bool",
+        "snapshot-cell-bool", "write-value-bool"])
 def test_malformed_ops_are_refused(check, op):
     with pytest.raises(CheckRefusal):
         check([op], 2)

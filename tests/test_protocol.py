@@ -30,6 +30,21 @@ def pending_set(seen_by_key):
     return pending
 
 
+def with_pending(state, seen_by_key):
+    """Enter value-1 updates into state's pending set through the handler's
+    own bookkeeping, each stamped as its list says (INF: not yet)."""
+    for key, seen in seen_by_key.items():
+        protocol._admit(state, key, 1)
+        for j, stamp in enumerate(seen):
+            if stamp < INF:
+                protocol._record_stamp(state, key, j, stamp)
+    return state
+
+
+def own_entries(state):
+    return sum(1 for (writer, _stamp) in state.pending if writer == state.me)
+
+
 def reference_validable(pending, n):
     """The validation fixpoint stated on the stamps through `depends`."""
     ready = {key for key, g in pending.items()
@@ -81,15 +96,13 @@ class TestWrite:
         assert eff.completions == [("write", None)]
 
     def test_write_with_own_pending_is_buffered(self):
-        state = init(3, 0)
-        state.pending = pending_set({(0, 1): [1, INF, INF]})
+        state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         eff = invoke_write(state, 7)
         assert state.deferred == 7
         assert eff.broadcasts == [] and eff.completions == [("write", None)]
 
     def test_newer_buffered_write_drops_older(self):
-        state = init(3, 0)
-        state.pending = pending_set({(0, 1): [1, INF, INF]})
+        state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         invoke_write(state, 7)
         eff = invoke_write(state, 9)
         assert state.deferred == 9
@@ -105,8 +118,7 @@ class TestSnapshot:
         assert not state.snapshot_pending
 
     def test_waits_for_own_update(self):
-        state = init(3, 0)
-        state.pending = pending_set({(0, 1): [1, INF, INF]})
+        state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         eff = invoke_snapshot(state)
         assert eff.completions == [] and state.snapshot_pending
 
@@ -156,13 +168,17 @@ class TestComputeValidable:
 
     def test_chain_of_blocked_entries_is_followed(self):
         # a is blocked (one stamp); b depends on a, c on b only
-        pending = pending_set({(0, 1): [1, INF, INF],
-                               (1, 1): [2, 1, INF],
-                               (2, 1): [3, 2, 1]})
+        state = with_pending(init(3, 0), {(0, 1): [1, INF, INF],
+                                          (1, 1): [2, 1, INF],
+                                          (2, 1): [3, 2, 1]})
+        pending = state.pending
+        assert derived_counts(pending) == {
+            key: (g.known, g.ahead) for key, g in pending.items()}
         assert pending[(2, 1)].ahead[(0, 1)] == 2
         assert compute_validable(pending, 3) == []
-        protocol._retire(pending, (0, 1))
+        protocol._retire(state, (0, 1))
         assert compute_validable(pending, 3) == [(1, 1), (2, 1)]
+        assert state.own_pending == 0 and not has_own_pending(state)
 
 
 def deliver_all(states, eff_queue):
@@ -319,25 +335,27 @@ def stamp_arrivals(draw):
 @settings(max_examples=300)
 def test_incremental_counts_match_the_reference_fixpoint(case, data):
     n, arrivals = case
-    pending, retired = {}, set()
+    state, retired = init(n, 0), set()
+    pending = state.pending
 
     def agree():
         got = compute_validable(pending, n)
         assert got == reference_validable(pending, n)
         assert derived_counts(pending) == {
             key: (g.known, g.ahead) for key, g in pending.items()}
+        assert state.own_pending == own_entries(state)
         return got
 
     for key, sender, stamp in arrivals:
         if key in retired:  # a validated update's late copies are stale
             continue
         if key not in pending:
-            protocol._admit(pending, key, 1, n)
-        protocol._record_stamp(pending, key, sender, stamp)
+            protocol._admit(state, key, 1)
+        protocol._record_stamp(state, key, sender, stamp)
         validable = agree()
         while validable:
             key = data.draw(st.sampled_from(validable))
-            protocol._retire(pending, key)
+            protocol._retire(state, key)
             retired.add(key)
             validable = agree()
 
@@ -382,6 +400,7 @@ def test_pending_counts_match_the_stamps_after_every_transition(monkeypatch):
     def invariant(state):
         assert derived_counts(state.pending) == {
             key: (g.known, g.ahead) for key, g in state.pending.items()}
+        assert state.own_pending == own_entries(state)
         largest[0] = max(largest[0], len(state.pending))
 
     run_sweep_checking(monkeypatch, invariant)

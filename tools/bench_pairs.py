@@ -1,11 +1,13 @@
 """Before/after benchmark pairs: a parent revision against the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_validation.json
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_x.json \
+        --cases quorum:0,quorum:1
 
 Exports the parent revision with ``git archive`` and the working tree's
 tracked and unignored files into one temporary directory each, then runs
 ``perfbench/run.py --trace 0`` of each checkout in ten alternating pairs per
-case, each run as long as ``BENCHMARK.json`` sets (the side that runs first
+case (``--cases workload:seed,...``, by default the five of ``CASES``), each run as long as ``BENCHMARK.json`` sets (the side that runs first
 alternates too, so that a drift of the host's speed falls on both sides
 alike). Every result line is written to ``--out``, together with the Python
 version, the core count, both commits and a digest of each side's ``src/``
@@ -30,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (workload, seed) cases, in run order
+# the default (workload, seed) cases, in run order
 CASES = [("sweep", 0), ("oracle", 0), ("quorum", 0), ("sweep", 1), ("wide", 0)]
 COMPARED = ("deliveries_per_s", "items_per_s")
 # a gain is claimed only when the change wins nine pairs in ten
@@ -81,11 +83,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def summarize(runs: list) -> list:
+def parse_cases(text: str) -> list:
+    """'quorum:0,sweep:1' -> [("quorum", 0), ("sweep", 1)]."""
+    cases = []
+    for part in text.split(","):
+        workload, sep, seed = part.strip().partition(":")
+        if not sep or not workload or not seed.isdigit():
+            raise argparse.ArgumentTypeError(
+                f"case {part!r} is not workload:seed")
+        cases.append((workload, int(seed)))
+    return cases
+
+
+def summarize(runs: list, cases: list) -> list:
     """Per case and compared metric: each side's median, the parent's
     quartiles, and the number of pairs the working tree won."""
     summary = []
-    for workload, seed in CASES:
+    for workload, seed in cases:
         case = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
         for metric in COMPARED:
             value = {side: [r["result"]["metrics"][metric]["value"]
@@ -108,6 +122,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--cases", type=parse_cases, default=CASES,
+                        help="comma-separated workload:seed pairs (default: "
+                             + ",".join(f"{w}:{s}" for w, s in CASES) + ")")
     args = parser.parse_args()
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
@@ -117,7 +134,7 @@ def main() -> int:
         export_revision(parent_commit, sides["parent"])
         export_working_tree(sides["change"])
         runs = []
-        for workload, seed in CASES:
+        for workload, seed in args.cases:
             for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -139,7 +156,7 @@ def main() -> int:
                    "sources_sha256": digests["change"]},
         "seconds_per_run": seconds,
         "pairs": PAIRS,
-        "summary": summarize(runs),
+        "summary": summarize(runs, args.cases),
         "runs": runs,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
