@@ -45,6 +45,12 @@ def op_id(rec: OpRecord) -> tuple[int, int, int]:
     return (rec.object_id, rec.proc, rec.seq)
 
 
+# one encoder for every line; a record's fields are plain values, so the
+# encoder's check for reference cycles would only cost time
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
+
+
 def record_to_json(rec: OpRecord) -> str:
     doc = {
         "run_seed": rec.run_seed,
@@ -64,7 +70,7 @@ def record_to_json(rec: OpRecord) -> str:
         doc["target"] = rec.target
         if rec.t_ret is not None:
             doc["result"] = rec.result
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _encode(doc)
 
 
 def history_lines(history: list[OpRecord]) -> list[str]:

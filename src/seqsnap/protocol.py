@@ -222,18 +222,29 @@ def _retire(state: ProcState, key: tuple) -> PendingUpdate:
 def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     """Process one delivered update message.
 
-    Stale copies (already-validated updates) skip the bookkeeping but the
-    validation pass still runs, as it does for every receipt including our
-    own broadcast copies.
+    A stale copy (of an already-validated update) changes nothing. Any other
+    copy records its sender's stamp on the update's entry `e`, and the
+    validation pass runs only when `e` is then majority-stamped. Skipping it
+    otherwise is exact, because every transition leaves the state closed:
+    the pass would return [] on it (a pass retires the largest validable
+    set, and what it leaves waits on an update that is not
+    majority-stamped). A new entry is stamped by no one and only adds a
+    constraint. A stamp from p_j on `e` raises `e.known`, raises `e.ahead`
+    against the entries p_j stamped later or not yet, and lowers their
+    `ahead` against `e`. The last makes `e` block them more, and none of it
+    touches another entry's `known`, so only `e`'s own status can change:
+    while `e` is short of a majority, the pass still returns [].
     """
     eff = Effect()
-    if msg.stamp > state.view_stamps[msg.writer]:
-        key = (msg.writer, msg.stamp)
-        if key not in state.pending:
-            if msg.writer != state.me:
+    writer = msg.writer
+    if msg.stamp > state.view_stamps[writer]:
+        key = (writer, msg.stamp)
+        pending = state.pending
+        if key not in pending:
+            if writer != state.me:
                 # first sighting of someone else's update: relay it stamped
                 state.clock += 1
-                eff.broadcasts.append(UpdateMsg(msg.value, msg.writer, msg.stamp,
+                eff.broadcasts.append(UpdateMsg(msg.value, writer, msg.stamp,
                                                 state.clock, state.me,
                                                 state.object_id))
             _admit(state, key, msg.value)
@@ -241,12 +252,13 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
         _record_stamp(state, key, msg.sender, msg.relay_stamp)
-    for key in compute_validable(state.pending, state.n):
-        g = _retire(state, key)
-        if state.view_stamps[g.writer] < g.stamp:
-            state.view_stamps[g.writer] = g.stamp
-            state.view[g.writer] = g.value
-        eff.validated.append(key)
+        if pending[key].known * 2 > state.n:
+            for key in compute_validable(pending, state.n):
+                g = _retire(state, key)
+                if state.view_stamps[g.writer] < g.stamp:
+                    state.view_stamps[g.writer] = g.stamp
+                    state.view[g.writer] = g.value
+                eff.validated.append(key)
     if not has_own_pending(state):
         # Flush a buffered write; a waiting snapshot then keeps waiting,
         # since the flushed update is in flight the instant it is sent.

@@ -189,6 +189,7 @@ class SnapshotNode:
     """
 
     actions = (WRITE, SNAPSHOT)
+    module = protocol
 
     def __init__(self, n, me, objects):
         self.states = [protocol.init(n, me, object_id=obj)
@@ -199,9 +200,6 @@ class SnapshotNode:
         if item.action == WRITE:
             return protocol.invoke_write(state, item.value)
         return protocol.invoke_snapshot(state)
-
-    def receive(self, payload):
-        return protocol.handle_message(self.states[payload.object_id], payload)
 
     def stamp_list(self):
         """The stamp list that every transition updates in place, or None:
@@ -220,25 +218,23 @@ class SnapshotNode:
 
 class AbdNode:
     actions = (WRITE, READ)
+    module = abd
 
     def __init__(self, n, me, objects):
         if objects != 1:
             raise ConfigError("the register baseline runs on object 0 only")
-        self.state = abd.init(n, me)
+        self.states = [abd.init(n, me)]
 
     def invoke(self, item):
         if item.action == WRITE:
-            return abd.invoke_write(self.state, item.value)
-        return abd.invoke_read(self.state, item.target)
-
-    def receive(self, payload):
-        return abd.handle_message(self.state, payload)
+            return abd.invoke_write(self.states[0], item.value)
+        return abd.invoke_read(self.states[0], item.target)
 
     def stamp_list(self):
         return None
 
     def pending_empty(self):
-        return self.state.phase is None
+        return self.states[0].phase is None
 
 
 NODES = {"snapshot": SnapshotNode, "abd": AbdNode}
@@ -345,7 +341,14 @@ class _Sim:
     def run(self) -> RunResult:
         config = self.config
         heap, next_seq, alive = self.heap, self.next_seq, self.alive
-        receive = [node.receive for node in self.nodes]
+        # Deliveries call the protocol's handler on the recipient's state, or
+        # on its list of per-object states when the run spans several
+        # objects. The handler is read from its module once per run, so a
+        # handler patched before the run sees every delivery.
+        handle = NODES[config.protocol].module.handle_message
+        by_object = len(self.nodes[0].states) > 1
+        targets = [node.states if by_object else node.states[0]
+                   for node in self.nodes]
         log_delivery = self.delivery_log.append
         after_transition = self._after_transition
         for proc, queue in enumerate(self.queues):
@@ -372,7 +375,10 @@ class _Sim:
                 events += 1
                 payload = msg.payload
                 log_delivery((time, msg.sender, proc, payload))
-                after_transition(proc, receive[proc](payload), msg.chain, time)
+                state = targets[proc]
+                if by_object:
+                    state = state[payload.object_id]
+                after_transition(proc, handle(state, payload), msg.chain, time)
         crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
@@ -549,7 +555,8 @@ def metrics_document(metrics: Metrics, run_seed: int) -> str:
         },
         "quiescent": metrics.quiescent,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
@@ -557,7 +564,8 @@ def vc_trace_document(vc_trace, run_seed: int) -> str:
         "run_seed": run_seed,
         "samples": [[proc, time, list(vec)] for (proc, time, vec) in vc_trace],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def serialize_run(run: RunResult) -> dict:

@@ -223,6 +223,36 @@ class TestHandleMessage:
         assert state.pending[(4, 1)].seen[4] == INF
         assert state.pending[(4, 1)].seen[2] == 3
 
+    def count_passes(self, monkeypatch):
+        calls = []
+
+        def counted(pending, n):
+            calls.append(len(pending))
+            return compute_validable(pending, n)
+
+        monkeypatch.setattr(protocol, "compute_validable", counted)
+        return calls
+
+    def test_stale_copy_skips_the_validation_pass(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        state = init(3, 0)
+        state.view_stamps[1] = 5
+        assert handle_message(state, UpdateMsg(9, 1, 5, 5, 1)) == protocol.Effect()
+        assert handle_message(state, UpdateMsg(9, 1, 3, 8, 2)) == protocol.Effect()
+        assert calls == []
+
+    def test_only_a_majority_stamp_runs_the_validation_pass(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        state = init(4, 0)
+        relay = handle_message(state, UpdateMsg(1, 3, 1, 1, 3)).broadcasts[0]
+        assert calls == []
+        # two stamps of four are no strict majority: nothing to do
+        assert handle_message(state, UpdateMsg(1, 3, 1, 7, 2)) == protocol.Effect()
+        assert calls == []
+        # our own relay copy brings the third stamp
+        eff = handle_message(state, relay)
+        assert calls == [1] and eff.validated == [(3, 1)]
+
     def test_buffered_write_flushes_on_validation(self):
         state = init(3, 0)
         eff = invoke_write(state, 5)
@@ -352,6 +382,10 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
         if key not in pending:
             protocol._admit(state, key, 1)
         protocol._record_stamp(state, key, sender, stamp)
+        if pending[key].known * 2 <= n:
+            # the state was closed before this stamp, and handle_message
+            # skips the pass here: the pass must have nothing to validate
+            assert reference_validable(pending, n) == []
         validable = agree()
         while validable:
             key = data.draw(st.sampled_from(validable))
@@ -362,16 +396,22 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
 
 def run_sweep_checking(monkeypatch, invariant):
     """Run 400 crash-prone sweep configs (n = 2, 3, 5, 7), checking
-    `invariant(state)` after every protocol transition."""
-    def checked(transition):
+    `invariant(state)` after every protocol transition, and that every
+    receipt leaves the state closed: the reference fixpoint finds nothing
+    left to validate, which is what lets handle_message skip the pass."""
+    def checked(transition, closed=False):
         def call(state, *args):
             eff = transition(state, *args)
             invariant(state)
+            if closed:
+                assert reference_validable(state.pending, state.n) == []
             return eff
         return call
 
-    for name in ("invoke_write", "invoke_snapshot", "handle_message"):
+    for name in ("invoke_write", "invoke_snapshot"):
         monkeypatch.setattr(protocol, name, checked(getattr(protocol, name)))
+    monkeypatch.setattr(protocol, "handle_message",
+                        checked(protocol.handle_message, closed=True))
     for n in (2, 3, 5, 7):
         for seed in range(100):
             generate = write_heavy_workload if seed % 2 else random_workload

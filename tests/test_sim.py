@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqsnap import sim
+from seqsnap import abd, protocol, sim
 from seqsnap.protocol import UpdateMsg
+from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
                          SimConfig, SyncDelay, WorkItem, all_pending_empty,
                          liveness_violations, run_simulation, serialize_run,
                          vc_total_order_violations)
-from seqsnap.workloads import random_workload, random_crashes, trim_for_crashes
+from seqsnap.workloads import (abd_workload, random_workload, random_crashes,
+                               trim_for_crashes)
 
 
 def snapshot_run(n, workload, seed=0, crashes=(), delay=AsyncDelay(0.5, 3.0)):
@@ -141,6 +143,46 @@ def test_self_delivery_precedes_next_same_time_invocation():
                  and m.sender == m.payload.writer]
     assert [m.payload.value for m in originals] == [1, 2]
     assert originals[1].time > 0.0  # flushed only after the first validated
+
+
+def recorded_handler(monkeypatch, module):
+    """Patch module.handle_message to record each call's (state, message)."""
+    calls = []
+    handle = module.handle_message
+
+    def recorded(state, payload):
+        calls.append((state, payload))
+        return handle(state, payload)
+
+    monkeypatch.setattr(module, "handle_message", recorded)
+    return calls
+
+
+def assert_every_delivery_handled(calls, run, object_of):
+    assert len(calls) == len(run.delivery_log) > 0
+    for (state, payload), (_time, _sender, to, delivered) in zip(
+            calls, run.delivery_log):
+        assert payload is delivered
+        assert state is run.nodes[to].states[object_of(payload)]
+
+
+def test_a_patched_abd_handler_sees_every_delivery(monkeypatch):
+    calls = recorded_handler(monkeypatch, abd)
+    crashes = [CrashSpec(2, on_send=3)]
+    run = run_simulation(SimConfig(
+        n=5, seed=4, protocol="abd", crashes=crashes,
+        workload=trim_for_crashes(abd_workload(5, 60, 4), crashes)))
+    assert run.crashed == {2}
+    assert_every_delivery_handled(calls, run, lambda payload: 0)
+
+
+def test_composed_run_delivers_to_the_state_of_each_message_object(monkeypatch):
+    calls = recorded_handler(monkeypatch, protocol)
+    run = run_rounds(RoundConfig(n=5, rounds=3, seed=2,
+                                 crashes=[CrashSpec(3, on_send=2)]))
+    assert run.crashed == {3}
+    assert_every_delivery_handled(calls, run, lambda payload: payload.object_id)
+    assert {payload.object_id for _state, payload in calls} == {0, 1, 2}
 
 
 def test_snapshot_depth_two_and_four():
