@@ -86,6 +86,11 @@ def init(n: int, me: int) -> AbdState:
                     tags=[Tag(0, j) for j in range(n)])
 
 
+def idle(state: AbdState) -> bool:
+    """True when no operation is in flight at this process."""
+    return state.phase is None
+
+
 def majority(n: int) -> int:
     return n // 2 + 1
 

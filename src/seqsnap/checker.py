@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf
 
-from .histories import OpRecord, op_id
+from .histories import OpRecord, compact_json, op_id
 from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
 
 # The exhaustive oracles refuse a history with more operations than this.
@@ -345,8 +345,6 @@ def check_lin_brute(history: list[OpRecord], n: int) -> Verdict:
 
 
 def verdict_document(verdict: Verdict) -> str:
-    import json
-
     doc = {
         "accepted": verdict.accepted,
         "witness": [list(i) for i in verdict.witness] if verdict.witness is not None else None,
@@ -354,4 +352,4 @@ def verdict_document(verdict: Verdict) -> str:
                         if verdict.certificate is not None else None),
         "reason": verdict.reason,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return compact_json(doc) + "\n"

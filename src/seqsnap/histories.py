@@ -45,10 +45,11 @@ def op_id(rec: OpRecord) -> tuple[int, int, int]:
     return (rec.object_id, rec.proc, rec.seq)
 
 
-# one encoder for every line; a record's fields are plain values, so the
-# encoder's check for reference cycles would only cost time
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode
+# The one encoder of every document the package writes: keys sorted, no
+# spaces. Documents hold plain values, so the encoder's check for reference
+# cycles would only cost time.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                check_circular=False).encode
 
 
 def record_to_json(rec: OpRecord) -> str:
@@ -70,7 +71,7 @@ def record_to_json(rec: OpRecord) -> str:
         doc["target"] = rec.target
         if rec.t_ret is not None:
             doc["result"] = rec.result
-    return _encode(doc)
+    return compact_json(doc)
 
 
 def history_lines(history: list[OpRecord]) -> list[str]:

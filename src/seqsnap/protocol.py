@@ -105,6 +105,12 @@ def has_own_pending(state: ProcState) -> bool:
     return state.own_pending > 0
 
 
+def idle(state: ProcState) -> bool:
+    """True when nothing is in flight: no update awaits validation here and
+    no write is buffered."""
+    return not state.pending and state.deferred is None
+
+
 def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
     eff.broadcasts.append(UpdateMsg(value, state.me, state.clock, state.clock,

@@ -17,7 +17,6 @@ invocation).
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import abd, protocol
-from .histories import OpRecord, history_lines
+from .histories import OpRecord, compact_json, history_lines
 from .seqspec import READ, SNAPSHOT, WRITE
 
 PRIO_SELF = 0   # own broadcast copies come before anything else at the same time
@@ -40,8 +39,8 @@ class ConfigError(Exception):
     """The run is rejected before it starts."""
 
 
-# Delay models: validate() rejects bounds that are not finite or that admit a
-# negative transit time; arrival() gives the delivery time of one remote copy
+# Delay models: validate() rejects times that are not finite or that admit a
+# negative or reversed transit range; arrival() gives the delivery time of one remote copy
 # sent at `now` during the sender's send_index-th broadcast, before the
 # simulator's FIFO clamp.
 
@@ -54,29 +53,20 @@ class AsyncDelay:
     high: float = 8.0
 
     def validate(self) -> None:
-        if not all(isfinite(b) and b >= 0 for b in (self.low, self.high)):
-            raise ConfigError(f"async delay bounds {self.low},{self.high} "
-                              f"must be finite and non-negative")
+        if not (isfinite(self.low) and isfinite(self.high)
+                and 0 <= self.low <= self.high):
+            raise ConfigError(f"delay range [{self.low}, {self.high}] must be "
+                              f"finite with 0 <= low <= high")
 
     def arrival(self, rng, now, sender, recipient, send_index):
         return now + rng.uniform(self.low, self.high)
 
 
-@dataclass(frozen=True)
-class SyncDelay:
-    """Transit times drawn from [latency - uncertainty, latency]."""
-
-    latency: float = 5.0
-    uncertainty: float = 2.0
-
-    def validate(self) -> None:
-        if not (isfinite(self.latency) and isfinite(self.uncertainty)
-                and self.latency >= 0 and self.latency - self.uncertainty >= 0):
-            raise ConfigError(f"sync delay {self.latency},{self.uncertainty} "
-                              f"is not finite or allows negative transit times")
-
-    def arrival(self, rng, now, sender, recipient, send_index):
-        return now + rng.uniform(self.latency - self.uncertainty, self.latency)
+def SyncDelay(latency: float = 5.0, uncertainty: float = 2.0) -> AsyncDelay:
+    """Transit times drawn from [latency - uncertainty, latency]: the
+    synchronous model, where only the uncertainty u of a latency range
+    [d - u, d] matters."""
+    return AsyncDelay(latency - uncertainty, latency)
 
 
 @dataclass(frozen=True)
@@ -96,6 +86,10 @@ class ScriptedDelays:
         last = {}
         for (sender, index), row in sorted(self.table.items()):
             for recipient, at in row.items():
+                if not isfinite(at):
+                    raise ConfigError(f"scripted delivery time {at} of "
+                                      f"broadcast {index} of process {sender} "
+                                      f"is not finite")
                 if at < last.get((sender, recipient), at):
                     raise ConfigError(
                         f"scripted channel {sender}->{recipient} delivers "
@@ -174,76 +168,23 @@ class RunResult:
     history: list
     metrics: Metrics
     vc_trace: list               # (proc, time, stamp vector) after every transition
-    nodes: list
+    states: list                 # states[proc][object_id]: each process state
     message_log: list            # one record per send, in send order
     delivery_log: list           # (time, sender, to, payload), in processing order
     validation_log: list         # (proc, time, (writer, stamp)), on any object
     crashed: frozenset
 
 
-class SnapshotNode:
-    """One snapshot-memory instance per object id, dispatched by object id.
-
-    A plain run uses object 0 only; a round-structured run uses one object
-    per round, and a process keeps handling messages for rounds it has left.
-    """
-
-    actions = (WRITE, SNAPSHOT)
-    module = protocol
-
-    def __init__(self, n, me, objects):
-        self.states = [protocol.init(n, me, object_id=obj)
-                       for obj in range(objects)]
-
-    def invoke(self, item):
-        state = self.states[item.object_id]
-        if item.action == WRITE:
-            return protocol.invoke_write(state, item.value)
-        return protocol.invoke_snapshot(state)
-
-    def stamp_list(self):
-        """The stamp list that every transition updates in place, or None:
-        stamps of different objects are unrelated, so a multi-object node
-        has no joint vector."""
-        if len(self.states) == 1:
-            return self.states[0].view_stamps
-        return None
-
-    def view_stamps(self, object_id):
-        return self.states[object_id].view_stamps
-
-    def pending_empty(self):
-        return all(not st.pending and st.deferred is None for st in self.states)
-
-
-class AbdNode:
-    actions = (WRITE, READ)
-    module = abd
-
-    def __init__(self, n, me, objects):
-        if objects != 1:
-            raise ConfigError("the register baseline runs on object 0 only")
-        self.states = [abd.init(n, me)]
-
-    def invoke(self, item):
-        if item.action == WRITE:
-            return abd.invoke_write(self.states[0], item.value)
-        return abd.invoke_read(self.states[0], item.target)
-
-    def stamp_list(self):
-        return None
-
-    def pending_empty(self):
-        return self.states[0].phase is None
-
-
-NODES = {"snapshot": SnapshotNode, "abd": AbdNode}
+# The one map from a protocol name to the module whose functions drive a
+# process state, and the workload actions that module can invoke.
+PROTOCOLS = {"snapshot": (protocol, (WRITE, SNAPSHOT)),
+             "abd": (abd, (WRITE, READ))}
 
 
 def validate_config(config: SimConfig) -> None:
     if config.n < 1:
         raise ConfigError("need at least one process")
-    if config.protocol not in NODES:
+    if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
     config.delay.validate()
     budget = (config.n - 1) // 2
@@ -269,14 +210,22 @@ def validate_config(config: SimConfig) -> None:
             raise ConfigError(f"crash of process {crash.proc} forces "
                               f"out-of-range recipients {crash.recipients}")
         if crash.at_time is not None:
+            if not isfinite(crash.at_time):
+                raise ConfigError(f"crash of process {crash.proc} at "
+                                  f"non-finite time {crash.at_time}")
             crash_time[crash.proc] = crash.at_time
-    actions = NODES[config.protocol].actions
+    module, actions = PROTOCOLS[config.protocol]
     last_at = {}
     for item in config.workload:
         if not 0 <= item.proc < config.n:
             raise ConfigError(f"workload references out-of-range process {item.proc}")
         if item.object_id < 0:
             raise ConfigError(f"workload references negative object {item.object_id}")
+        if item.object_id and module is abd:
+            raise ConfigError("the register baseline runs on object 0 only")
+        if not isfinite(item.at):
+            raise ConfigError(f"workload schedules process {item.proc} at "
+                              f"non-finite time {item.at}")
         if item.action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {item.action!r}")
@@ -311,10 +260,20 @@ class _Sim:
         n = config.n
         objects = 1 + max((item.object_id for item in config.workload), default=0)
         self.rng = random.Random(f"net:{config.seed}")
-        self.nodes = [NODES[config.protocol](n, me, objects) for me in range(n)]
-        # stamp vectors are traced only where one joint vector exists
-        stamps = [node.stamp_list() for node in self.nodes]
-        self.stamps = stamps if stamps[0] is not None else None
+        self.module = PROTOCOLS[config.protocol][0]
+        # states[proc][object_id]; a process keeps handling the messages of
+        # round objects it has left
+        if self.module is abd:
+            self.states = [[abd.init(n, me)] for me in range(n)]
+        else:
+            self.states = [[protocol.init(n, me, object_id=obj)
+                            for obj in range(objects)] for me in range(n)]
+        # Stamp vectors are traced only where one joint vector exists: stamps
+        # of different objects are unrelated. Each list is the live one that
+        # every transition updates in place.
+        self.stamps = None
+        if self.module is protocol and objects == 1:
+            self.stamps = [states[0].view_stamps for states in self.states]
         self.heap = []
         self.next_seq = itertools.count().__next__
         self.everyone = tuple(range(n))
@@ -345,10 +304,9 @@ class _Sim:
         # on its list of per-object states when the run spans several
         # objects. The handler is read from its module once per run, so a
         # handler patched before the run sees every delivery.
-        handle = NODES[config.protocol].module.handle_message
-        by_object = len(self.nodes[0].states) > 1
-        targets = [node.states if by_object else node.states[0]
-                   for node in self.nodes]
+        handle = self.module.handle_message
+        by_object = len(self.states[0]) > 1
+        targets = [states if by_object else states[0] for states in self.states]
         log_delivery = self.delivery_log.append
         after_transition = self._after_transition
         for proc, queue in enumerate(self.queues):
@@ -382,7 +340,7 @@ class _Sim:
         crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
-                         nodes=self.nodes, message_log=self.message_log,
+                         states=self.states, message_log=self.message_log,
                          delivery_log=self.delivery_log,
                          validation_log=self.validation_log, crashed=crashed)
 
@@ -397,7 +355,16 @@ class _Sim:
         self.op_count[proc] += 1
         self.history.append(rec)
         self.current_op[proc] = rec
-        self._after_transition(proc, self.nodes[proc].invoke(item), 0, now)
+        # each function is read from its module at call time, so a patched
+        # one sees every invocation
+        state = self.states[proc][item.object_id]
+        if item.action == WRITE:
+            eff = self.module.invoke_write(state, item.value)
+        elif item.action == SNAPSHOT:
+            eff = protocol.invoke_snapshot(state)
+        else:
+            eff = abd.invoke_read(state, item.target)
+        self._after_transition(proc, eff, 0, now)
 
     def _after_transition(self, proc, eff, cause_chain, now):
         alive = self.alive
@@ -522,14 +489,14 @@ def liveness_violations(run: RunResult) -> list:
         for proc in range(run.config.n):
             if proc in run.crashed:
                 continue
-            stamps = run.nodes[proc].view_stamps(obj)
-            if stamps[writer] < stamp:
+            if run.states[proc][obj].view_stamps[writer] < stamp:
                 bad.append(((obj, writer, stamp), proc))
     return bad
 
 
 def all_pending_empty(run: RunResult) -> bool:
-    return all(node.pending_empty() for node in run.nodes)
+    idle = PROTOCOLS[run.config.protocol][0].idle
+    return all(idle(state) for states in run.states for state in states)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +522,7 @@ def metrics_document(metrics: Metrics, run_seed: int) -> str:
         },
         "quiescent": metrics.quiescent,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) + "\n"
+    return compact_json(doc) + "\n"
 
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
@@ -564,8 +530,7 @@ def vc_trace_document(vc_trace, run_seed: int) -> str:
         "run_seed": run_seed,
         "samples": [[proc, time, list(vec)] for (proc, time, vec) in vc_trace],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) + "\n"
+    return compact_json(doc) + "\n"
 
 
 def serialize_run(run: RunResult) -> dict:

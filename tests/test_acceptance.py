@@ -22,23 +22,11 @@ from seqsnap.scenarios import replay_scripted, validation_order
 from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          liveness_violations, run_simulation, serialize_run,
                          vc_total_order_violations)
-from seqsnap.workloads import (abd_workload, generate, random_crashes,
-                               random_workload, trim_for_crashes,
-                               write_heavy_workload)
+from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
+                               trim_for_crashes)
+from sweep import SWEEP_NS, sweep_config
 
-SWEEP_NS = (2, 3, 5, 7)
 SEEDS_PER_N = 500
-OPS_PER_RUN = 40
-
-
-def sweep_config(n: int, seed: int) -> SimConfig:
-    if seed % 2 == 0:
-        workload = random_workload(n, OPS_PER_RUN, seed)
-    else:
-        workload = write_heavy_workload(n, OPS_PER_RUN, seed)
-    crashes = random_crashes(n, (n - 1) // 2, seed)
-    workload = trim_for_crashes(workload, crashes)
-    return SimConfig(n=n, seed=seed, workload=workload, crashes=crashes)
 
 
 @pytest.fixture(scope="module")
@@ -241,14 +229,14 @@ def test_c7_scripted_scenarios_reproduce_the_validation_patterns():
         assert when(proc, a) < when(proc, b)
     for proc in (0, 1, 2):
         assert when(proc, a) == when(proc, b)
-    for node in cross.nodes:
-        assert node.states[0].view == [1, 0, 0, 0, 1]
+    for states in cross.states:
+        assert states[0].view == [1, 0, 0, 0, 1]
 
     chain = replay_scripted("fig4b")
     assert chain.metrics.quiescent
-    for node in chain.nodes:
-        assert node.states[0].view_stamps == [3, 0, 0, 3]
-        assert not node.states[0].pending and node.states[0].deferred is None
+    for states in chain.states:
+        assert states[0].view_stamps == [3, 0, 0, 3]
+        assert not states[0].pending and states[0].deferred is None
     flushes = [m for m in chain.message_log
                if getattr(m.payload, "writer", None) == m.sender
                and m.payload.stamp == 3]

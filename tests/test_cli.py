@@ -222,6 +222,9 @@ def test_usage_error_exit_code():
     ["--n", "3", "--crashes", "-1"],
     ["--n", "3", "--delay", "async:0,inf"],
     ["--n", "3", "--delay", "sync:inf,1"],
+    ["--n", "3", "--delay", "sync:1e308,-1e308"],   # NaN arrival times
+    ["--n", "3", "--delay", "sync:5,-2"],   # transit times above 5
+    ["--n", "3", "--delay", "async:8,0.5"],
 ])
 def test_invalid_config_rejected_before_any_event(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -20,21 +20,10 @@ from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (CrashSpec, SimConfig, SyncDelay, run_simulation,
                          serialize_run)
-from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
-                               trim_for_crashes, write_heavy_workload)
+from seqsnap.workloads import abd_workload, random_workload
+from sweep import sweep_config
 
 OPS = 40
-
-
-def sweep_config(n, seed):
-    """Shaped like the acceptance safety sweep: crashes at the full budget."""
-    if seed % 2 == 0:
-        workload = random_workload(n, OPS, seed)
-    else:
-        workload = write_heavy_workload(n, OPS, seed)
-    crashes = random_crashes(n, (n - 1) // 2, seed)
-    return SimConfig(n=n, seed=seed, crashes=crashes,
-                     workload=trim_for_crashes(workload, crashes))
 
 
 def forced_recipients_config():

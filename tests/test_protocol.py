@@ -7,9 +7,8 @@ from seqsnap import protocol
 from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
                               depends, handle_message, has_own_pending, init,
                               invoke_snapshot, invoke_write)
-from seqsnap.sim import SimConfig, run_simulation
-from seqsnap.workloads import (random_crashes, random_workload,
-                               trim_for_crashes, write_heavy_workload)
+from seqsnap.sim import run_simulation
+from sweep import SWEEP_NS, sweep_config
 
 
 def derived_counts(pending):
@@ -412,13 +411,9 @@ def run_sweep_checking(monkeypatch, invariant):
         monkeypatch.setattr(protocol, name, checked(getattr(protocol, name)))
     monkeypatch.setattr(protocol, "handle_message",
                         checked(protocol.handle_message, closed=True))
-    for n in (2, 3, 5, 7):
+    for n in SWEEP_NS:
         for seed in range(100):
-            generate = write_heavy_workload if seed % 2 else random_workload
-            crashes = random_crashes(n, (n - 1) // 2, seed)
-            run_simulation(SimConfig(
-                n=n, seed=seed, crashes=crashes,
-                workload=trim_for_crashes(generate(n, 40, seed), crashes)))
+            run_simulation(sweep_config(n, seed))
 
 
 def test_buffered_write_only_while_own_update_pending(monkeypatch):

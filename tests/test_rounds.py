@@ -121,9 +121,9 @@ def test_processes_keep_relaying_for_rounds_they_left():
     # p0 finishes round 0 long before p1 even starts; p1's round-0 update
     # still validates everywhere because p0 keeps handling object-0 traffic
     run = run_rounds(RoundConfig(n=2, rounds=2, seed=8))
-    node = run.nodes[0]
-    assert len(node.states) == 2
-    assert node.states[0].view_stamps[1] >= 1
+    states = run.states[0]
+    assert len(states) == 2
+    assert states[0].view_stamps[1] >= 1
 
 
 def test_per_round_acceptance_plus_discipline_implies_composed_acceptance():

@@ -1,3 +1,5 @@
+from math import inf, nan
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,8 +63,8 @@ def test_crash_mid_broadcast_still_validates_via_majority():
         crashes=[CrashSpec(2, on_send=1, recipients=(0,))])
     assert run.crashed == frozenset({2})
     for proc in (0, 1):
-        assert run.nodes[proc].states[0].view_stamps[2] == 1
-        assert run.nodes[proc].states[0].view[2] == 9
+        assert run.states[proc][0].view_stamps[2] == 1
+        assert run.states[proc][0].view[2] == 9
 
 
 def test_crashed_process_takes_no_further_transitions():
@@ -72,7 +74,7 @@ def test_crashed_process_takes_no_further_transitions():
     assert run.crashed == frozenset({1})
     # nobody ever heard of the update
     for proc in (0, 2):
-        assert run.nodes[proc].states[0].view_stamps[1] == 0
+        assert run.states[proc][0].view_stamps[1] == 0
     # dying inside the broadcast leaves the write unreturned
     assert len(run.history) == 1 and not run.history[0].completed
 
@@ -163,7 +165,7 @@ def assert_every_delivery_handled(calls, run, object_of):
     for (state, payload), (_time, _sender, to, delivered) in zip(
             calls, run.delivery_log):
         assert payload is delivered
-        assert state is run.nodes[to].states[object_of(payload)]
+        assert state is run.states[to][object_of(payload)]
 
 
 def test_a_patched_abd_handler_sees_every_delivery(monkeypatch):
@@ -255,10 +257,15 @@ class TestConfigValidation:
         ("abd", [WorkItem(0, 0.0, "read")], []),
         ("snapshot", [WorkItem(0, 0.0, "write")], []),
         ("snapshot", [WorkItem(0, 0.0, "snapshot", object_id=-1)], []),
+        ("snapshot", [WorkItem(0, nan, "write", value=1)], []),
+        ("snapshot", [WorkItem(0, inf, "snapshot")], []),
+        ("snapshot", [], [CrashSpec(1, at_time=nan)]),
+        ("abd", [WorkItem(0, 0.0, "write", value=1, object_id=1)], []),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
-            "write-without-value", "object-negative"])
+            "write-without-value", "object-negative", "item-at-nan",
+            "item-at-inf", "crash-at-nan", "abd-object-1"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
@@ -282,6 +289,13 @@ class TestConfigValidation:
             sim.validate_config(config)
         with pytest.raises(ConfigError):
             run_simulation(config)
+
+    @pytest.mark.parametrize("at", [nan, inf], ids=["nan", "inf"])
+    def test_scripted_table_times_must_be_finite(self, at):
+        config = SimConfig(n=2, delay=ScriptedDelays({(0, 1): {1: at}}),
+                           workload=[WorkItem(0, 0.0, "write", value=1)])
+        with pytest.raises(ConfigError):
+            sim.validate_config(config)
 
 
 @settings(max_examples=40, deadline=None)
