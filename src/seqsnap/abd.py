@@ -10,7 +10,8 @@ pair it saw, and then it returns that value. Both operation kinds block,
 unlike the snapshot protocol's zero-latency writes.
 
 State is single-owner and driven by the same simulator as the snapshot
-protocol; messages reuse the Effect container from `protocol`.
+protocol; messages reuse the Effect container, and its shared empty NOTHING,
+from `protocol`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .protocol import Effect
+from .protocol import NOTHING, Effect
 from .seqspec import READ, WRITE
 
 
@@ -126,35 +127,37 @@ def invoke_read(state: AbdState, target: int) -> Effect:
 
 
 def handle_message(state: AbdState, msg) -> Effect:
-    eff = Effect()
     kind = type(msg)
     if kind is QueryMsg:
-        eff.sends.append((QueryReply(state.values[msg.reg], state.tags[msg.reg],
-                                     state.me, msg.op_ref), msg.sender))
-    elif kind is PropagateMsg:
+        return Effect(sends=[(QueryReply(state.values[msg.reg],
+                                         state.tags[msg.reg], state.me,
+                                         msg.op_ref), msg.sender)])
+    if kind is PropagateMsg:
         if state.tags[msg.reg] < msg.tag:
             state.tags[msg.reg] = msg.tag
             state.values[msg.reg] = msg.value
-        eff.sends.append((Ack(state.me, msg.op_ref), msg.sender))
-    elif kind is not QueryReply and kind is not Ack:
+        return Effect(sends=[(Ack(state.me, msg.op_ref), msg.sender)])
+    if kind is not QueryReply and kind is not Ack:
         raise TypeError(f"unknown message {msg!r}")
+    phase = state.phase
+    if (phase is None or phase.op_ref != msg.op_ref
+            or phase.querying != (kind is QueryReply)):
+        # a reply counts only towards the phase it answers: a late reply of
+        # an earlier operation, or a query reply after the read began to
+        # propagate, changes nothing
+        return NOTHING
+    replies = phase.replies
+    replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
+    if len(replies) < majority(state.n):
+        return NOTHING
+    eff = Effect()
+    if phase.querying:
+        # unconditional write-back: the freshest pair must reach a majority
+        # before the read may return
+        tag, value = max(replies.values())
+        _propagate(state, eff, value, tag)
     else:
-        phase = state.phase
-        if (phase is not None and phase.op_ref == msg.op_ref
-                and phase.querying == (kind is QueryReply)):
-            # a reply counts only towards the phase it answers: a late reply
-            # of an earlier operation, or a query reply after the read began
-            # to propagate, changes nothing
-            replies = phase.replies
-            replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
-            if len(replies) >= majority(state.n):
-                if phase.querying:
-                    # unconditional write-back: the freshest pair must reach
-                    # a majority before the read may return
-                    tag, value = max(replies.values())
-                    _propagate(state, eff, value, tag)
-                else:
-                    state.phase = None
-                    eff.completions.append(
-                        (phase.kind, phase.value if phase.kind == READ else None))
+        state.phase = None
+        eff.completions.append(
+            (phase.kind, phase.value if phase.kind == READ else None))
     return eff

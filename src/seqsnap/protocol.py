@@ -11,9 +11,10 @@ processes have stamped it and no update that must be ordered before it is
 still blocked; validating folds the value into the local view.
 
 Each state is single-owner: transitions mutate the passed state in place,
-return the Effect they ask of the network, and are meant to be applied
-sequentially per process (the simulator enforces this). Distinct states may
-be driven concurrently; the module itself keeps no shared mutable data.
+return the Effect they ask of the network (the shared, immutable NOTHING
+when they ask nothing), and are meant to be applied sequentially per process
+(the simulator enforces this). Distinct states may be driven concurrently;
+the module itself keeps no shared mutable data.
 """
 
 from __future__ import annotations
@@ -72,12 +73,20 @@ class Effect:
     return value) for the at most one operation finishing in this
     transition. validated lists the (writer, stamp) pairs folded into the
     view, for observability.
+
+    Most receipts ask for nothing, so a transition allocates an Effect only
+    once it has something to put in it, and otherwise returns NOTHING: the
+    one shared empty Effect, whose fields are empty tuples so that an append
+    to it raises. Callers may test `eff is NOTHING` to skip it.
     """
 
     broadcasts: list = field(default_factory=list)
     sends: list = field(default_factory=list)
     completions: list = field(default_factory=list)
     validated: list = field(default_factory=list)
+
+
+NOTHING = Effect((), (), (), ())
 
 
 @dataclass
@@ -119,7 +128,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
 
 def invoke_write(state: ProcState, value: int) -> Effect:
     """Write to our own cell; completes immediately in both branches."""
-    eff = Effect()
+    eff = Effect(completions=[(WRITE, None)])
     if has_own_pending(state):
         # Only the newest postponed write survives; an overwritten one still
         # counts as an operation and lands just before its overwriter in any
@@ -127,18 +136,15 @@ def invoke_write(state: ProcState, value: int) -> Effect:
         state.deferred = value
     else:
         _broadcast_own(state, eff, value)
-    eff.completions.append((WRITE, None))
     return eff
 
 
 def invoke_snapshot(state: ProcState) -> Effect:
     """Snapshot the array; immediate unless one of our updates is in flight."""
-    eff = Effect()
-    if not has_own_pending(state):
-        eff.completions.append((SNAPSHOT, tuple(state.view)))
-    else:
+    if has_own_pending(state):
         state.snapshot_pending = True
-    return eff
+        return NOTHING
+    return Effect(completions=[(SNAPSHOT, tuple(state.view))])
 
 
 def depends(first: PendingUpdate, second: PendingUpdate, n: int) -> bool:
@@ -241,7 +247,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     touches another entry's `known`, so only `e`'s own status can change:
     while `e` is short of a majority, the pass still returns [].
     """
-    eff = Effect()
+    eff = NOTHING
     writer = msg.writer
     if msg.stamp > state.view_stamps[writer]:
         key = (writer, msg.stamp)
@@ -250,28 +256,35 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
             if writer != state.me:
                 # first sighting of someone else's update: relay it stamped
                 state.clock += 1
-                eff.broadcasts.append(UpdateMsg(msg.value, writer, msg.stamp,
-                                                state.clock, state.me,
-                                                state.object_id))
+                eff = Effect([UpdateMsg(msg.value, writer, msg.stamp,
+                                        state.clock, state.me,
+                                        state.object_id)])
             _admit(state, key, msg.value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
         _record_stamp(state, key, msg.sender, msg.relay_stamp)
         if pending[key].known * 2 > state.n:
-            for key in compute_validable(pending, state.n):
-                g = _retire(state, key)
-                if state.view_stamps[g.writer] < g.stamp:
-                    state.view_stamps[g.writer] = g.stamp
-                    state.view[g.writer] = g.value
-                eff.validated.append(key)
-    if not has_own_pending(state):
+            validable = compute_validable(pending, state.n)
+            if validable:
+                if eff is NOTHING:
+                    eff = Effect()
+                for key in validable:
+                    g = _retire(state, key)
+                    if state.view_stamps[g.writer] < g.stamp:
+                        state.view_stamps[g.writer] = g.stamp
+                        state.view[g.writer] = g.value
+                    eff.validated.append(key)
+    if (state.deferred is not None or state.snapshot_pending) \
+            and not has_own_pending(state):
         # Flush a buffered write; a waiting snapshot then keeps waiting,
         # since the flushed update is in flight the instant it is sent.
+        if eff is NOTHING:
+            eff = Effect()
         if state.deferred is not None:
             _broadcast_own(state, eff, state.deferred)
             state.deferred = None
-        elif state.snapshot_pending:
+        else:
             state.snapshot_pending = False
             eff.completions.append((SNAPSHOT, tuple(state.view)))
     return eff

@@ -39,6 +39,12 @@ class ConfigError(Exception):
     """The run is rejected before it starts."""
 
 
+def _is_number(x) -> bool:
+    """An int or a float, but not a bool: times reach the JSON documents,
+    which would write a bool as true or false."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 # Delay models: validate() rejects times that are not finite or that admit a
 # negative or reversed transit range; arrival() gives the delivery time of one remote copy
 # sent at `now` during the sender's send_index-th broadcast, before the
@@ -86,10 +92,10 @@ class ScriptedDelays:
         last = {}
         for (sender, index), row in sorted(self.table.items()):
             for recipient, at in row.items():
-                if not isfinite(at):
-                    raise ConfigError(f"scripted delivery time {at} of "
+                if not _is_number(at) or not isfinite(at):
+                    raise ConfigError(f"scripted delivery time {at!r} of "
                                       f"broadcast {index} of process {sender} "
-                                      f"is not finite")
+                                      f"is not a finite number")
                 if at < last.get((sender, recipient), at):
                     raise ConfigError(
                         f"scripted channel {sender}->{recipient} delivers "
@@ -167,7 +173,10 @@ class RunResult:
     config: SimConfig
     history: list
     metrics: Metrics
-    vc_trace: list               # (proc, time, stamp vector) after every transition
+    # (proc, time, stamp vector) after every transition; the vector is an
+    # immutable tuple, shared by a process's consecutive samples while its
+    # stamps stay the same
+    vc_trace: list
     states: list                 # states[proc][object_id]: each process state
     message_log: list            # one record per send, in send order
     delivery_log: list           # (time, sender, to, payload), in processing order
@@ -210,31 +219,35 @@ def validate_config(config: SimConfig) -> None:
             raise ConfigError(f"crash of process {crash.proc} forces "
                               f"out-of-range recipients {crash.recipients}")
         if crash.at_time is not None:
-            if not isfinite(crash.at_time):
+            if not _is_number(crash.at_time) or not isfinite(crash.at_time):
                 raise ConfigError(f"crash of process {crash.proc} at "
-                                  f"non-finite time {crash.at_time}")
+                                  f"{crash.at_time!r}, not a finite number")
             crash_time[crash.proc] = crash.at_time
     module, actions = PROTOCOLS[config.protocol]
     last_at = {}
     for item in config.workload:
-        if not 0 <= item.proc < config.n:
-            raise ConfigError(f"workload references out-of-range process {item.proc}")
-        if item.object_id < 0:
-            raise ConfigError(f"workload references negative object {item.object_id}")
+        # ids and values are written to the history as JSON integers; a bool
+        # would be written as true/false
+        if type(item.proc) is not int or not 0 <= item.proc < config.n:
+            raise ConfigError(f"workload references out-of-range process {item.proc!r}")
+        if type(item.object_id) is not int or item.object_id < 0:
+            raise ConfigError(f"workload references object {item.object_id!r}: "
+                              f"objects are non-negative ints")
         if item.object_id and module is abd:
             raise ConfigError("the register baseline runs on object 0 only")
-        if not isfinite(item.at):
+        if not _is_number(item.at) or not isfinite(item.at):
             raise ConfigError(f"workload schedules process {item.proc} at "
-                              f"non-finite time {item.at}")
+                              f"{item.at!r}, not a finite number")
         if item.action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {item.action!r}")
-        if item.action == WRITE and item.value is None:
-            raise ConfigError(f"write by process {item.proc} has no value")
-        if item.action == READ and (item.target is None
+        if item.action == WRITE and type(item.value) is not int:
+            raise ConfigError(f"write by process {item.proc} has value "
+                              f"{item.value!r}, not an int")
+        if item.action == READ and (type(item.target) is not int
                                     or not 0 <= item.target < config.n):
-            raise ConfigError(f"read by process {item.proc} targets "
-                              f"out-of-range cell {item.target}")
+            raise ConfigError(f"read by process {item.proc} targets cell "
+                              f"{item.target!r}, not an int in 0..{config.n - 1}")
         if item.proc in crash_time and item.at >= crash_time[item.proc]:
             raise ConfigError(
                 f"workload schedules process {item.proc} at {item.at} "
@@ -309,6 +322,15 @@ class _Sim:
         targets = [states if by_object else states[0] for states in self.states]
         log_delivery = self.delivery_log.append
         after_transition = self._after_transition
+        stamps = self.stamps
+        if stamps is not None:
+            # sampled[proc] is the tuple last traced for proc, and
+            # sampled_from[proc] a copy of the stamps it was built from: a
+            # sample builds a new tuple only when the stamps changed since
+            sampled = [tuple(live) for live in stamps]
+            sampled_from = [list(live) for live in stamps]
+            log_sample = self.vc_trace.append
+        nothing = protocol.NOTHING
         for proc, queue in enumerate(self.queues):
             if queue:
                 heappush(heap, (queue[0].at, PRIO_MAIN, next_seq(), proc, None))
@@ -323,20 +345,33 @@ class _Sim:
                 self.metrics.quiescent = False
                 break
             time, _prio, _seq, proc, msg = heappop(heap)
-            if msg is None:
-                if alive[proc]:
-                    events += 1
-                    self._invoke(proc, time)
-            elif msg is CRASH:
+            if msg is CRASH:
                 alive[proc] = False
-            elif alive[proc]:
-                events += 1
+                continue
+            if not alive[proc]:
+                continue
+            events += 1
+            if msg is None:
+                self._invoke(proc, time)
+            else:
                 payload = msg.payload
                 log_delivery((time, msg.sender, proc, payload))
                 state = targets[proc]
                 if by_object:
                     state = state[payload.object_id]
-                after_transition(proc, handle(state, payload), msg.chain, time)
+                eff = handle(state, payload)
+                if eff is not nothing:
+                    after_transition(proc, eff, msg.chain, time)
+            # Sample the stamps as the transition left them: a reading of the
+            # state, not of the effect, so that a stamp changed without a
+            # validation shows. A transition cut short by its sender's crash
+            # is not sampled.
+            if stamps is not None and alive[proc]:
+                live = stamps[proc]
+                if live != sampled_from[proc]:
+                    sampled_from[proc] = live[:]
+                    sampled[proc] = tuple(live)
+                log_sample((proc, time, sampled[proc]))
         crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
@@ -384,8 +419,6 @@ class _Sim:
             self._complete(proc, kind, value, now, cause_chain)
         for key in eff.validated:
             self.validation_log.append((proc, now, key))
-        if self.stamps is not None:
-            self.vc_trace.append((proc, now, tuple(self.stamps[proc])))
 
     def _broadcast_recipients(self, proc):
         """Everyone, or the surviving subset when the sender crashes during
@@ -526,11 +559,30 @@ def metrics_document(metrics: Metrics, run_seed: int) -> str:
 
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
-    doc = {
-        "run_seed": run_seed,
-        "samples": [[proc, time, list(vec)] for (proc, time, vec) in vc_trace],
-    }
-    return compact_json(doc) + "\n"
+    """The text compact_json writes for {"run_seed": run_seed, "samples":
+    [[proc, time, list(vec)], ...]}, built faster: each distinct vector is
+    encoded once, and a sample that repeats the previous sample's vector
+    object reuses its text. Process ids are ints and times finite; a float
+    time is written as json writes it (float.__repr__), and any other time
+    goes through compact_json."""
+    float_repr = float.__repr__
+    encoded = {}
+    parts = []
+    append = parts.append
+    last_vec = last_text = None
+    for proc, time, vec in vc_trace:
+        if vec is not last_vec:
+            last_vec = vec
+            last_text = encoded.get(vec)
+            if last_text is None:
+                last_text = encoded[vec] = compact_json(list(vec))
+        try:
+            time = float_repr(time)
+        except TypeError:   # an int time, such as WorkItem(at=0)'s
+            time = compact_json(time)
+        append(f"[{proc},{time},{last_text}]")
+    return (f'{{"run_seed":{compact_json(run_seed)},'
+            f'"samples":[{",".join(parts)}]}}\n')
 
 
 def serialize_run(run: RunResult) -> dict:

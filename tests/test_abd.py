@@ -2,7 +2,7 @@ import copy
 
 from seqsnap import abd
 from seqsnap.checker import check_lin_brute
-from seqsnap.protocol import Effect
+from seqsnap.protocol import NOTHING
 from seqsnap.sim import AsyncDelay, CrashSpec, SimConfig, WorkItem, run_simulation
 from seqsnap.workloads import abd_workload, trim_for_crashes
 
@@ -36,7 +36,7 @@ def reply(peer, msg):
 
 def assert_ignored(state, msg):
     before = copy.deepcopy(state)
-    assert abd.handle_message(state, msg) == Effect()
+    assert abd.handle_message(state, msg) is NOTHING
     assert state == before
 
 
@@ -78,13 +78,13 @@ def test_read_returns_largest_tag_after_majority_of_write_back_acks():
     reader = peers[0]
     query = abd.invoke_read(reader, 2).broadcasts[0]
     for peer in peers[:2]:
-        assert abd.handle_message(reader, reply(peer, query)) == Effect()
+        assert abd.handle_message(reader, reply(peer, query)) is NOTHING
     write_back = abd.handle_message(reader, reply(peers[2], query)).broadcasts[0]
     assert (write_back.value, write_back.tag) == (22, abd.Tag(2, 2))
     acks = [reply(peer, write_back) for peer in peers]
-    assert abd.handle_message(reader, acks[0]) == Effect()
-    assert abd.handle_message(reader, acks[0]) == Effect()   # same sender again
-    assert abd.handle_message(reader, acks[1]) == Effect()
+    assert abd.handle_message(reader, acks[0]) is NOTHING
+    assert abd.handle_message(reader, acks[0]) is NOTHING   # same sender again
+    assert abd.handle_message(reader, acks[1]) is NOTHING
     assert abd.handle_message(reader, acks[4]).completions == [("read", 22)]
     assert reader.phase is None and reader.values[2] == 22
 
@@ -116,6 +116,28 @@ def test_read_after_quiescent_write_returns_it_with_two_rounds():
 def test_read_of_never_written_register_returns_default():
     run = run_abd(3, [WorkItem(1, 0.0, "read", target=2)])
     assert run.history[0].result == 0
+
+
+def test_a_transition_returns_nothing_exactly_when_it_asks_nothing(monkeypatch):
+    counted = {True: 0, False: 0}
+
+    def checked(transition):
+        def call(state, *args):
+            eff = transition(state, *args)
+            empty = not (eff.broadcasts or eff.sends or eff.completions
+                         or eff.validated)
+            assert (eff is NOTHING) == empty
+            counted[empty] += 1
+            return eff
+        return call
+
+    for name in ("handle_message", "invoke_write", "invoke_read"):
+        monkeypatch.setattr(abd, name, checked(getattr(abd, name)))
+    for seed in range(4):
+        crashes = [CrashSpec(4, at_time=6.0)]
+        run_abd(5, trim_for_crashes(abd_workload(5, 20, seed=seed), crashes),
+                seed=seed, crashes=crashes)
+    assert counted[True] > 0 and counted[False] > 0
 
 
 def test_message_budget_per_operation():

@@ -119,7 +119,7 @@ class TestSnapshot:
     def test_waits_for_own_update(self):
         state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         eff = invoke_snapshot(state)
-        assert eff.completions == [] and state.snapshot_pending
+        assert eff is protocol.NOTHING and state.snapshot_pending
 
     def test_single_process_write_then_snapshot(self):
         state = init(1, 0)
@@ -236,8 +236,8 @@ class TestHandleMessage:
         calls = self.count_passes(monkeypatch)
         state = init(3, 0)
         state.view_stamps[1] = 5
-        assert handle_message(state, UpdateMsg(9, 1, 5, 5, 1)) == protocol.Effect()
-        assert handle_message(state, UpdateMsg(9, 1, 3, 8, 2)) == protocol.Effect()
+        assert handle_message(state, UpdateMsg(9, 1, 5, 5, 1)) is protocol.NOTHING
+        assert handle_message(state, UpdateMsg(9, 1, 3, 8, 2)) is protocol.NOTHING
         assert calls == []
 
     def test_only_a_majority_stamp_runs_the_validation_pass(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestHandleMessage:
         relay = handle_message(state, UpdateMsg(1, 3, 1, 1, 3)).broadcasts[0]
         assert calls == []
         # two stamps of four are no strict majority: nothing to do
-        assert handle_message(state, UpdateMsg(1, 3, 1, 7, 2)) == protocol.Effect()
+        assert handle_message(state, UpdateMsg(1, 3, 1, 7, 2)) is protocol.NOTHING
         assert calls == []
         # our own relay copy brings the third stamp
         eff = handle_message(state, relay)
@@ -393,14 +393,29 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
             validable = agree()
 
 
+def asks_nothing(eff):
+    return not (eff.broadcasts or eff.sends or eff.completions
+                or eff.validated)
+
+
+def test_nothing_is_shared_and_cannot_grow():
+    with pytest.raises(AttributeError):
+        protocol.NOTHING.broadcasts.append(UpdateMsg(1, 0, 1, 1, 0))
+    with pytest.raises(AttributeError):
+        protocol.NOTHING.validated.append((0, 1))
+    assert asks_nothing(protocol.NOTHING)
+
+
 def run_sweep_checking(monkeypatch, invariant):
     """Run 400 crash-prone sweep configs (n = 2, 3, 5, 7), checking
-    `invariant(state)` after every protocol transition, and that every
+    `invariant(state)` after every protocol transition, that a transition
+    returns the shared NOTHING exactly when it asks nothing, and that every
     receipt leaves the state closed: the reference fixpoint finds nothing
     left to validate, which is what lets handle_message skip the pass."""
     def checked(transition, closed=False):
         def call(state, *args):
             eff = transition(state, *args)
+            assert (eff is protocol.NOTHING) == asks_nothing(eff)
             invariant(state)
             if closed:
                 assert reference_validable(state.pending, state.n) == []

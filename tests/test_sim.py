@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqsnap import abd, protocol, sim
+from seqsnap.histories import compact_json
 from seqsnap.protocol import UpdateMsg
 from seqsnap.rounds import RoundConfig, run_rounds
+from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
                          SimConfig, SyncDelay, WorkItem, all_pending_empty,
                          liveness_violations, run_simulation, serialize_run,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_workload, random_crashes,
                                trim_for_crashes)
+from sweep import SWEEP_NS, sweep_config
 
 
 def snapshot_run(n, workload, seed=0, crashes=(), delay=AsyncDelay(0.5, 3.0)):
@@ -225,6 +228,96 @@ def test_different_seeds_differ():
     assert serialize_run(run_a) != serialize_run(run_b)
 
 
+def record_stamps(monkeypatch, run_config):
+    """Run a config with every protocol transition wrapped to record its
+    process and stamps right after the call. Returns the run and the
+    (proc, stamp vector) pairs its trace must hold."""
+    recorded = []
+
+    def recording(transition):
+        def call(state, *args):
+            eff = transition(state, *args)
+            recorded.append((state.me, tuple(state.view_stamps)))
+            return eff
+        return call
+
+    for name in ("handle_message", "invoke_write", "invoke_snapshot"):
+        monkeypatch.setattr(protocol, name, recording(getattr(protocol, name)))
+    run = run_config()
+    # a transition whose broadcast crashes its sender is cut short there and
+    # not sampled; it is that process's last transition
+    for crash in run.config.crashes:
+        if crash.on_send is not None and crash.proc in run.crashed:
+            last = max(i for i, (proc, _) in enumerate(recorded)
+                       if proc == crash.proc)
+            del recorded[last]
+    return run, recorded
+
+
+TRACED_RUNS = [lambda: replay_scripted("fig4a")] + [
+    lambda n=n, seed=seed: run_simulation(sweep_config(n, seed))
+    for n in SWEEP_NS for seed in range(12)]
+
+
+@pytest.mark.parametrize("run_config", TRACED_RUNS)
+def test_trace_is_the_state_after_every_transition(monkeypatch, run_config):
+    run, recorded = record_stamps(monkeypatch, run_config)
+    assert [(proc, vec) for proc, _time, vec in run.vc_trace] == recorded
+    last = {}
+    for proc, _time, vec in run.vc_trace:
+        if proc in last and last[proc] == vec:
+            assert last[proc] is vec    # an unchanged vector is shared
+        last[proc] = vec
+
+
+def test_trace_shows_stamps_that_change_without_a_validation(monkeypatch):
+    honest = run_simulation(sweep_config(3, 0))
+    real = protocol.handle_message
+
+    def mutant(state, msg):
+        eff = real(state, msg)
+        state.view_stamps[0] += 1     # reported nowhere in the effect
+        return eff
+
+    monkeypatch.setattr(protocol, "handle_message", mutant)
+    run, recorded = record_stamps(
+        monkeypatch, lambda: run_simulation(sweep_config(3, 0)))
+    assert [(proc, vec) for proc, _time, vec in run.vc_trace] == recorded
+    assert run.vc_trace != honest.vc_trace
+
+
+def reference_vc_document(vc_trace, run_seed):
+    return compact_json({"run_seed": run_seed,
+                         "samples": [[proc, time, list(vec)]
+                                     for proc, time, vec in vc_trace]}) + "\n"
+
+
+def int_time_runs():
+    # WorkItem(at=0) puts the int 0 in the trace, and so does a scripted
+    # delivery at an int time
+    yield snapshot_run(1, [WorkItem(0, 0, "write", value=5),
+                           WorkItem(0, 1, "snapshot")])
+    table = {(0, 1): {1: 3}, (1, 1): {0: 5}}
+    yield run_simulation(SimConfig(n=2, delay=ScriptedDelays(table),
+                                   workload=[WorkItem(0, 0, "write", value=1),
+                                             WorkItem(0, 2, "snapshot")]))
+
+
+def test_vc_document_matches_the_reference_encoding():
+    runs = [run_simulation(sweep_config(n, seed))
+            for n in SWEEP_NS for seed in range(20)]
+    runs.append(snapshot_run(25, random_workload(25, 60, seed=4), seed=4))
+    runs.extend(int_time_runs())
+    assert any(type(time) is int for run in runs[-2:]
+               for _proc, time, _vec in run.vc_trace)
+    for run in runs:
+        seed = run.config.seed
+        assert (sim.vc_trace_document(run.vc_trace, seed)
+                == reference_vc_document(run.vc_trace, seed))
+    assert sim.vc_trace_document([], 3) == reference_vc_document([], 3)
+    assert sim.vc_trace_document([], 3) == '{"run_seed":3,"samples":[]}\n'
+
+
 class TestConfigValidation:
     def test_too_many_crashes(self):
         with pytest.raises(ConfigError):
@@ -261,11 +354,26 @@ class TestConfigValidation:
         ("snapshot", [WorkItem(0, inf, "snapshot")], []),
         ("snapshot", [], [CrashSpec(1, at_time=nan)]),
         ("abd", [WorkItem(0, 0.0, "write", value=1, object_id=1)], []),
+        ("snapshot", [WorkItem(0, 0.0, "write", value=1.5)], []),
+        ("snapshot", [WorkItem(0, 0.0, "write", value=True)], []),
+        ("snapshot", [WorkItem(0, 0.0, "write", value="7")], []),
+        ("abd", [WorkItem(0, 0.0, "read", target=1.0)], []),
+        ("abd", [WorkItem(0, 0.0, "read", target=True)], []),
+        ("snapshot", [WorkItem(0, 0.0, "snapshot", object_id=1.0)], []),
+        ("snapshot", [WorkItem(0, 0.0, "snapshot", object_id=True)], []),
+        ("snapshot", [WorkItem(1.0, 0.0, "snapshot")], []),
+        ("snapshot", [WorkItem(0, True, "snapshot")], []),
+        ("snapshot", [WorkItem(0, "0", "snapshot")], []),
+        ("snapshot", [], [CrashSpec(1, at_time=True)]),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
             "write-without-value", "object-negative", "item-at-nan",
-            "item-at-inf", "crash-at-nan", "abd-object-1"])
+            "item-at-inf", "crash-at-nan", "abd-object-1",
+            "write-value-float", "write-value-bool", "write-value-str",
+            "read-target-float", "read-target-bool", "object-float",
+            "object-bool", "proc-float", "item-at-bool", "item-at-str",
+            "crash-at-bool"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
@@ -290,7 +398,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(config)
 
-    @pytest.mark.parametrize("at", [nan, inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [nan, inf, True, "3"],
+                             ids=["nan", "inf", "bool", "str"])
     def test_scripted_table_times_must_be_finite(self, at):
         config = SimConfig(n=2, delay=ScriptedDelays({(0, 1): {1: at}}),
                            workload=[WorkItem(0, 0.0, "write", value=1)])

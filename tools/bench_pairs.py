@@ -7,12 +7,15 @@
 Exports the parent revision with ``git archive`` and the working tree's
 tracked and unignored files into one temporary directory each, then runs
 ``perfbench/run.py --trace 0`` of each checkout in ten alternating pairs per
-case (``--cases workload:seed,...``, by default the five of ``CASES``), each run as long as ``BENCHMARK.json`` sets (the side that runs first
-alternates too, so that a drift of the host's speed falls on both sides
-alike). Every result line is written to ``--out``, together with the Python
-version, the core count, both commits and a digest of each side's ``src/``
-and ``perfbench/``, plus per-case medians and how many pairs the working
-tree won. Stdlib only; run from the root of a git checkout.
+case (``--cases workload:seed,...``, by default the five of ``CASES``), each
+run as long as ``BENCHMARK.json`` sets (the side that runs first alternates
+too, so that a drift of the host's speed falls on both sides alike). Every
+result line is written to ``--out``, together with the Python version, the
+core count, both commits and a digest of each side's ``src/`` and
+``perfbench/``, plus, per case and per end-to-end metric of
+``BENCHMARK.json``, both medians and how many pairs the working tree won in
+that metric's ``better`` direction. Stdlib only; run from the root of a git
+checkout.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # the default (workload, seed) cases, in run order
 CASES = [("sweep", 0), ("oracle", 0), ("quorum", 0), ("sweep", 1), ("wide", 0)]
-COMPARED = ("deliveries_per_s", "items_per_s")
 # a gain is claimed only when the change wins nine pairs in ten
 PAIRS = 10
 
@@ -95,24 +97,28 @@ def parse_cases(text: str) -> list:
     return cases
 
 
-def summarize(runs: list, cases: list) -> list:
-    """Per case and compared metric: each side's median, the parent's
-    quartiles, and the number of pairs the working tree won."""
+def summarize(runs: list, cases: list, compared: list) -> list:
+    """Per case and compared metric (the end-to-end entries of
+    BENCHMARK.json): each side's median, the parent's quartiles, and the
+    number of pairs the working tree won in the metric's better direction."""
     summary = []
     for workload, seed in cases:
         case = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
-        for metric in COMPARED:
+        for entry in compared:
+            metric, lower = entry["name"], entry["better"] == "lower"
             value = {side: [r["result"]["metrics"][metric]["value"]
                             for r in case if r["side"] == side]
                      for side in ("parent", "change")}
             parent_q = statistics.quantiles(value["parent"], n=4)
             summary.append({
                 "workload": workload, "seed": seed, "metric": metric,
+                "better": entry["better"],
                 "parent_median": statistics.median(value["parent"]),
                 "change_median": statistics.median(value["change"]),
                 "parent_quartiles": [parent_q[0], parent_q[2]],
-                "change_wins": sum(c > p for p, c in zip(value["parent"],
-                                                         value["change"])),
+                "change_wins": sum((c < p) if lower else (c > p)
+                                   for p, c in zip(value["parent"],
+                                                   value["change"])),
                 "pairs": len(value["parent"]),
             })
     return summary
@@ -126,7 +132,8 @@ def main() -> int:
                         help="comma-separated workload:seed pairs (default: "
                              + ",".join(f"{w}:{s}" for w, s in CASES) + ")")
     args = parser.parse_args()
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
     head = git("rev-parse", "HEAD").decode().strip()
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,7 +163,7 @@ def main() -> int:
                    "sources_sha256": digests["change"]},
         "seconds_per_run": seconds,
         "pairs": PAIRS,
-        "summary": summarize(runs, args.cases),
+        "summary": summarize(runs, args.cases, benchmark["end_to_end"]),
         "runs": runs,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
