@@ -13,9 +13,10 @@ subset of operations witnessing the violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import inf
+from operator import attrgetter, getitem, le, mul
 
 from .histories import OpRecord, compact_json, op_id
 from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
@@ -40,55 +41,78 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     """Fold the records through the sequential object, one state per object id."""
     states = {}
     for rec in records:
-        state = states.get(rec.object_id, initial_state(n))
-        state, ok = seq_step(state, rec)
+        state = states.get(rec.object_id)
+        state, ok = seq_step(initial_state(n) if state is None else state, rec)
         if not ok:
             return False
         states[rec.object_id] = state
     return True
 
 
+# exact types: a bool is an int subclass and is refused
+_TIME_TYPES = frozenset((int, float))
+_INT = frozenset((int,))
+
+_SEQ = attrgetter("seq")
+_OBJECT_ID = attrgetter("object_id")
+_T_RET = attrgetter("t_ret")
+
+
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
     """Refuse a malformed op, for which no verdict is defined: a process,
-    seq, write value, snapshot cell, read target or read result that is not
-    an int (a bool is refused too, rather than read as 0 or 1), a process
-    outside 0..n-1, an unknown kind, a completed snapshot whose result is
-    not a vector of n cells, a read whose target is not a cell, an op that
-    returns before it is invoked, two ops of one process with the same seq
-    (on any object), or an op after one of its process's ops that never
-    returned (a process runs one op at a time, so only its last op can be
-    cut off).
+    seq, object id, write value, snapshot cell, read target or read result
+    that is not an int (a bool is refused too, rather than read as 0 or 1),
+    a t_inv or t_ret that is not an int or float or is NaN (infinite times
+    are kept), a process outside 0..n-1, an unknown kind, a completed
+    snapshot whose result is not a vector of n cells, a read whose target is
+    not a cell, an op that returns before it is invoked, two ops of one
+    process with the same seq (on any object), or an op after one of its
+    process's ops that never returned (a process runs one op at a time, so
+    only its last op can be cut off).
 
     Returns the process order: one queue per process id, each in seq order,
     of the ops a legal order accounts for. Those are every op that returned,
     and every write, since one cut off by a crash may still have taken
     effect."""
+    procs = range(n)
+    queues = [[] for _ in procs]
     for rec in history:
-        if not (type(rec.proc) is int and type(rec.seq) is int
-                and rec.proc in range(n)
-                and rec.kind in (WRITE, SNAPSHOT, READ)
-                and (rec.kind != WRITE or type(rec.value) is int)
-                and (rec.kind != SNAPSHOT or not rec.completed
-                     or isinstance(rec.result, (tuple, list))
-                     and len(rec.result) == n
-                     and all(type(cell) is int for cell in rec.result))
-                and (rec.kind != READ
-                     or type(rec.target) is int and rec.target in range(n)
-                     and (not rec.completed or type(rec.result) is int))
-                and (not rec.completed or rec.t_inv <= rec.t_ret)):
+        kind, proc, t_inv, t_ret = rec.kind, rec.proc, rec.t_inv, rec.t_ret
+        if kind == WRITE:
+            fits = type(rec.value) is int
+        elif kind == SNAPSHOT:
+            result = rec.result
+            fits = (t_ret is None
+                    or isinstance(result, (tuple, list)) and len(result) == n
+                    and _INT.issuperset(map(type, result)))
+        elif kind == READ:
+            target = rec.target
+            fits = (type(target) is int and target in procs
+                    and (t_ret is None or type(rec.result) is int))
+        else:
+            fits = False
+        if not (fits and type(proc) is int and proc in procs
+                and type(rec.seq) is int and type(rec.object_id) is int
+                and type(t_inv) in _TIME_TYPES and t_inv == t_inv
+                and (t_ret is None
+                     or type(t_ret) in _TIME_TYPES and t_inv <= t_ret)):
             raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
-    queues = [[] for _ in range(n)]
-    prev = None
-    for rec in sorted(history, key=lambda r: (r.proc, r.seq)):
-        if prev is not None and prev.proc == rec.proc:
-            if prev.seq == rec.seq:
-                raise CheckRefusal(f"process {rec.proc} repeats seq {rec.seq}")
-            if not prev.completed:
+        queues[proc].append(rec)
+    for proc, queue in enumerate(queues):
+        if not queue:
+            continue
+        queue.sort(key=_SEQ)
+        prev = queue[0]
+        for rec in queue[1:]:
+            if rec.seq == prev.seq:
+                raise CheckRefusal(f"process {proc} repeats seq {rec.seq}")
+            if prev.t_ret is None:
                 raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
-                                   f"{rec.proc} that never returned")
-        if rec.completed or rec.kind == WRITE:
-            queues[rec.proc].append(rec)
-        prev = rec
+                                   f"{proc} that never returned")
+            prev = rec
+        # only the last op can be cut off; a cut-off write stays
+        if prev.t_ret is None and prev.kind != WRITE:
+            queue.pop()
     return queues
 
 
@@ -115,40 +139,54 @@ def derive_versions(queues: list[list[OpRecord]], n: int):
     (mapping from op id to vector, None), or (None, rejecting Verdict) when
     a snapshot claims a value its writer never wrote.
     """
+    snaps, vectors, _, rejection = _snapshot_vectors(queues)
+    if rejection is not None:
+        return None, rejection
+    return {op_id(rec): vector for rec, vector in zip(snaps, vectors)}, None
+
+
+def _snapshot_vectors(queues):
+    """derive_versions without the op-id keys: the snapshots in process
+    order, their vectors in the same order, the writers that wrote 0, and
+    the rejection if there is one."""
     version_of = []
+    zero_writers = []
+    snaps = []
     for p, queue in enumerate(queues):
         table = {}
-        for idx, value in enumerate((rec.value for rec in queue
-                                     if rec.kind == WRITE), 1):
-            if value in table:
-                raise CheckRefusal(
-                    f"process {p} wrote value {value} twice; version resolution "
-                    f"needs unique values per writer")
-            table[value] = idx
+        version = 0
+        for rec in queue:
+            kind = rec.kind
+            if kind == WRITE:
+                version += 1
+                if rec.value in table:
+                    raise CheckRefusal(
+                        f"process {p} wrote value {rec.value} twice; version "
+                        f"resolution needs unique values per writer")
+                table[rec.value] = version
+            elif kind == SNAPSHOT:
+                snaps.append(rec)
+        # a 0 no write claims is the initial cell
+        if 0 in table:
+            zero_writers.append(p)
+        else:
+            table[0] = 0
         version_of.append(table)
-    versions = {}
-    for rec in chain.from_iterable(queues):
-        if rec.kind != SNAPSHOT:
-            continue
-        vector = []
-        for q in range(n):
-            component = rec.result[q]
-            version = version_of[q].get(component)
-            if version is None:
-                if component == 0:
-                    version = 0
-                else:
-                    return None, Verdict(
-                        False, certificate=[op_id(rec)],
-                        reason=f"snapshot claims value {component} for cell {q}, "
-                               f"never written")
-            vector.append(version)
-        versions[op_id(rec)] = tuple(vector)
-    return versions, None
+    vectors = []
+    for rec in snaps:
+        vector = tuple(map(dict.get, version_of, rec.result))
+        if None in vector:
+            q = vector.index(None)
+            return snaps, None, zero_writers, Verdict(
+                False, certificate=[op_id(rec)],
+                reason=f"snapshot claims value {rec.result[q]} for cell {q}, "
+                       f"never written")
+        vectors.append(vector)
+    return snaps, vectors, zero_writers, None
 
 
 def _componentwise_leq(u, v) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +222,34 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
       their version order, so the order contains every process order.
     """
     queues = _check_ops(history, n)
-    if any(rec.kind == READ for rec in history):
-        raise CheckRefusal("single-cell reads are only handled by the "
-                           "exhaustive checkers")
-    if len({rec.object_id for rec in history}) > 1:
+    objects = set()
+    for rec in history:
+        if rec.kind == READ:
+            raise CheckRefusal("single-cell reads are only handled by the "
+                               "exhaustive checkers")
+        objects.add(rec.object_id)
+    if len(objects) > 1:
         raise CheckRefusal("multi-object history: use the composition checker")
-    included = list(chain.from_iterable(queues))
-    versions, rejection = derive_versions(queues, n)
+    snaps, vectors, zero_writers, rejection = _snapshot_vectors(queues)
     if rejection is not None:
         return rejection
     # A writer that wrote 0 makes a 0 in its cell mean either version 0 or
     # that write; version resolution cannot tell, so the oracle decides.
-    zero_writers = {rec.proc for rec in included
-                    if rec.kind == WRITE and rec.value == 0}
-    if any(rec.kind == SNAPSHOT and rec.result[q] == 0
-           for rec in included for q in zero_writers):
+    if zero_writers and any(rec.result[q] == 0
+                            for rec in snaps for q in zero_writers):
         return check_sc_brute(history, n)
 
+    position = 0        # snaps and vectors run in process order too
     for proc, queue in enumerate(queues):
         writes_before = 0
-        last_write = None
-        prev_snap = None
+        last_write = prev_snap = prev_vec = None
         for rec in queue:
             if rec.kind == WRITE:
                 writes_before += 1
                 last_write = rec
                 continue
-            vec = versions[op_id(rec)]
+            vec = vectors[position]
+            position += 1
             if vec[proc] != writes_before:
                 cert = [op_id(rec)]
                 if last_write is not None:
@@ -219,44 +258,46 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
                                reason=f"snapshot by {proc} shows version "
                                       f"{vec[proc]} of its own cell after "
                                       f"{writes_before} own writes")
-            if prev_snap is not None and not _componentwise_leq(
-                    versions[op_id(prev_snap)], vec):
+            if prev_vec is not None and not _componentwise_leq(prev_vec, vec):
                 return Verdict(False, certificate=[op_id(prev_snap), op_id(rec)],
                                reason=f"snapshots of process {proc} go backwards")
-            prev_snap = rec
+            prev_snap, prev_vec = rec, vec
 
-    snaps = [rec for rec in included if rec.kind == SNAPSHOT]
     # stable, so snapshots with equal vectors stay in process order
-    order = sorted(snaps, key=lambda r: versions[op_id(r)])
-    for before, after in zip(order, order[1:]):
-        if not _componentwise_leq(versions[op_id(before)], versions[op_id(after)]):
+    order = sorted(range(len(snaps)), key=vectors.__getitem__)
+    chain_snaps = [snaps[k] for k in order]
+    chain_vecs = [vectors[k] for k in order]
+    for k in range(1, len(order)):
+        if not _componentwise_leq(chain_vecs[k - 1], chain_vecs[k]):
             return Verdict(False,
-                           certificate=[op_id(before), op_id(after)],
+                           certificate=[op_id(chain_snaps[k - 1]),
+                                        op_id(chain_snaps[k])],
                            reason="incomparable snapshots")
 
-    witness = _build_witness(queues, versions, order)
-    if contains_process_order(witness, included) and replay_legal(witness, n):
-        return Verdict(True, witness=[op_id(rec) for rec in witness])
+    witness = _build_witness(queues, chain_vecs, chain_snaps)
+    if (contains_process_order(witness, list(chain.from_iterable(queues)))
+            and replay_legal(witness, n)):
+        return Verdict(True, witness=list(map(op_id, witness)))
     # unreachable (see the docstring); the oracle keeps the verdict exact
     # rather than guess
     return check_sc_brute(history, n)
 
 
-def _build_witness(queues, versions, snap_order):
+def _build_witness(queues, chain_vecs, chain_snaps):
     """Place each writer's version-w write right before the first snapshot
-    whose component reaches w; leftovers go at the end. Writes are dealt in
-    process order, so each slot is already in (proc, seq) order."""
-    slots = [[] for _ in range(len(snap_order) + 1)]
+    of the chain whose vector reaches w; leftovers go at the end. Writes are
+    dealt in process order, so each slot is already in (proc, seq) order."""
+    end = len(chain_snaps)
+    slots = [[] for _ in range(end + 1)]
     for proc, queue in enumerate(queues):
         position = 0
         writes = (rec for rec in queue if rec.kind == WRITE)
         for version, rec in enumerate(writes, 1):
-            while (position < len(snap_order)
-                   and versions[op_id(snap_order[position])][proc] < version):
+            while position < end and chain_vecs[position][proc] < version:
                 position += 1
             slots[position].append(rec)
     witness = []
-    for idx, snap in enumerate(snap_order):
+    for idx, snap in enumerate(chain_snaps):
         witness.extend(slots[idx])
         witness.append(snap)
     witness.extend(slots[-1])
@@ -274,44 +315,59 @@ def _interleave_search(queues: list[list[OpRecord]], n: int, realtime: bool):
     Every op that returned must be placed; a write that never returned is
     last in its queue (see _check_ops), so the search may stop before it.
     Register states are a function of the per-process consumed counts, so
-    dead count vectors are memoized. Returns a witness list or None.
+    dead count vectors are memoized, each as one mixed-radix int that moves
+    by its queue's stride when an op of that queue is placed. The search
+    backtracks over one counts list, one path and one state per object id,
+    each set before a step and put back after it. Returns a witness list or
+    None.
     """
+    ops = list(chain.from_iterable(queues))
+    # n < 1 has no initial state, and only an empty history gets here with it
+    states = dict.fromkeys(map(_OBJECT_ID, ops), initial_state(n)) if ops else {}
+    # each queue ends in None, so a queue that is used up needs no length test
+    steps = [queue + [None] for queue in queues]
+    strides = list(accumulate(map(len, steps), mul, initial=1))
     # earliest[i][k]: the earliest return among queue i's ops from position k
     # on. In real time an op may be placed only when every op that returned
     # before it was invoked is placed, i.e. no unplaced op returned earlier.
-    earliest = [list(accumulate((r.t_ret if r.completed else inf
+    earliest = [list(accumulate((inf if r.t_ret is None else r.t_ret
                                  for r in reversed(queue)), min, initial=inf))[::-1]
                 for queue in queues] if realtime else None
+    counts = [0] * len(queues)
+    path = []
     dead = set()
 
-    def search(counts, states, placed, left):
-        if left == 0:
-            return placed
-        if counts in dead:
-            return None
-        horizon = min(e[c] for e, c in zip(earliest, counts)) if realtime else inf
-        for i, queue in enumerate(queues):
+    def search(key, left):
+        # key is neither dead nor done: the caller tests both
+        horizon = min(map(getitem, earliest, counts)) if realtime else inf
+        for i, queue in enumerate(steps):
             idx = counts[i]
-            if idx == len(queue):
-                continue
             rec = queue[idx]
-            if horizon < rec.t_inv:
+            if rec is None or horizon < rec.t_inv:
                 continue
-            state = states.get(rec.object_id, initial_state(n))
-            new_state, ok = seq_step(state, rec)
-            if not ok:
-                continue
-            new_states = dict(states)
-            new_states[rec.object_id] = new_state
-            found = search(counts[:i] + (idx + 1,) + counts[i + 1:],
-                           new_states, placed + [rec], left - rec.completed)
-            if found is not None:
-                return found
-        dead.add(counts)
-        return None
+            obj = rec.object_id
+            state = states[obj]
+            states[obj], ok = seq_step(state, rec)
+            if ok:
+                rest = left - (rec.t_ret is not None)
+                if rest == 0:
+                    path.append(rec)
+                    return True
+                child = key + strides[i]
+                if child not in dead:
+                    counts[i] = idx + 1
+                    path.append(rec)
+                    if search(child, rest):
+                        return True
+                    path.pop()
+                    counts[i] = idx
+            states[obj] = state
+        dead.add(key)
+        return False
 
-    return search((0,) * len(queues), {}, [],
-                  sum(rec.completed for rec in chain.from_iterable(queues)))
+    # every op that returned must be placed
+    left = len(ops) - list(map(_T_RET, ops)).count(None)
+    return path if left == 0 or search(0, left) else None
 
 
 def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:
@@ -322,10 +378,10 @@ def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:
                            f"bound is {BRUTE_BOUND}")
     witness = _interleave_search(queues, n, realtime)
     if witness is not None:
-        return Verdict(True, witness=[op_id(rec) for rec in witness])
+        return Verdict(True, witness=list(map(op_id, witness)))
     return Verdict(False,
                    certificate=[op_id(rec) for rec in chain.from_iterable(queues)
-                                if rec.completed],
+                                if rec.t_ret is not None],
                    reason="no legal interleaving contains the process order")
 
 

@@ -1,9 +1,12 @@
 """The crash-prone sweep configuration that the acceptance gate, the golden
 digests and the protocol invariant checks all run: the two workload
 generators alternate by seed, crashes use the full budget, and the workload
-is trimmed to the crashes."""
+is trimmed to the crashes. Also the one snapshot mutant that the checker
+cross-validation and the golden verdict digests judge."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from seqsnap.sim import SimConfig
 from seqsnap.workloads import (random_crashes, random_workload,
@@ -18,3 +21,25 @@ def sweep_config(n: int, seed: int) -> SimConfig:
     crashes = random_crashes(n, (n - 1) // 2, seed)
     workload = trim_for_crashes(generate(n, OPS_PER_RUN, seed), crashes)
     return SimConfig(n=n, seed=seed, workload=workload, crashes=crashes)
+
+
+def mutate_history(history, n, rng):
+    """Corrupt one completed snapshot component: another of the writer's
+    values, the initial value, or garbage."""
+    snaps = [rec for rec in history if rec.kind == "snapshot" and rec.completed]
+    if not snaps:
+        return None
+    victim = rng.choice(snaps)
+    mutated = []
+    for rec in history:
+        if rec is not victim:
+            mutated.append(rec)
+            continue
+        cell = rng.randrange(n)
+        written = [r.value for r in history
+                   if r.kind == "write" and r.proc == cell]
+        choices = [0, 999_999] + written
+        result = list(victim.result)
+        result[cell] = rng.choice(choices)
+        mutated.append(replace(rec, result=tuple(result)))
+    return mutated

@@ -8,7 +8,6 @@ invariant criteria that quantify over the same runs.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -24,7 +23,7 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import SWEEP_NS, sweep_config
+from sweep import SWEEP_NS, mutate_history, sweep_config
 
 SEEDS_PER_N = 500
 
@@ -68,28 +67,6 @@ def test_c1_safety_sweep_every_history_sequentially_consistent(sweep_results):
     assert sweep_results["sc_rejects"] == []
     print(f"\nC1 PASS: {sweep_results['runs']} seeded crash-prone runs, "
           f"all histories accepted by the fast checker")
-
-
-def mutate_history(history, n, rng):
-    """Corrupt one completed snapshot component: another of the writer's
-    values, the initial value, or garbage."""
-    snaps = [rec for rec in history if rec.kind == "snapshot" and rec.completed]
-    if not snaps:
-        return None
-    victim = rng.choice(snaps)
-    mutated = []
-    for rec in history:
-        if rec is not victim:
-            mutated.append(rec)
-            continue
-        cell = rng.randrange(n)
-        written = [r.value for r in history
-                   if r.kind == "write" and r.proc == cell]
-        choices = [0, 999_999] + written
-        result = list(victim.result)
-        result[cell] = rng.choice(choices)
-        mutated.append(replace(rec, result=tuple(result)))
-    return mutated
 
 
 def test_c2_checker_cross_validation_on_10k_histories():

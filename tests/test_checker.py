@@ -1,6 +1,8 @@
 import math
+import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import accumulate, chain, combinations
+from math import inf
 from unittest import mock
 
 import pytest
@@ -11,7 +13,9 @@ from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, derive_versions, replay_legal,
                              contains_process_order)
 from seqsnap.histories import OpRecord, op_id
-from seqsnap.rounds import check_composition
+from seqsnap.rounds import RoundConfig, check_composition, run_rounds
+from seqsnap.seqspec import initial_state, seq_step
+from sweep import mutate_history
 
 
 def W(proc, seq, value, t_inv=None, t_ret=None):
@@ -169,13 +173,35 @@ def test_unsortable_seq_is_refused_not_a_type_error(check):
     OpRecord(0, 0, "read", 0.0, 1.0, target=0, result=False),
     S(0, 0, [True, 0]),
     OpRecord(0, 0, "write", 0.0, 1.0, value=True),
+    OpRecord(0, 0, "write", None, 1.0, value=1),
+    OpRecord(0, 0, "write", None, None, value=1),
+    OpRecord(0, 0, "write", "a", "b", value=1),
+    OpRecord(0, 0, "write", 0, True, value=1),
+    OpRecord(0, 0, "write", False, 1.0, value=1),
+    OpRecord(0, 0, "write", math.nan, None, value=1),
+    OpRecord(0, 0, "snapshot", math.nan, None),
+    replace(W(0, 0, 1), object_id=True),
+    replace(W(0, 0, 1), object_id=1.0),
+    replace(W(0, 0, 1), object_id="0"),
+    replace(W(0, 0, 1), object_id=None),
 ], ids=["read-target-negative", "read-target-none", "snapshot-arity",
         "snapshot-result-none", "write-value-none", "unknown-kind",
         "returns-before-invoked", "read-target-bool", "read-result-bool",
-        "snapshot-cell-bool", "write-value-bool"])
+        "snapshot-cell-bool", "write-value-bool", "t-inv-none",
+        "cut-off-write-t-inv-none", "string-times", "t-ret-bool",
+        "t-inv-bool", "cut-off-write-t-inv-nan", "cut-off-snapshot-t-inv-nan",
+        "object-id-bool", "object-id-float", "object-id-string",
+        "object-id-none"])
 def test_malformed_ops_are_refused(check, op):
     with pytest.raises(CheckRefusal):
         check([op], 2)
+
+
+def test_infinite_times_are_accepted():
+    h = [W(0, 0, 1, t_inv=-math.inf, t_ret=math.inf),
+         S(1, 0, [1, 0], t_inv=math.inf, t_ret=math.inf)]
+    for check in (check_sc_fast, check_sc_brute, check_lin_brute):
+        assert check(h, 2).accepted
 
 
 class TestBruteChecker:
@@ -386,3 +412,101 @@ def test_witness_construction_never_needs_the_oracle(case):
         included = [r for r in history
                     if r.kind == "write" or (r.kind == "snapshot" and r.completed)]
         assert contains_process_order(witness, included)
+
+
+# --- the search against the one it replaced ----------------------------------
+
+def reference_interleave_search(queues, n, realtime):
+    """Depth-first search over interleavings containing every process order,
+    given as _check_ops's queues.
+
+    Every op that returned must be placed; a write that never returned is
+    last in its queue (see _check_ops), so the search may stop before it.
+    Register states are a function of the per-process consumed counts, so
+    dead count vectors are memoized. Returns a witness list or None.
+    """
+    # earliest[i][k]: the earliest return among queue i's ops from position k
+    # on. In real time an op may be placed only when every op that returned
+    # before it was invoked is placed, i.e. no unplaced op returned earlier.
+    earliest = [list(accumulate((r.t_ret if r.completed else inf
+                                 for r in reversed(queue)), min, initial=inf))[::-1]
+                for queue in queues] if realtime else None
+    dead = set()
+
+    def search(counts, states, placed, left):
+        if left == 0:
+            return placed
+        if counts in dead:
+            return None
+        horizon = min(e[c] for e, c in zip(earliest, counts)) if realtime else inf
+        for i, queue in enumerate(queues):
+            idx = counts[i]
+            if idx == len(queue):
+                continue
+            rec = queue[idx]
+            if horizon < rec.t_inv:
+                continue
+            state = states.get(rec.object_id, initial_state(n))
+            new_state, ok = seq_step(state, rec)
+            if not ok:
+                continue
+            new_states = dict(states)
+            new_states[rec.object_id] = new_state
+            found = search(counts[:i] + (idx + 1,) + counts[i + 1:],
+                           new_states, placed + [rec], left - rec.completed)
+            if found is not None:
+                return found
+        dead.add(counts)
+        return None
+
+    return search((0,) * len(queues), {}, [],
+                  sum(rec.completed for rec in chain.from_iterable(queues)))
+
+
+def assert_search_matches_reference(history, n):
+    """The search finds the reference's witness, the same records in the
+    same order, or nothing when the reference finds nothing."""
+    queues = checker._check_ops(history, n)
+    for realtime in (False, True):
+        expected = reference_interleave_search(queues, n, realtime)
+        found = checker._interleave_search(queues, n, realtime)
+        if expected is None:
+            assert found is None
+        else:
+            assert len(found) == len(expected)
+            assert all(a is b for a, b in zip(found, expected))
+
+
+@given(tiny_history())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_reference_on_tiny_histories(case):
+    assert_search_matches_reference(case[1], case[0])
+
+
+@given(mid_history())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_reference_on_mid_histories(case):
+    assert_search_matches_reference(case[1], case[0])
+
+
+@st.composite
+def two_object_history(draw):
+    """A tiny history whose ops are spread over objects 0 and 1."""
+    n, records = draw(tiny_history())
+    return n, [replace(rec, object_id=draw(st.integers(0, 1))) for rec in records]
+
+
+@given(two_object_history())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_reference_on_two_object_histories(case):
+    assert_search_matches_reference(case[1], case[0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_search_matches_reference_on_composed_runs(seed):
+    n = (2, 3)[seed % 2]
+    history = run_rounds(RoundConfig(n=n, rounds=2, seed=seed)).history
+    rng = random.Random(f"composed-search:{seed}")
+    mutants = (mutate_history(history, n, rng) for _ in range(3))
+    for candidate in [history] + [m for m in mutants if m is not None]:
+        assert_search_matches_reference(candidate, n)

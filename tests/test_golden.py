@@ -7,21 +7,28 @@ the delivery and send order, the validation log), and the digests were taken
 from the simulator before its event loop was last rewritten. A digest that
 moves means behaviour moved; update one only for a change that is meant to
 alter runs, and say so.
+
+The verdict digests do the same for the checkers: every verdict document
+(witness, certificate and reason) of a fixed set of histories and mutants,
+taken before the checkers' search and entry pass were last rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from seqsnap import sim
-from seqsnap.rounds import RoundConfig, run_rounds
+from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
+                             check_sc_fast, verdict_document)
+from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (CrashSpec, SimConfig, SyncDelay, run_simulation,
                          serialize_run)
 from seqsnap.workloads import abd_workload, random_workload
-from sweep import sweep_config
+from sweep import mutate_history, sweep_config
 
 OPS = 40
 
@@ -125,3 +132,60 @@ def test_run_stopped_at_the_event_cap_matches_its_golden_digest(monkeypatch):
     run = run_simulation(sweep_config(5, 9))
     assert not run.metrics.quiescent
     assert run_digest(run) == GOLDEN["capped-n5-s9"]
+
+
+def golden_histories():
+    """(history, n) pairs: 60 snapshot runs of 8 ops with three mutants
+    each, 20 ABD runs of 8 ops, and 10 composed runs (some crash-cut, some
+    above the oracles' size bound) with three mutants each."""
+    rng = random.Random("golden-verdicts")
+    cases = []
+
+    def with_mutants(history, n):
+        cases.append((history, n))
+        mutants = (mutate_history(history, n, rng) for _ in range(3))
+        cases.extend((m, n) for m in mutants if m is not None)
+
+    for seed in range(60):
+        n = (2, 3)[seed % 2]
+        with_mutants(run_simulation(SimConfig(
+            n=n, seed=seed,
+            workload=random_workload(n, 8, seed, snapshot_ratio=0.5))).history, n)
+    for seed in range(20):
+        cases.append((run_simulation(abd_config(3, 8, seed)).history, 3))
+    for seed in range(10):
+        n = (2, 3)[seed % 2]
+        crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)] if n > 2 else []
+        with_mutants(run_rounds(RoundConfig(n=n, rounds=1 + seed % 3, seed=seed,
+                                            crashes=crashes)).history, n)
+    return cases
+
+
+VERDICT_GOLDEN = {
+    "check_composition":
+        "594cf7f96592686807fec537bf20efca13bb9eb20280c04bdf1d92bc3d624b81",
+    "check_lin_brute":
+        "098cacf25e306e437e91a704871afd9d291d1eba9f3bcc135a8ade3a1402e847",
+    "check_sc_brute":
+        "2cf2ca806391abea3084f3b4dcd0e4fc78ba08cb54f4ad2c4feb1e510886f15a",
+    "check_sc_fast":
+        "6f8a265bbbe200ac3a8cb2f3d22bcd6a869c5140bc14c02eb2ef0cd6addf3cf9",
+}
+
+
+@pytest.fixture(scope="module")
+def verdict_cases():
+    return golden_histories()
+
+
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute, check_composition],
+                         ids=lambda check: check.__name__)
+def test_verdicts_match_their_golden_digest(verdict_cases, check):
+    h = hashlib.sha256()
+    for history, n in verdict_cases:
+        try:
+            h.update(verdict_document(check(history, n)).encode())
+        except CheckRefusal:
+            h.update(b"refused\n")
+    assert h.hexdigest() == VERDICT_GOLDEN[check.__name__]

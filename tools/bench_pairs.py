@@ -13,9 +13,10 @@ too, so that a drift of the host's speed falls on both sides alike). Every
 result line is written to ``--out``, together with the Python version, the
 core count, both commits and a digest of each side's ``src/`` and
 ``perfbench/``, plus, per case and per end-to-end metric of
-``BENCHMARK.json``, both medians and how many pairs the working tree won in
-that metric's ``better`` direction. Stdlib only; run from the root of a git
-checkout.
+``BENCHMARK.json``, both medians, how many pairs the working tree won in
+that metric's ``better`` direction, whether a claimed gain holds
+(``claim_holds``) and whether the metric fell beyond its ``bound``
+(``regressed``). Stdlib only; run from the root of a git checkout.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # the default (workload, seed) cases, in run order
 CASES = [("sweep", 0), ("oracle", 0), ("quorum", 0), ("sweep", 1), ("wide", 0)]
-# a gain is claimed only when the change wins nine pairs in ten
 PAIRS = 10
+# a gain is claimed only when the change wins nine pairs in ten
+CLAIM_WINS = 9
 
 
 def git(*args: str) -> bytes:
@@ -99,8 +101,12 @@ def parse_cases(text: str) -> list:
 
 def summarize(runs: list, cases: list, compared: list) -> list:
     """Per case and compared metric (the end-to-end entries of
-    BENCHMARK.json): each side's median, the parent's quartiles, and the
-    number of pairs the working tree won in the metric's better direction."""
+    BENCHMARK.json): each side's median, the parent's quartiles, the number
+    of pairs the working tree won in the metric's better direction, and two
+    verdicts. ``claim_holds``: the working tree won at least nine pairs in
+    ten and its median is better than the parent's by more than the
+    parent's interquartile range. ``regressed``: its median is worse than
+    the parent's by more than the metric's relative ``bound``."""
     summary = []
     for workload, seed in cases:
         case = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
@@ -110,16 +116,25 @@ def summarize(runs: list, cases: list, compared: list) -> list:
                             for r in case if r["side"] == side]
                      for side in ("parent", "change")}
             parent_q = statistics.quantiles(value["parent"], n=4)
+            parent_median = statistics.median(value["parent"])
+            change_median = statistics.median(value["change"])
+            # positive when the working tree is better
+            gain = (parent_median - change_median if lower
+                    else change_median - parent_median)
+            wins = sum((c < p) if lower else (c > p)
+                       for p, c in zip(value["parent"], value["change"]))
+            pairs = len(value["parent"])
             summary.append({
                 "workload": workload, "seed": seed, "metric": metric,
                 "better": entry["better"],
-                "parent_median": statistics.median(value["parent"]),
-                "change_median": statistics.median(value["change"]),
+                "parent_median": parent_median,
+                "change_median": change_median,
                 "parent_quartiles": [parent_q[0], parent_q[2]],
-                "change_wins": sum((c < p) if lower else (c > p)
-                                   for p, c in zip(value["parent"],
-                                                   value["change"])),
-                "pairs": len(value["parent"]),
+                "change_wins": wins,
+                "pairs": pairs,
+                "claim_holds": (wins * PAIRS >= CLAIM_WINS * pairs
+                                and gain > parent_q[2] - parent_q[0]),
+                "regressed": -gain > entry["bound"] * abs(parent_median),
             })
     return summary
 
