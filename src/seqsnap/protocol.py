@@ -10,11 +10,13 @@ fresh stamp of its own. An update validates once a strict majority of
 processes have stamped it and no update that must be ordered before it is
 still blocked; validating folds the value into the local view.
 
-Each state is single-owner: transitions mutate the passed state in place,
-return the Effect they ask of the network (the shared, immutable NOTHING
-when they ask nothing), and are meant to be applied sequentially per process
-(the simulator enforces this). Distinct states may be driven concurrently;
-the module itself keeps no shared mutable data.
+Each state is single-owner: transitions mutate the passed state in place
+(the view and its stamps are tuples that a validation replaces, so snapshot
+results and trace samples share them), return the Effect they ask of the
+network (the shared, immutable NOTHING when they ask nothing), and are meant
+to be applied sequentially per process (the simulator enforces this).
+Distinct states may be driven concurrently; the module keeps no shared
+mutable data.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class UpdateMsg:
 
 @dataclass
 class PendingUpdate:
-    """A not-yet-validated update with the relay stamps learned so far.
+    """A not-yet-validated update, kept under its (writer, stamp) key, with
+    the relay stamps learned so far.
 
     seen[j] is the stamp p_j attached when relaying this update, INF until a
     message from p_j arrives. The order in which one process stamped two
@@ -57,8 +60,6 @@ class PendingUpdate:
     """
 
     value: int
-    writer: int
-    stamp: int
     seen: list[float]
     known: int = 0
     ahead: dict = field(default_factory=dict)
@@ -93,8 +94,8 @@ NOTHING = Effect((), (), (), ())
 class ProcState:
     me: int
     n: int
-    view: list[int]          # last validated value per writer
-    view_stamps: list[int]   # stamp the writer attached to view[j], 0 if none
+    view: tuple[int, ...]         # last validated value per writer
+    view_stamps: tuple[int, ...]  # stamp the writer attached to view[j], 0 if none
     clock: int = 0           # bumped on every broadcast; stamps are unique per process
     pending: dict = field(default_factory=dict)  # (writer, stamp) -> PendingUpdate
     own_pending: int = 0     # entries of pending whose writer is me
@@ -106,7 +107,7 @@ class ProcState:
 def init(n: int, me: int, object_id: int = 0) -> ProcState:
     if not 0 <= me < n:
         raise ValueError(f"process id {me} out of range for n={n}")
-    return ProcState(me=me, n=n, view=[0] * n, view_stamps=[0] * n,
+    return ProcState(me=me, n=n, view=(0,) * n, view_stamps=(0,) * n,
                      object_id=object_id)
 
 
@@ -144,7 +145,7 @@ def invoke_snapshot(state: ProcState) -> Effect:
     if has_own_pending(state):
         state.snapshot_pending = True
         return NOTHING
-    return Effect(completions=[(SNAPSHOT, tuple(state.view))])
+    return Effect(completions=[(SNAPSHOT, state.view)])
 
 
 def depends(first: PendingUpdate, second: PendingUpdate, n: int) -> bool:
@@ -190,7 +191,7 @@ def _admit(state: ProcState, key: tuple, value: int) -> None:
     """Add an update with no stamp yet: it is ahead of no other entry, and
     each other entry is ahead of it at every stamp that entry has."""
     pending = state.pending
-    entry = PendingUpdate(value, key[0], key[1], [INF] * state.n,
+    entry = PendingUpdate(value, [INF] * state.n,
                           ahead=dict.fromkeys(pending, 0))
     for other in pending.values():
         other.ahead[key] = other.known
@@ -269,12 +270,19 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
             if validable:
                 if eff is NOTHING:
                     eff = Effect()
+                # copy the view at most once, and only if a stamp rises
+                stamps, view = state.view_stamps, None
                 for key in validable:
-                    g = _retire(state, key)
-                    if state.view_stamps[g.writer] < g.stamp:
-                        state.view_stamps[g.writer] = g.stamp
-                        state.view[g.writer] = g.value
+                    value = _retire(state, key).value
+                    writer, stamp = key
+                    if stamps[writer] < stamp:
+                        if view is None:
+                            stamps, view = list(stamps), list(state.view)
+                        stamps[writer] = stamp
+                        view[writer] = value
                     eff.validated.append(key)
+                if view is not None:
+                    state.view_stamps, state.view = tuple(stamps), tuple(view)
     if (state.deferred is not None or state.snapshot_pending) \
             and not has_own_pending(state):
         # Flush a buffered write; a waiting snapshot then keeps waiting,
@@ -286,5 +294,5 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
             state.deferred = None
         else:
             state.snapshot_pending = False
-            eff.completions.append((SNAPSHOT, tuple(state.view)))
+            eff.completions.append((SNAPSHOT, state.view))
     return eff

@@ -91,10 +91,12 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
             verdict.reason = f"object {obj}: {verdict.reason}"
             return verdict
         spliced.extend(id_to_record[i] for i in verdict.witness)
-    included = [rec for queue in queues for rec in queue]
+    # a witness holds every op that returned, and may leave a cut-off write out
+    included = [rec for queue in queues for rec in queue
+                if rec.completed or rec in spliced]
     if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
-    return check_composition_brute(history, n)
+    return check_sc_brute(history, n)   # entry and round rules hold already
 
 
 def check_composition_brute(history: list[OpRecord], n: int) -> Verdict:

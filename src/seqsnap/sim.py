@@ -173,9 +173,8 @@ class RunResult:
     config: SimConfig
     history: list
     metrics: Metrics
-    # (proc, time, stamp vector) after every transition; the vector is an
-    # immutable tuple, shared by a process's consecutive samples while its
-    # stamps stay the same
+    # (proc, time, stamp vector) after every transition; the vector is the
+    # state's own view_stamps tuple, which only a rising stamp replaces
     vc_trace: list
     states: list                 # states[proc][object_id]: each process state
     message_log: list            # one record per send, in send order
@@ -204,20 +203,24 @@ def validate_config(config: SimConfig) -> None:
     seen_procs = set()
     crash_time = {}
     for crash in config.crashes:
-        if not 0 <= crash.proc < config.n:
-            raise ConfigError(f"crash of out-of-range process {crash.proc}")
+        # plain ints, as for workload ids: a float on_send would never fire
+        if type(crash.proc) is not int or not 0 <= crash.proc < config.n:
+            raise ConfigError(f"crash of out-of-range process {crash.proc!r}")
         if crash.proc in seen_procs:
             raise ConfigError(f"process {crash.proc} crashes twice")
         seen_procs.add(crash.proc)
         if (crash.at_time is None) == (crash.on_send is None):
             raise ConfigError("crash needs exactly one of at_time / on_send")
-        if crash.on_send is not None and crash.on_send < 1:
-            raise ConfigError(f"crash on broadcast {crash.on_send}: "
+        if crash.on_send is not None and (type(crash.on_send) is not int
+                                          or crash.on_send < 1):
+            raise ConfigError(f"crash on broadcast {crash.on_send!r}: "
                               f"broadcasts are counted from 1")
-        if crash.recipients is not None and not all(
-                0 <= r < config.n for r in crash.recipients):
-            raise ConfigError(f"crash of process {crash.proc} forces "
-                              f"out-of-range recipients {crash.recipients}")
+        if crash.recipients is not None and not (
+                isinstance(crash.recipients, (tuple, list))
+                and all(type(r) is int and 0 <= r < config.n
+                        for r in crash.recipients)):
+            raise ConfigError(f"crash of process {crash.proc} forces recipients "
+                              f"{crash.recipients!r}, not ints in 0..{config.n - 1}")
         if crash.at_time is not None:
             if not _is_number(crash.at_time) or not isfinite(crash.at_time):
                 raise ConfigError(f"crash of process {crash.proc} at "
@@ -281,12 +284,6 @@ class _Sim:
         else:
             self.states = [[protocol.init(n, me, object_id=obj)
                             for obj in range(objects)] for me in range(n)]
-        # Stamp vectors are traced only where one joint vector exists: stamps
-        # of different objects are unrelated. Each list is the live one that
-        # every transition updates in place.
-        self.stamps = None
-        if self.module is protocol and objects == 1:
-            self.stamps = [states[0].view_stamps for states in self.states]
         self.heap = []
         self.next_seq = itertools.count().__next__
         self.everyone = tuple(range(n))
@@ -322,14 +319,10 @@ class _Sim:
         targets = [states if by_object else states[0] for states in self.states]
         log_delivery = self.delivery_log.append
         after_transition = self._after_transition
-        stamps = self.stamps
-        if stamps is not None:
-            # sampled[proc] is the tuple last traced for proc, and
-            # sampled_from[proc] a copy of the stamps it was built from: a
-            # sample builds a new tuple only when the stamps changed since
-            sampled = [tuple(live) for live in stamps]
-            sampled_from = [list(live) for live in stamps]
-            log_sample = self.vc_trace.append
+        # Stamp vectors are traced only where one joint vector exists: stamps
+        # of different objects are unrelated.
+        traced = self.module is protocol and not by_object
+        log_sample = self.vc_trace.append
         nothing = protocol.NOTHING
         for proc, queue in enumerate(self.queues):
             if queue:
@@ -366,12 +359,8 @@ class _Sim:
             # state, not of the effect, so that a stamp changed without a
             # validation shows. A transition cut short by its sender's crash
             # is not sampled.
-            if stamps is not None and alive[proc]:
-                live = stamps[proc]
-                if live != sampled_from[proc]:
-                    sampled_from[proc] = live[:]
-                    sampled[proc] = tuple(live)
-                log_sample((proc, time, sampled[proc]))
+            if traced and alive[proc]:
+                log_sample((proc, time, targets[proc].view_stamps))
         crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,

@@ -207,12 +207,12 @@ def test_c7_scripted_scenarios_reproduce_the_validation_patterns():
     for proc in (0, 1, 2):
         assert when(proc, a) == when(proc, b)
     for states in cross.states:
-        assert states[0].view == [1, 0, 0, 0, 1]
+        assert states[0].view == (1, 0, 0, 0, 1)
 
     chain = replay_scripted("fig4b")
     assert chain.metrics.quiescent
     for states in chain.states:
-        assert states[0].view_stamps == [3, 0, 0, 3]
+        assert states[0].view_stamps == (3, 0, 0, 3)
         assert not states[0].pending and states[0].deferred is None
     flushes = [m for m in chain.message_log
                if getattr(m.payload, "writer", None) == m.sender

@@ -22,7 +22,7 @@ def derived_counts(pending):
 
 def pending_set(seen_by_key):
     """A pending dict of value-1 entries, with the counts their stamps give."""
-    pending = {key: PendingUpdate(1, *key, list(seen))
+    pending = {key: PendingUpdate(1, list(seen))
                for key, seen in seen_by_key.items()}
     for key, (known, ahead) in derived_counts(pending).items():
         pending[key].known, pending[key].ahead = known, ahead
@@ -66,18 +66,18 @@ def reference_validable(pending, n):
 class TestInit:
     def test_fresh_state(self):
         state = init(3, 1)
-        assert state.view == [0, 0, 0]
-        assert state.view_stamps == [0, 0, 0]
+        assert state.view == (0, 0, 0)
+        assert state.view_stamps == (0, 0, 0)
         assert state.clock == 0
         assert state.pending == {}
         assert state.deferred is None
 
     def test_single_process(self):
-        assert init(1, 0).view == [0]
+        assert init(1, 0).view == (0,)
 
     def test_wide_state(self):
         state = init(5, 4)
-        assert state.view_stamps == [0] * 5 and not state.pending
+        assert state.view_stamps == (0,) * 5 and not state.pending
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -111,10 +111,26 @@ class TestWrite:
 class TestSnapshot:
     def test_immediate_when_nothing_outstanding(self):
         state = init(2, 1)
-        state.view = [1, 0]
+        state.view = (1, 0)
         eff = invoke_snapshot(state)
         assert eff.completions == [("snapshot", (1, 0))]
         assert not state.snapshot_pending
+
+    def test_result_is_the_view_it_read(self):
+        # both completions hand out the state's own view tuple, which a
+        # later validation replaces and never changes
+        state = init(3, 0)
+        handle_message(state, invoke_write(state, 5).broadcasts[0])
+        assert invoke_snapshot(state) is protocol.NOTHING
+        [(kind, waited)] = handle_message(
+            state, UpdateMsg(5, 0, 1, 4, 1)).completions
+        assert kind == "snapshot" and waited is state.view
+        [(kind, immediate)] = invoke_snapshot(state).completions
+        assert kind == "snapshot" and immediate is state.view
+        relay = handle_message(state, UpdateMsg(7, 1, 1, 1, 1)).broadcasts[0]
+        assert handle_message(state, relay).validated == [(1, 1)]
+        assert state.view == (5, 7, 0)
+        assert waited == immediate == (5, 0, 0)
 
     def test_waits_for_own_update(self):
         state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
@@ -201,7 +217,7 @@ class TestHandleMessage:
 
     def test_stale_message_is_ignored(self):
         state = init(3, 0)
-        state.view_stamps[1] = 5
+        state.view_stamps = (0, 5, 0)
         before = copy.deepcopy(state)
         eff = handle_message(state, UpdateMsg(9, 1, 3, 3, 1))
         assert state == before
@@ -235,7 +251,7 @@ class TestHandleMessage:
     def test_stale_copy_skips_the_validation_pass(self, monkeypatch):
         calls = self.count_passes(monkeypatch)
         state = init(3, 0)
-        state.view_stamps[1] = 5
+        state.view_stamps = (0, 5, 0)
         assert handle_message(state, UpdateMsg(9, 1, 5, 5, 1)) is protocol.NOTHING
         assert handle_message(state, UpdateMsg(9, 1, 3, 8, 2)) is protocol.NOTHING
         assert calls == []

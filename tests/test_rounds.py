@@ -8,6 +8,7 @@ from seqsnap.rounds import (DisciplineError, RoundConfig, check_composition,
 from seqsnap.sim import (CrashSpec, SimConfig, WorkItem, run_simulation,
                          serialize_run)
 from seqsnap.workloads import encode_value
+from test_checker import assert_witness_holds
 
 
 def test_single_round_degenerates_to_plain_run():
@@ -89,6 +90,28 @@ def test_entry_check_spans_objects():
     ]
     with pytest.raises(CheckRefusal):
         check_composition(history, 2)
+
+
+def test_cut_off_write_left_out_of_a_round_witness():
+    # object 0 has a zero write, so its slice goes to the oracle, whose
+    # witness leaves p1's cut-off write out; 13 ops are beyond the
+    # exhaustive bound, so the splice must hold without a fallback
+    history = [
+        OpRecord(0, 0, "write", 0.0, 1.0, value=0, object_id=0),
+        OpRecord(1, 0, "snapshot", 0.0, 1.0, result=(0, 0), object_id=0),
+        OpRecord(1, 1, "write", 2.0, None, value=5, object_id=0),
+    ]
+    for k in range(5):
+        history += [OpRecord(0, 1 + 2 * k, "write", 2.0 + 2 * k, 2.5 + 2 * k,
+                             value=k + 1, object_id=1),
+                    OpRecord(0, 2 + 2 * k, "snapshot", 3.0 + 2 * k,
+                             3.5 + 2 * k, result=(k + 1, 0), object_id=1)]
+    for obj in (0, 1):
+        assert check_sc_fast([r for r in history if r.object_id == obj],
+                             2).accepted
+    verdict = check_composition(history, 2)
+    assert verdict.accepted
+    assert_witness_holds(verdict, history, 2)
 
 
 def dekker_workload(objects):

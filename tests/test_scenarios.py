@@ -31,8 +31,8 @@ class TestTwoWritersCross:
     def test_quiescent_and_converged(self, run):
         assert run.metrics.quiescent
         for states in run.states:
-            assert states[0].view == [1, 0, 0, 0, 1]
-            assert states[0].view_stamps == [1, 0, 0, 0, 1]
+            assert states[0].view == (1, 0, 0, 0, 1)
+            assert states[0].view_stamps == (1, 0, 0, 0, 1)
             assert not states[0].pending
 
     def test_fast_validators_order_first_update_strictly_first(self, run):
@@ -74,8 +74,8 @@ class TestPostponedChain:
     def test_all_four_updates_validate_everywhere(self, run):
         assert run.metrics.quiescent
         for states in run.states:
-            assert states[0].view == [2, 0, 0, 32]
-            assert states[0].view_stamps == [3, 0, 0, 3]
+            assert states[0].view == (2, 0, 0, 32)
+            assert states[0].view_stamps == (3, 0, 0, 3)
             assert not states[0].pending and states[0].deferred is None
 
     def test_second_writes_were_postponed_until_validation(self, run):

@@ -230,14 +230,15 @@ def test_different_seeds_differ():
 
 def record_stamps(monkeypatch, run_config):
     """Run a config with every protocol transition wrapped to record its
-    process and stamps right after the call. Returns the run and the
-    (proc, stamp vector) pairs its trace must hold."""
+    process and its stamps tuple right after the call. Returns the run and
+    the (proc, stamp vector) pairs its trace must hold."""
     recorded = []
 
     def recording(transition):
         def call(state, *args):
             eff = transition(state, *args)
-            recorded.append((state.me, tuple(state.view_stamps)))
+            assert type(state.view_stamps) is tuple
+            recorded.append((state.me, state.view_stamps))
             return eff
         return call
 
@@ -270,13 +271,22 @@ def test_trace_is_the_state_after_every_transition(monkeypatch, run_config):
         last[proc] = vec
 
 
+@pytest.mark.parametrize("run_config", TRACED_RUNS)
+def test_trace_samples_are_the_states_own_stamps(monkeypatch, run_config):
+    run, recorded = record_stamps(monkeypatch, run_config)
+    assert len(run.vc_trace) == len(recorded)
+    for (proc, _time, vec), (me, own) in zip(run.vc_trace, recorded):
+        assert proc == me and vec is own
+
+
 def test_trace_shows_stamps_that_change_without_a_validation(monkeypatch):
     honest = run_simulation(sweep_config(3, 0))
     real = protocol.handle_message
 
     def mutant(state, msg):
         eff = real(state, msg)
-        state.view_stamps[0] += 1     # reported nowhere in the effect
+        stamps = state.view_stamps    # raised below, reported nowhere
+        state.view_stamps = (stamps[0] + 1,) + stamps[1:]
         return eff
 
     monkeypatch.setattr(protocol, "handle_message", mutant)
@@ -365,6 +375,13 @@ class TestConfigValidation:
         ("snapshot", [WorkItem(0, True, "snapshot")], []),
         ("snapshot", [WorkItem(0, "0", "snapshot")], []),
         ("snapshot", [], [CrashSpec(1, at_time=True)]),
+        ("snapshot", [], [CrashSpec(1, on_send=1.5)]),
+        ("snapshot", [], [CrashSpec(1, on_send=True)]),
+        ("snapshot", [], [CrashSpec(True, on_send=2)]),
+        ("snapshot", [], [CrashSpec(1.0, on_send=2)]),
+        ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(0.0, 2))]),
+        ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(False,))]),
+        ("snapshot", [], [CrashSpec(1, on_send=1, recipients=2)]),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
@@ -373,7 +390,9 @@ class TestConfigValidation:
             "write-value-float", "write-value-bool", "write-value-str",
             "read-target-float", "read-target-bool", "object-float",
             "object-bool", "proc-float", "item-at-bool", "item-at-str",
-            "crash-at-bool"])
+            "crash-at-bool", "on-send-float", "on-send-bool",
+            "crash-proc-bool", "crash-proc-float", "recipient-float",
+            "recipient-bool", "recipients-not-a-sequence"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
