@@ -128,15 +128,17 @@ def invoke_read(state: AbdState, target: int) -> Effect:
 
 def handle_message(state: AbdState, msg) -> Effect:
     kind = type(msg)
+    # a reply or an ack is one directed send; the fields it leaves empty are
+    # empty tuples, as in NOTHING, not three fresh lists
     if kind is QueryMsg:
-        return Effect(sends=[(QueryReply(state.values[msg.reg],
-                                         state.tags[msg.reg], state.me,
-                                         msg.op_ref), msg.sender)])
+        return Effect((), ((QueryReply(state.values[msg.reg],
+                                       state.tags[msg.reg], state.me,
+                                       msg.op_ref), msg.sender),), (), ())
     if kind is PropagateMsg:
         if state.tags[msg.reg] < msg.tag:
             state.tags[msg.reg] = msg.tag
             state.values[msg.reg] = msg.value
-        return Effect(sends=[(Ack(state.me, msg.op_ref), msg.sender)])
+        return Effect((), ((Ack(state.me, msg.op_ref), msg.sender),), (), ())
     if kind is not QueryReply and kind is not Ack:
         raise TypeError(f"unknown message {msg!r}")
     phase = state.phase

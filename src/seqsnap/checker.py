@@ -131,24 +131,14 @@ def contains_process_order(records: list[OpRecord], included: list[OpRecord]) ->
 # version resolution
 
 
-def derive_versions(queues: list[list[OpRecord]], n: int):
+def _snapshot_vectors(queues):
     """Resolve each completed snapshot to a vector of per-writer versions.
 
     Version w of writer p is p's w-th write in process order; version 0 is
-    the initial cell. Takes the process order from _check_ops. Returns
-    (mapping from op id to vector, None), or (None, rejecting Verdict) when
-    a snapshot claims a value its writer never wrote.
-    """
-    snaps, vectors, _, rejection = _snapshot_vectors(queues)
-    if rejection is not None:
-        return None, rejection
-    return {op_id(rec): vector for rec, vector in zip(snaps, vectors)}, None
-
-
-def _snapshot_vectors(queues):
-    """derive_versions without the op-id keys: the snapshots in process
-    order, their vectors in the same order, the writers that wrote 0, and
-    the rejection if there is one."""
+    the initial cell. Takes the process order from _check_ops. Returns the
+    snapshots in process order, their vectors in the same order (None when
+    a snapshot claims a value its writer never wrote), the writers that
+    wrote 0, and the rejecting Verdict if there is one."""
     version_of = []
     zero_writers = []
     snaps = []

@@ -65,7 +65,9 @@ class AsyncDelay:
                               f"finite with 0 <= low <= high")
 
     def arrival(self, rng, now, sender, recipient, send_index):
-        return now + rng.uniform(self.low, self.high)
+        # Random.uniform's own formula, inlined: the same floats, one frame
+        # fewer per remote copy
+        return now + (self.low + (self.high - self.low) * rng.random())
 
 
 def SyncDelay(latency: float = 5.0, uncertainty: float = 2.0) -> AsyncDelay:
@@ -276,6 +278,7 @@ class _Sim:
         n = config.n
         objects = 1 + max((item.object_id for item in config.workload), default=0)
         self.rng = random.Random(f"net:{config.seed}")
+        self.arrival = config.delay.arrival
         self.module = PROTOCOLS[config.protocol][0]
         # states[proc][object_id]; a process keeps handling the messages of
         # round objects it has left
@@ -361,6 +364,7 @@ class _Sim:
             # is not sampled.
             if traced and alive[proc]:
                 log_sample((proc, time, targets[proc].view_stamps))
+        self._count_messages()
         crashed = frozenset(p for p in range(config.n) if not alive[p])
         return RunResult(config=config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
@@ -424,9 +428,11 @@ class _Sim:
         return tuple(sorted(self.rng.sample(range(n), keep)))
 
     def _send(self, proc, payload, recipients, chain, now):
-        msg = MessageRecord(now, proc, payload, chain, recipients)
-        heap, next_seq, rng = self.heap, self.next_seq, self.rng
-        arrival = self.config.delay.arrival
+        # tuple.__new__ builds the record without the Python frame of the
+        # NamedTuple's generated __new__: one frame fewer per send
+        msg = tuple.__new__(MessageRecord, (now, proc, payload, chain, recipients))
+        heap, next_seq, rng, arrival = (self.heap, self.next_seq, self.rng,
+                                        self.arrival)
         last_arrival = self.last_arrival[proc]
         send_index = self.send_count[proc]
         for recipient in recipients:
@@ -441,18 +447,29 @@ class _Sim:
                 last_arrival[recipient] = at
             heappush(heap, (at, PRIO_MAIN, next_seq(), recipient, msg))
         self.message_log.append(msg)
-        count = len(recipients)
+
+    def _count_messages(self):
+        """Fill the message counts from message_log, the record of every
+        send: each send counts its recipients (none, for a broadcast cut off
+        by its sender's crash before any copy) towards its update or, for a
+        baseline message, its operation, keyed in order of first send."""
         metrics = self.metrics
-        metrics.messages_total += count
-        if isinstance(payload, protocol.UpdateMsg):
-            key = (payload.object_id, payload.writer, payload.stamp)
-            metrics.messages_per_update[key] = (
-                metrics.messages_per_update.get(key, 0) + count)
-            return
-        op_ref = getattr(payload, "op_ref", None)
-        if op_ref is not None:
-            metrics.messages_per_op[op_ref] = (
-                metrics.messages_per_op.get(op_ref, 0) + count)
+        per_update = metrics.messages_per_update
+        per_op = metrics.messages_per_op
+        update_msg = protocol.UpdateMsg
+        total = 0
+        for msg in self.message_log:
+            count = len(msg.recipients)
+            total += count
+            payload = msg.payload
+            if isinstance(payload, update_msg):
+                key = (payload.object_id, payload.writer, payload.stamp)
+                per_update[key] = per_update.get(key, 0) + count
+                continue
+            op_ref = getattr(payload, "op_ref", None)
+            if op_ref is not None:
+                per_op[op_ref] = per_op.get(op_ref, 0) + count
+        metrics.messages_total = total
 
     def _complete(self, proc, kind, value, now, cause_chain):
         rec = self.current_op[proc]
@@ -549,29 +566,40 @@ def metrics_document(metrics: Metrics, run_seed: int) -> str:
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
     """The text compact_json writes for {"run_seed": run_seed, "samples":
-    [[proc, time, list(vec)], ...]}, built faster: each distinct vector is
-    encoded once, and a sample that repeats the previous sample's vector
-    object reuses its text. Process ids are ints and times finite; a float
-    time is written as json writes it (float.__repr__), and any other time
-    goes through compact_json."""
+    [[proc, time, list(vec)], ...]}, built faster: each sample is three
+    pieces, the cached `,[proc,` of its process, its time, and the cached
+    `,[...]]` of its vector. So each distinct vector is encoded once, and a
+    sample that repeats the previous sample's time or vector object reuses
+    its text (about half the samples of a sweep run repeat the time: a self
+    copy runs at its send's instant). Process ids are ints and times
+    finite; a float time is written as json writes it (float.__repr__), and
+    any other time goes through compact_json."""
     float_repr = float.__repr__
-    encoded = {}
+    prefixes = {}
+    suffixes = {}
     parts = []
-    append = parts.append
-    last_vec = last_text = None
+    extend = parts.extend
+    last_vec = last_suffix = last_time = last_text = None
     for proc, time, vec in vc_trace:
+        prefix = prefixes.get(proc)
+        if prefix is None:
+            prefix = prefixes[proc] = f",[{proc},"
         if vec is not last_vec:
             last_vec = vec
-            last_text = encoded.get(vec)
-            if last_text is None:
-                last_text = encoded[vec] = compact_json(list(vec))
-        try:
-            time = float_repr(time)
-        except TypeError:   # an int time, such as WorkItem(at=0)'s
-            time = compact_json(time)
-        append(f"[{proc},{time},{last_text}]")
+            last_suffix = suffixes.get(vec)
+            if last_suffix is None:
+                last_suffix = suffixes[vec] = f",{compact_json(list(vec))}]"
+        if time is not last_time:
+            last_time = time
+            try:
+                last_text = float_repr(time)
+            except TypeError:   # an int time, such as WorkItem(at=0)'s
+                last_text = compact_json(time)
+        extend((prefix, last_text, last_suffix))
+    if parts:
+        parts[0] = parts[0][1:]     # the first sample has no comma before it
     return (f'{{"run_seed":{compact_json(run_seed)},'
-            f'"samples":[{",".join(parts)}]}}\n')
+            f'"samples":[{"".join(parts)}]}}\n')
 
 
 def serialize_run(run: RunResult) -> dict:

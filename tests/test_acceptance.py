@@ -23,7 +23,7 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import SWEEP_NS, mutate_history, sweep_config
+from sweep import EVEN_NS, SWEEP_NS, mutate_history, sweep_config
 
 SEEDS_PER_N = 500
 
@@ -146,6 +146,25 @@ def test_c3_stamp_vectors_totally_ordered_in_every_sweep_run(sweep_results):
     assert sweep_results["vc_violations"] == []
     print(f"\nC3 PASS: stamp-vector comparability held across all "
           f"{sweep_results['runs']} runs")
+
+
+def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority():
+    """C1 and C3 over 500 sweep runs at each even n with a crash budget:
+    there "exactly half the processes" is a possible count, so a threshold
+    written as >= instead of > shows here and nowhere in SWEEP_NS."""
+    failures = []
+    for n in EVEN_NS:
+        for seed in range(SEEDS_PER_N):
+            run = run_simulation(sweep_config(n, seed))
+            if not run.metrics.quiescent:
+                failures.append(("stuck", n, seed))
+            elif not check_sc_fast(run.history, n).accepted:
+                failures.append(("C1", n, seed))
+            if vc_total_order_violations(run.vc_trace):
+                failures.append(("C3", n, seed))
+    assert failures == []
+    print(f"\nC1+C3 even n PASS: {len(EVEN_NS) * SEEDS_PER_N} runs at "
+          f"n in {EVEN_NS}, all SC with totally ordered stamp vectors")
 
 
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqsnap import checker
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
-                             check_sc_fast, derive_versions, replay_legal,
+                             check_sc_fast, replay_legal,
                              contains_process_order)
 from seqsnap.histories import OpRecord, op_id
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
@@ -29,6 +29,16 @@ def S(proc, seq, result, t_inv=None, t_ret=None):
     return OpRecord(proc, seq, "snapshot", t_inv,
                     t_inv + 1 if t_ret is None else t_ret,
                     result=tuple(result))
+
+
+def derive_versions(queues, n):
+    """checker._snapshot_vectors keyed by op id: (mapping from each
+    completed snapshot's op id to its version vector, None), or (None, the
+    rejecting Verdict)."""
+    snaps, vectors, _, rejection = checker._snapshot_vectors(queues)
+    if rejection is not None:
+        return None, rejection
+    return {op_id(rec): vector for rec, vector in zip(snaps, vectors)}, None
 
 
 class TestDeriveVersions:

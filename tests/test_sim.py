@@ -1,3 +1,4 @@
+import random
 from math import inf, nan
 
 import pytest
@@ -130,12 +131,101 @@ def test_async_delay_bounds_respected():
     assert all(0.5 <= t <= 3.0 for t in transit)
 
 
+@pytest.mark.parametrize("delay", [AsyncDelay(), SyncDelay(5, 2),
+                                   SyncDelay(1, 0.5), AsyncDelay(2.5, 2.5)],
+                         ids=["default", "sync-5-2", "sync-1-0.5", "low-is-high"])
+def test_delay_draw_is_random_uniform_bit_for_bit(delay):
+    rng, reference = random.Random("draws"), random.Random("draws")
+    now = 0.0
+    for index in range(10_000):
+        at = delay.arrival(rng, now, 0, 1, index)
+        assert at == now + reference.uniform(delay.low, delay.high)
+        now = at if index % 2 else index * 0.75
+    assert rng.getstate() == reference.getstate()
+
+
 def test_event_cap_stops_the_run_not_quiescent(monkeypatch):
     monkeypatch.setattr(sim, "EVENT_CAP", 40)
     run = snapshot_run(3, random_workload(3, 12, seed=0))
     assert run.metrics.quiescent is False
     assert len(run.delivery_log) + len(run.history) == 40
     assert '"quiescent":false' in serialize_run(run)["metrics"]
+
+
+def count_sends(monkeypatch):
+    """Wrap _Sim._send to tally each run's sends independently of the
+    metrics: copies are counted as the heap entries the send pushed, and
+    keyed by payload type, in order of first send. Each run appends its
+    tally to the returned list."""
+    tallies = []
+    real = sim._Sim._send
+    baseline = (abd.QueryMsg, abd.QueryReply, abd.PropagateMsg, abd.Ack)
+
+    def counting(self, proc, payload, recipients, chain, now):
+        if not tallies or tallies[-1]["sim"] is not self:
+            tallies.append({"sim": self, "total": 0, "per_update": {},
+                            "per_op": {}, "truncated": []})
+        tally = tallies[-1]
+        before = len(self.heap)
+        real(self, proc, payload, recipients, chain, now)
+        copies = len(self.heap) - before
+        tally["total"] += copies
+        if type(payload) is UpdateMsg:
+            key = (payload.object_id, payload.writer, payload.stamp)
+            table = tally["per_update"]
+        else:
+            assert isinstance(payload, baseline)
+            key = payload.op_ref
+            table = tally["per_op"]
+        table[key] = table.get(key, 0) + copies
+        if not self.alive[proc]:      # a broadcast its sender's crash cut off
+            tally["truncated"].append((copies, self.config.n))
+
+    monkeypatch.setattr(sim._Sim, "_send", counting)
+    return tallies
+
+
+def counted_runs(monkeypatch):
+    """Crash-prone sweep, baseline and composed runs, and one capped run."""
+    configs = [config for config in (sweep_config(n, seed)
+                                     for seed in range(40) for n in (3, 5, 7))
+               if config.crashes][:40]
+    yield from map(run_simulation, configs)
+    for seed in range(20):
+        n = (3, 5, 7)[seed % 3]
+        crashes = random_crashes(n, (n - 1) // 2, seed) or [
+            CrashSpec(seed % n, on_send=1)]
+        workload = trim_for_crashes(abd_workload(n, 30, seed), crashes)
+        yield run_simulation(SimConfig(n=n, seed=seed, protocol="abd",
+                                       workload=workload, crashes=crashes))
+    for seed in range(10):
+        n = (3, 5)[seed % 2]
+        yield run_rounds(RoundConfig(n=n, rounds=1 + seed % 4, seed=seed,
+                                     crashes=[CrashSpec(seed % n, on_send=2)]))
+    monkeypatch.setattr(sim, "EVENT_CAP", 150)
+    capped = run_simulation(sweep_config(5, 9))
+    assert not capped.metrics.quiescent
+    yield capped
+
+
+def test_message_counts_match_an_independent_tally_of_sends(monkeypatch):
+    tallies = count_sends(monkeypatch)
+    runs = list(counted_runs(monkeypatch))
+    assert len(runs) == len(tallies) == 71
+    truncated = []
+    for run, tally in zip(runs, tallies):
+        metrics = run.metrics
+        assert metrics.messages_total == tally["total"]
+        # values and key order: the documents write the dicts in order
+        assert list(metrics.messages_per_update.items()) == list(
+            tally["per_update"].items())
+        assert list(metrics.messages_per_op.items()) == list(
+            tally["per_op"].items())
+        truncated += tally["truncated"]
+    # crash-cut broadcasts count their surviving recipients only, down to
+    # none
+    assert all(copies < n for copies, n in truncated)
+    assert {0, 1} <= {copies for copies, _n in truncated}
 
 
 def test_self_delivery_precedes_next_same_time_invocation():
