@@ -92,10 +92,6 @@ def idle(state: AbdState) -> bool:
     return state.phase is None
 
 
-def majority(n: int) -> int:
-    return n // 2 + 1
-
-
 def _begin(state: AbdState, kind: str, reg: int, querying: bool) -> Phase:
     assert state.phase is None, "operations are sequential per process"
     state.phase = Phase(kind, reg, (state.me, state.ops_started), querying)
@@ -129,16 +125,19 @@ def invoke_read(state: AbdState, target: int) -> Effect:
 def handle_message(state: AbdState, msg) -> Effect:
     kind = type(msg)
     # a reply or an ack is one directed send; the fields it leaves empty are
-    # empty tuples, as in NOTHING, not three fresh lists
+    # empty tuples, as in NOTHING, not three fresh lists, and tuple.__new__
+    # builds the message without the NamedTuple's generated __new__ frame
     if kind is QueryMsg:
-        return Effect((), ((QueryReply(state.values[msg.reg],
-                                       state.tags[msg.reg], state.me,
-                                       msg.op_ref), msg.sender),), (), ())
+        reply = tuple.__new__(QueryReply, (state.values[msg.reg],
+                                           state.tags[msg.reg], state.me,
+                                           msg.op_ref))
+        return Effect((), ((reply, msg.sender),), (), ())
     if kind is PropagateMsg:
         if state.tags[msg.reg] < msg.tag:
             state.tags[msg.reg] = msg.tag
             state.values[msg.reg] = msg.value
-        return Effect((), ((Ack(state.me, msg.op_ref), msg.sender),), (), ())
+        ack = tuple.__new__(Ack, (state.me, msg.op_ref))
+        return Effect((), ((ack, msg.sender),), (), ())
     if kind is not QueryReply and kind is not Ack:
         raise TypeError(f"unknown message {msg!r}")
     phase = state.phase
@@ -150,7 +149,7 @@ def handle_message(state: AbdState, msg) -> Effect:
         return NOTHING
     replies = phase.replies
     replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
-    if len(replies) < majority(state.n):
+    if len(replies) * 2 <= state.n:     # short of a strict majority
         return NOTHING
     eff = Effect()
     if phase.querying:

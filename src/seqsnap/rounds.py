@@ -22,7 +22,8 @@ from .checker import (Verdict, check_sc_brute, check_sc_fast,
                       contains_process_order, replay_legal)
 from .histories import OpRecord, op_id
 from .seqspec import SNAPSHOT, WRITE
-from .sim import RunResult, SimConfig, WorkItem, run_simulation
+from .sim import (ConfigError, RunResult, SimConfig, WorkItem,
+                  run_simulation)
 
 
 class DisciplineError(checker.CheckRefusal):
@@ -40,8 +41,12 @@ class RoundConfig:
 def round_workload(config: RoundConfig) -> list[WorkItem]:
     """Per process and round: one write, then one snapshot, on the round's
     object, with seeded think times."""
-    if config.rounds < 1:
-        raise ValueError(f"need at least one round, got {config.rounds}")
+    # checked before range() sees them; SimConfig checks n's value
+    if type(config.n) is not int:
+        raise ConfigError(f"need a whole number of processes, not {config.n!r}")
+    if type(config.rounds) is not int or config.rounds < 1:
+        raise ConfigError(f"need a whole number of rounds, at least one, "
+                          f"not {config.rounds!r}")
     rng = random.Random(f"rounds:{config.seed}")
     items = []
     for proc in range(config.n):

@@ -16,6 +16,7 @@ invocation).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import deque
@@ -59,10 +60,11 @@ class AsyncDelay:
     high: float = 8.0
 
     def validate(self) -> None:
-        if not (isfinite(self.low) and isfinite(self.high)
+        if not (_is_number(self.low) and _is_number(self.high)
+                and isfinite(self.low) and isfinite(self.high)
                 and 0 <= self.low <= self.high):
-            raise ConfigError(f"delay range [{self.low}, {self.high}] must be "
-                              f"finite with 0 <= low <= high")
+            raise ConfigError(f"delay range [{self.low!r}, {self.high!r}] "
+                              f"must be finite with 0 <= low <= high")
 
     def arrival(self, rng, now, sender, recipient, send_index):
         # Random.uniform's own formula, inlined: the same floats, one frame
@@ -192,8 +194,13 @@ PROTOCOLS = {"snapshot": (protocol, (WRITE, SNAPSHOT)),
 
 
 def validate_config(config: SimConfig) -> None:
-    if config.n < 1:
-        raise ConfigError("need at least one process")
+    # plain ints: n sizes every table, and the seed is written to the history
+    # as a JSON integer, which the trace reader requires
+    if type(config.n) is not int or config.n < 1:
+        raise ConfigError(f"need a whole number of processes, at least one, "
+                          f"not {config.n!r}")
+    if type(config.seed) is not int:
+        raise ConfigError(f"run seed {config.seed!r} is not an int")
     if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
     config.delay.validate()
@@ -290,6 +297,8 @@ class _Sim:
         self.heap = []
         self.next_seq = itertools.count().__next__
         self.everyone = tuple(range(n))
+        # the recipients of a directed send, one shared tuple per process
+        self.only = tuple((dest,) for dest in range(n))
         self.alive = [True] * n
         self.current_op = [None] * n
         self.op_count = [0] * n
@@ -311,6 +320,17 @@ class _Sim:
         self.validation_log = []
 
     def run(self) -> RunResult:
+        # A run makes no reference cycles, so reference counting frees all it
+        # drops; the cyclic collector would only rescan its live logs.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run()
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _run(self) -> RunResult:
         config = self.config
         heap, next_seq, alive = self.heap, self.next_seq, self.alive
         # Deliveries call the protocol's handler on the recipient's state, or
@@ -405,7 +425,7 @@ class _Sim:
         for payload, dest in eff.sends:
             if not alive[proc]:
                 break
-            self._send(proc, payload, (dest,), chain, now)
+            self._send(proc, payload, self.only[dest], chain, now)
         if not alive[proc]:
             return
         for kind, value in eff.completions:
@@ -462,7 +482,7 @@ class _Sim:
             count = len(msg.recipients)
             total += count
             payload = msg.payload
-            if isinstance(payload, update_msg):
+            if type(payload) is update_msg:
                 key = (payload.object_id, payload.writer, payload.stamp)
                 per_update[key] = per_update.get(key, 0) + count
                 continue

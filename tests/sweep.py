@@ -28,6 +28,21 @@ def sweep_config(n: int, seed: int) -> SimConfig:
     return SimConfig(n=n, seed=seed, workload=workload, crashes=crashes)
 
 
+def waiting_violations(history) -> list:
+    """The paper's waiting claim, checked on one history: a write returns at
+    its invocation, and a snapshot waits only when it directly follows a
+    write of its own process. Returns the (proc, seq) of every completed op
+    that waited otherwise."""
+    previous = {}       # proc -> kind of its latest op so far
+    bad = []
+    for rec in history:     # invocation order, so each process's in seq order
+        if (rec.t_ret is not None and rec.t_ret != rec.t_inv
+                and (rec.kind == "write" or previous.get(rec.proc) != "write")):
+            bad.append((rec.proc, rec.seq))
+        previous[rec.proc] = rec.kind
+    return bad
+
+
 def mutate_history(history, n, rng):
     """Corrupt one completed snapshot component: another of the writer's
     values, the initial value, or garbage."""

@@ -23,7 +23,8 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import EVEN_NS, SWEEP_NS, mutate_history, sweep_config
+from sweep import (EVEN_NS, SWEEP_NS, mutate_history, sweep_config,
+                   waiting_violations)
 
 SEEDS_PER_N = 500
 
@@ -39,11 +40,18 @@ def sweep_results():
         "stuck_runs": [],
         "crash_free_residue": [],
         "message_bound_breaches": [],
+        "waiting_violations": [],
+        "waited_snapshots": 0,
     }
     for n in SWEEP_NS:
         for seed in range(SEEDS_PER_N):
             run = run_simulation(sweep_config(n, seed))
             summary["runs"] += 1
+            if waiting_violations(run.history):
+                summary["waiting_violations"].append((n, seed))
+            summary["waited_snapshots"] += sum(
+                rec.kind == "snapshot" and rec.completed
+                and rec.t_ret > rec.t_inv for rec in run.history)
             if not run.metrics.quiescent:
                 summary["stuck_runs"].append((n, seed))
                 continue
@@ -142,6 +150,17 @@ def test_verdicts_do_not_depend_on_line_order():
     print(f"\nline order: {len(cases)} checks unchanged under 2 shuffles each")
 
 
+def test_c1_writes_never_wait_and_snapshots_wait_only_after_own_writes(
+        sweep_results):
+    """The paper's sufficiency claim about waiting: the one wait the
+    protocol needs is a snapshot's, right after its own process wrote."""
+    assert sweep_results["waiting_violations"] == []
+    assert sweep_results["waited_snapshots"] > 0
+    print(f"\nC1 waiting PASS: no write waited in {sweep_results['runs']} "
+          f"runs, and each of the {sweep_results['waited_snapshots']} "
+          f"snapshots that waited followed a write of its own process")
+
+
 def test_c3_stamp_vectors_totally_ordered_in_every_sweep_run(sweep_results):
     assert sweep_results["vc_violations"] == []
     print(f"\nC3 PASS: stamp-vector comparability held across all "
@@ -149,9 +168,10 @@ def test_c3_stamp_vectors_totally_ordered_in_every_sweep_run(sweep_results):
 
 
 def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority():
-    """C1 and C3 over 500 sweep runs at each even n with a crash budget:
-    there "exactly half the processes" is a possible count, so a threshold
-    written as >= instead of > shows here and nowhere in SWEEP_NS."""
+    """C1, its waiting claim and C3 over 500 sweep runs at each even n with
+    a crash budget: there "exactly half the processes" is a possible count,
+    so a threshold written as >= instead of > shows here and nowhere in
+    SWEEP_NS."""
     failures = []
     for n in EVEN_NS:
         for seed in range(SEEDS_PER_N):
@@ -162,6 +182,8 @@ def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority():
                 failures.append(("C1", n, seed))
             if vc_total_order_violations(run.vc_trace):
                 failures.append(("C3", n, seed))
+            if waiting_violations(run.history):
+                failures.append(("wait", n, seed))
     assert failures == []
     print(f"\nC1+C3 even n PASS: {len(EVEN_NS) * SEEDS_PER_N} runs at "
           f"n in {EVEN_NS}, all SC with totally ordered stamp vectors")
@@ -202,6 +224,7 @@ def test_c6_quorum_baseline_cost_row_is_exact_and_linearizable():
         run = run_simulation(SimConfig(n=3, seed=seed, protocol="abd",
                                        workload=abd_workload(3, 8, seed)))
         assert check_lin_brute(run.history, 3).accepted, seed
+    depths = {"read": 0, "write": 0}
     for n in (3, 5):
         for seed in range(100):
             crashes = random_crashes(n, (n - 1) // 2, seed)
@@ -209,9 +232,18 @@ def test_c6_quorum_baseline_cost_row_is_exact_and_linearizable():
             run = run_simulation(SimConfig(n=n, seed=seed, protocol="abd",
                                            workload=workload, crashes=crashes))
             assert check_lin_brute(run.history, n).accepted, (n, seed)
+            # both kinds wait, a read for two quorum phases, a write for one
+            for rec in run.history:
+                if rec.completed:
+                    depth = run.metrics.op_causal_depth[(rec.proc, rec.seq)]
+                    assert depth == (4 if rec.kind == "read" else 2), (
+                        n, seed, rec.proc, rec.seq)
+                    depths[rec.kind] += 1
+    assert min(depths.values()) > 0
     print("\nC6 PASS: register baseline shows read depth 4 / write depth 2, "
           "message budget respected, 25 concurrent and 200 crash-injected "
-          "histories linearizable")
+          f"histories linearizable, with every one of their {depths['read']} "
+          f"reads at depth 4 and {depths['write']} writes at depth 2")
 
 
 def test_c7_scripted_scenarios_reproduce_the_validation_patterns():

@@ -1,3 +1,4 @@
+import gc
 import random
 from math import inf, nan
 
@@ -226,6 +227,51 @@ def test_message_counts_match_an_independent_tally_of_sends(monkeypatch):
     # none
     assert all(copies < n for copies, n in truncated)
     assert {0, 1} <= {copies for copies, _n in truncated}
+
+
+def test_runs_leave_no_cyclic_garbage(monkeypatch):
+    """The collector is paused during a run: that is exact only because
+    reference counting alone frees everything a dropped run held."""
+    def runs():
+        yield from counted_runs(monkeypatch)
+        yield replay_scripted("fig4a")
+
+    gc.collect()
+    count = 0
+    for run in runs():
+        count += 1
+        del run
+        assert gc.collect() == 0, count
+    assert count == 72
+    assert gc.collect() == 0    # the capped run, once its generator ended
+
+
+def test_run_restores_the_collector_state(monkeypatch):
+    during = []
+    handle = protocol.handle_message
+
+    def recorded(state, payload):
+        during.append(gc.isenabled())
+        return handle(state, payload)
+
+    monkeypatch.setattr(protocol, "handle_message", recorded)
+    workload = random_workload(3, 6, seed=1)
+    try:
+        assert gc.isenabled()
+        snapshot_run(3, workload)
+        assert gc.isenabled()
+        gc.disable()
+        snapshot_run(3, workload)
+        assert not gc.isenabled()
+        gc.enable()
+        # a scripted table that misses a recipient raises mid-run
+        with pytest.raises(ConfigError):
+            run_simulation(SimConfig(n=2, delay=ScriptedDelays({}), workload=[
+                WorkItem(0, 0.0, "write", value=1)]))
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and not any(during)
 
 
 def test_self_delivery_precedes_next_same_time_invocation():
@@ -488,6 +534,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(n=3, protocol=protocol,
                                      workload=workload, crashes=crashes))
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 2.5}, {"n": "3"}, {"n": None}, {"n": True},
+        {"n": 3, "seed": 1.5}, {"n": 3, "seed": True}, {"n": 3, "seed": "1"},
+        {"n": 3, "delay": AsyncDelay("1", 2)},
+        {"n": 3, "delay": AsyncDelay(1, "2")},
+        {"n": 3, "delay": AsyncDelay(False, 2)},
+    ], ids=["n-float", "n-str", "n-none", "n-bool", "seed-float", "seed-bool",
+            "seed-str", "delay-low-str", "delay-high-str", "delay-low-bool"])
+    def test_malformed_size_seed_or_delay_rejected(self, fields):
+        config = SimConfig(workload=[WorkItem(0, 0.0, "write", value=1)],
+                           **fields)
+        with pytest.raises(ConfigError):
+            sim.validate_config(config)
+        with pytest.raises(ConfigError):
+            run_simulation(config)
+
+    @pytest.mark.parametrize("n, rounds", [(3, 2.5), (3, "2"), (3, True),
+                                           (3, 0), (2.5, 2)],
+                             ids=["rounds-float", "rounds-str", "rounds-bool",
+                                  "rounds-0", "n-float"])
+    def test_malformed_round_config_rejected(self, n, rounds):
+        with pytest.raises(ConfigError):
+            run_rounds(RoundConfig(n=n, rounds=rounds))
 
     def test_scripted_table_must_cover_all_recipients(self):
         config = SimConfig(n=2, delay=ScriptedDelays({}),
