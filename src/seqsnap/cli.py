@@ -16,11 +16,11 @@ from pathlib import Path
 from . import bench, workloads
 from .checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                       check_sc_fast, verdict_document)
-from .histories import TraceFormatError, dump_history, infer_process_count, load_history
+from .histories import TraceFormatError, infer_process_count, load_history
 from .rounds import RoundConfig, check_composition, run_rounds
 from .scenarios import SCENARIOS, replay_scripted
 from .sim import (AsyncDelay, ConfigError, SimConfig, SyncDelay,
-                  run_simulation, write_run_files)
+                  history_document, run_simulation, write_run_files)
 
 OK, REJECTED, USAGE = 0, 1, 2
 
@@ -139,7 +139,7 @@ def _cmd_rounds(args) -> int:
     run = run_rounds(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_history(run.history, out / "history.jsonl")
+    (out / "history.jsonl").write_text(history_document(run.history))
     verdict = check_composition(run.history, args.n)
     doc = verdict_document(verdict)
     sys.stdout.write(doc)
@@ -160,10 +160,12 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "rounds": _cmd_rounds,
     }
+    # An OSError (a path that is missing, a directory given as a file, a file
+    # where the output directory should be) is bad input, not a rejection.
     try:
         return handlers[args.command](args)
     except (ConfigError, CheckRefusal, TraceFormatError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .seqspec import READ, SNAPSHOT, WRITE
 
@@ -52,7 +51,9 @@ compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                 check_circular=False).encode
 
 
-def record_to_json(rec: OpRecord) -> str:
+def _record_document(rec: OpRecord) -> str:
+    """compact_json of the record's fields: the reference encoding, for any
+    record the direct writer below does not cover."""
     doc = {
         "run_seed": rec.run_seed,
         "proc": rec.proc,
@@ -74,12 +75,59 @@ def record_to_json(rec: OpRecord) -> str:
     return compact_json(doc)
 
 
+def _json_time(t) -> str | None:
+    """The JSON text of a finite int or float, or None for anything else."""
+    if type(t) is float:
+        return float.__repr__(t) if math.isfinite(t) else None
+    return int.__repr__(t) if type(t) is int else None
+
+
+_INT = {int}
+
+
+def record_to_json(rec: OpRecord) -> str:
+    """The line of one record, in the bytes compact_json writes for its
+    fields (keys in sorted order: object_id, op, proc, result, run_seed,
+    seq, t_inv, t_ret, target, value).
+
+    Written straight from the fields when each id, value, target and result
+    cell is an exact int and each time a finite int or float, which every
+    simulated record satisfies; any other record is encoded through
+    compact_json, so the two agree on every record."""
+    kind, proc, seq, t_ret = rec.kind, rec.proc, rec.seq, rec.t_ret
+    t_inv = _json_time(rec.t_inv)
+    if t_ret is not None:
+        t_ret = _json_time(t_ret)
+        if t_ret is None:
+            return _record_document(rec)
+    if (t_inv is None or type(proc) is not int or type(seq) is not int
+            or type(rec.object_id) is not int or type(rec.run_seed) is not int):
+        return _record_document(rec)
+    head = f'{{"object_id":{rec.object_id},"op":"{kind}","proc":{proc},'
+    tail = f'"run_seed":{rec.run_seed},"seq":{seq},"t_inv":{t_inv}'
+    if t_ret is not None:
+        tail = f'{tail},"t_ret":{t_ret}'
+    if kind == WRITE:
+        if type(rec.value) is int:
+            return f'{head}{tail},"value":{rec.value}}}'
+    elif kind == SNAPSHOT:
+        if t_ret is None:
+            return f'{head}{tail}}}'
+        result = rec.result
+        if type(result) in (tuple, list) and set(map(type, result)) <= _INT:
+            return f'{head}"result":[{",".join(map(str, result))}],{tail}}}'
+    elif kind == READ:
+        target, result = rec.target, rec.result
+        if type(target) is int:
+            if t_ret is None:
+                return f'{head}{tail},"target":{target}}}'
+            if type(result) is int:
+                return f'{head}"result":{result},{tail},"target":{target}}}'
+    return _record_document(rec)
+
+
 def history_lines(history: list[OpRecord]) -> list[str]:
-    return [record_to_json(rec) for rec in history]
-
-
-def dump_history(history: list[OpRecord], path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in history_lines(history)))
+    return list(map(record_to_json, history))
 
 
 def _integer(value) -> int:

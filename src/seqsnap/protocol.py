@@ -22,18 +22,20 @@ mutable data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .seqspec import SNAPSHOT, WRITE
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class UpdateMsg:
+class UpdateMsg(NamedTuple):
     """Relay of one update. (writer, stamp) identifies the update globally.
 
     relay_stamp is the stamp attached by the process that sent this copy; for
-    the writer's own initial broadcast it equals the update stamp.
+    the writer's own initial broadcast it equals the update stamp. The
+    protocol builds it with tuple.__new__, without the Python frame of the
+    generated __new__.
     """
 
     value: int
@@ -123,8 +125,8 @@ def idle(state: ProcState) -> bool:
 
 def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
-    eff.broadcasts.append(UpdateMsg(value, state.me, state.clock, state.clock,
-                                    state.me, state.object_id))
+    eff.broadcasts.append(tuple.__new__(UpdateMsg, (
+        value, state.me, state.clock, state.clock, state.me, state.object_id)))
 
 
 def invoke_write(state: ProcState, value: int) -> Effect:
@@ -187,9 +189,10 @@ def compute_validable(pending: dict, n: int) -> list:
     return sorted(ready)
 
 
-def _admit(state: ProcState, key: tuple, value: int) -> None:
-    """Add an update with no stamp yet: it is ahead of no other entry, and
-    each other entry is ahead of it at every stamp that entry has."""
+def _admit(state: ProcState, key: tuple, value: int) -> PendingUpdate:
+    """Add an update with no stamp yet, and return its entry: it is ahead of
+    no other entry, and each other entry is ahead of it at every stamp that
+    entry has."""
     pending = state.pending
     entry = PendingUpdate(value, [INF] * state.n,
                           ahead=dict.fromkeys(pending, 0))
@@ -198,6 +201,7 @@ def _admit(state: ProcState, key: tuple, value: int) -> None:
     pending[key] = entry
     if key[0] == state.me:
         state.own_pending += 1
+    return entry
 
 
 def _record_stamp(state: ProcState, key: tuple, j: int, stamp: int) -> None:
@@ -249,23 +253,24 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     while `e` is short of a majority, the pass still returns [].
     """
     eff = NOTHING
-    writer = msg.writer
-    if msg.stamp > state.view_stamps[writer]:
-        key = (writer, msg.stamp)
+    value, writer, stamp, relay_stamp, sender, _object_id = msg
+    if stamp > state.view_stamps[writer]:
+        key = (writer, stamp)
         pending = state.pending
-        if key not in pending:
+        entry = pending.get(key)
+        if entry is None:
             if writer != state.me:
                 # first sighting of someone else's update: relay it stamped
                 state.clock += 1
-                eff = Effect([UpdateMsg(msg.value, writer, msg.stamp,
-                                        state.clock, state.me,
-                                        state.object_id)])
-            _admit(state, key, msg.value)
+                eff = Effect([tuple.__new__(UpdateMsg, (
+                    value, writer, stamp, state.clock, state.me,
+                    state.object_id))])
+            entry = _admit(state, key, value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
-        _record_stamp(state, key, msg.sender, msg.relay_stamp)
-        if pending[key].known * 2 > state.n:
+        _record_stamp(state, key, sender, relay_stamp)
+        if entry.known * 2 > state.n:
             validable = compute_validable(pending, state.n)
             if validable:
                 if eff is NOTHING:
@@ -284,7 +289,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
                 if view is not None:
                     state.view_stamps, state.view = tuple(stamps), tuple(view)
     if (state.deferred is not None or state.snapshot_pending) \
-            and not has_own_pending(state):
+            and not state.own_pending:
         # Flush a buffered write; a waiting snapshot then keeps waiting,
         # since the flushed update is in flight the instant it is sent.
         if eff is NOTHING:

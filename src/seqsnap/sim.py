@@ -30,8 +30,6 @@ from . import abd, protocol
 from .histories import OpRecord, compact_json, history_lines
 from .seqspec import READ, SNAPSHOT, WRITE
 
-PRIO_SELF = 0   # own broadcast copies come before anything else at the same time
-PRIO_MAIN = 1
 EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
 CRASH = object()        # heap payload of a crash at a time instant
 
@@ -270,13 +268,21 @@ def validate_config(config: SimConfig) -> None:
 
 
 class _Sim:
-    """One run: a heap of events processed in (time, prio, seq) order.
+    """One run: a heap of events processed in (time, seq) order, and a queue
+    of own broadcast copies that goes before it.
 
-    Each heap entry is (time, prio, seq, proc, msg). msg is the MessageRecord
-    that `proc` receives, None for the invocation of `proc`'s next op, or
-    CRASH for `proc`'s crash at a time instant. seq counts pushes, so two
-    events at the same time and priority run in the order they were
-    scheduled, and the comparison never reaches proc or msg.
+    Each heap entry is (time, seq, proc, msg). msg is the MessageRecord that
+    `proc` receives, None for the invocation of `proc`'s next op, or CRASH
+    for `proc`'s crash at a time instant. seq counts pushes, so two events
+    at the same time run in the order they were scheduled, and the
+    comparison never reaches proc or msg.
+
+    A sender receives its own copy of a broadcast at the instant it sends
+    it, before any other event at that instant. So own_copies holds the
+    MessageRecords of those copies in send order, each delivered to its
+    sender at its send time, and the loop drains it before popping the
+    heap: no heap entry is earlier than the transition that sent a copy,
+    and every copy still queued was sent by that or an earlier transition.
     """
 
     def __init__(self, config: SimConfig):
@@ -295,6 +301,7 @@ class _Sim:
             self.states = [[protocol.init(n, me, object_id=obj)
                             for obj in range(objects)] for me in range(n)]
         self.heap = []
+        self.own_copies = deque()
         self.next_seq = itertools.count().__next__
         self.everyone = tuple(range(n))
         # the recipients of a directed send, one shared tuple per process
@@ -333,6 +340,8 @@ class _Sim:
     def _run(self) -> RunResult:
         config = self.config
         heap, next_seq, alive = self.heap, self.next_seq, self.alive
+        own_copies = self.own_copies
+        next_own_copy = own_copies.popleft
         # Deliveries call the protocol's handler on the recipient's state, or
         # on its list of per-object states when the run spans several
         # objects. The handler is read from its module once per run, so a
@@ -349,21 +358,24 @@ class _Sim:
         nothing = protocol.NOTHING
         for proc, queue in enumerate(self.queues):
             if queue:
-                heappush(heap, (queue[0].at, PRIO_MAIN, next_seq(), proc, None))
+                heappush(heap, (queue[0].at, next_seq(), proc, None))
         for crash in config.crashes:
             if crash.at_time is not None:
-                heappush(heap, (crash.at_time, PRIO_MAIN, next_seq(),
-                                crash.proc, CRASH))
+                heappush(heap, (crash.at_time, next_seq(), crash.proc, CRASH))
         cap = EVENT_CAP
         events = 0      # transitions so far: deliveries and invocations
-        while heap:
+        while heap or own_copies:
             if events >= cap:
                 self.metrics.quiescent = False
                 break
-            time, _prio, _seq, proc, msg = heappop(heap)
-            if msg is CRASH:
-                alive[proc] = False
-                continue
+            if own_copies:
+                msg = next_own_copy()
+                time, proc = msg.time, msg.sender
+            else:
+                time, _seq, proc, msg = heappop(heap)
+                if msg is CRASH:
+                    alive[proc] = False
+                    continue
             if not alive[proc]:
                 continue
             events += 1
@@ -457,7 +469,7 @@ class _Sim:
         send_index = self.send_count[proc]
         for recipient in recipients:
             if recipient == proc:
-                heappush(heap, (now, PRIO_SELF, next_seq(), proc, msg))
+                self.own_copies.append(msg)
                 continue
             at = arrival(rng, now, proc, recipient, send_index)
             # reliable FIFO channel: never overtake an earlier message on it
@@ -465,7 +477,7 @@ class _Sim:
                 at = last_arrival[recipient]
             else:
                 last_arrival[recipient] = at
-            heappush(heap, (at, PRIO_MAIN, next_seq(), recipient, msg))
+            heappush(heap, (at, next_seq(), recipient, msg))
         self.message_log.append(msg)
 
     def _count_messages(self):
@@ -501,8 +513,8 @@ class _Sim:
         self.current_op[proc] = None
         queue = self.queues[proc]
         if queue:
-            heappush(self.heap, (max(queue[0].at, now), PRIO_MAIN,
-                                 self.next_seq(), proc, None))
+            heappush(self.heap, (max(queue[0].at, now), self.next_seq(),
+                                 proc, None))
 
 
 def run_simulation(config: SimConfig) -> RunResult:
@@ -563,25 +575,34 @@ def all_pending_empty(run: RunResult) -> bool:
 # byte-for-byte on them)
 
 
+def history_document(history) -> str:
+    """The history file: one record_to_json line per op, in invocation
+    order, each ending in a newline."""
+    lines = history_lines(history)
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def metrics_document(metrics: Metrics, run_seed: int) -> str:
-    doc = {
-        "run_seed": run_seed,
-        "messages_total": metrics.messages_total,
-        "messages_per_update": {
-            f"{obj}:{writer}:{stamp}": count
-            for (obj, writer, stamp), count in metrics.messages_per_update.items()
-        },
-        "messages_per_op": {
-            f"{proc}:{seq}": count
-            for (proc, seq), count in metrics.messages_per_op.items()
-        },
-        "op_causal_depth": {
-            f"{proc}:{seq}": depth
-            for (proc, seq), depth in metrics.op_causal_depth.items()
-        },
-        "quiescent": metrics.quiescent,
-    }
-    return compact_json(doc) + "\n"
+    """The text compact_json writes for the run's counts, built directly.
+    Each count map is written as its "key":count items in sorted order. A
+    key is ints joined by colons, and each of its characters sorts after
+    the quote that closes it, so sorting the items sorts them by key, with
+    a key before any key it is a prefix of, as compact_json sorts them."""
+    per_update = ",".join(sorted([
+        f'"{obj}:{writer}:{stamp}":{count}'
+        for (obj, writer, stamp), count in metrics.messages_per_update.items()]))
+    per_op = ",".join(sorted([
+        f'"{proc}:{seq}":{count}'
+        for (proc, seq), count in metrics.messages_per_op.items()]))
+    depth = ",".join(sorted([
+        f'"{proc}:{seq}":{depth}'
+        for (proc, seq), depth in metrics.op_causal_depth.items()]))
+    return (f'{{"messages_per_op":{{{per_op}}},'
+            f'"messages_per_update":{{{per_update}}},'
+            f'"messages_total":{metrics.messages_total},'
+            f'"op_causal_depth":{{{depth}}},'
+            f'"quiescent":{compact_json(metrics.quiescent)},'
+            f'"run_seed":{compact_json(run_seed)}}}\n')
 
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
@@ -625,7 +646,7 @@ def vc_trace_document(vc_trace, run_seed: int) -> str:
 def serialize_run(run: RunResult) -> dict:
     seed = run.config.seed
     return {
-        "history": "".join(line + "\n" for line in history_lines(run.history)),
+        "history": history_document(run.history),
         "metrics": metrics_document(run.metrics, seed),
         "vctrace": vc_trace_document(run.vc_trace, seed),
     }

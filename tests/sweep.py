@@ -2,13 +2,16 @@
 digests and the protocol invariant checks all run: the two workload
 generators alternate by seed, crashes use the full budget, and the workload
 is trimmed to the crashes. Also the one snapshot mutant that the checker
-cross-validation and the golden verdict digests judge."""
+cross-validation and the golden verdict digests judge, and the digest of
+everything a run leaves behind that the golden run digests and the C1 sweep
+digest pin."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
-from seqsnap.sim import SimConfig
+from seqsnap.sim import SimConfig, serialize_run
 from seqsnap.workloads import (random_crashes, random_workload,
                                trim_for_crashes, write_heavy_workload)
 
@@ -26,6 +29,23 @@ def sweep_config(n: int, seed: int) -> SimConfig:
     crashes = random_crashes(n, (n - 1) // 2, seed)
     workload = trim_for_crashes(generate(n, OPS_PER_RUN, seed), crashes)
     return SimConfig(n=n, seed=seed, workload=workload, crashes=crashes)
+
+
+def run_digest(run) -> str:
+    """SHA-256 of the serialized documents, the delivery and send order, the
+    validation log and the crashed set of one run."""
+    h = hashlib.sha256()
+    docs = serialize_run(run)
+    for name in ("history", "metrics", "vctrace"):
+        h.update(docs[name].encode())
+    h.update(repr((len(run.delivery_log), len(run.message_log))).encode())
+    h.update(repr([(time, sender, to)
+                   for time, sender, to, _payload in run.delivery_log]).encode())
+    h.update(repr([(msg.time, msg.sender, msg.chain, msg.recipients)
+                   for msg in run.message_log]).encode())
+    h.update(repr(run.validation_log).encode())
+    h.update(repr(sorted(run.crashed)).encode())
+    return h.hexdigest()
 
 
 def waiting_violations(history) -> list:

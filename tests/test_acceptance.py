@@ -7,6 +7,7 @@ invariant criteria that quantify over the same runs.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -23,10 +24,15 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, SWEEP_NS, mutate_history, sweep_config,
-                   waiting_violations)
+from sweep import (EVEN_NS, SWEEP_NS, mutate_history, run_digest,
+                   sweep_config, waiting_violations)
 
 SEEDS_PER_N = 500
+# SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
+# and seed 0..SEEDS_PER_N-1 in that order: the whole sweep's bytes, pinned
+# before own broadcast copies left the event heap
+C1_SWEEP_DIGEST = \
+    "d73fa7c0adce6beccaa738a0e8aae8803e61e517a6ac63e2ffe1e7d12af0a3e8"
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +49,12 @@ def sweep_results():
         "waiting_violations": [],
         "waited_snapshots": 0,
     }
+    digest = hashlib.sha256()
     for n in SWEEP_NS:
         for seed in range(SEEDS_PER_N):
             run = run_simulation(sweep_config(n, seed))
             summary["runs"] += 1
+            digest.update(run_digest(run).encode())
             if waiting_violations(run.history):
                 summary["waiting_violations"].append((n, seed))
             summary["waited_snapshots"] += sum(
@@ -66,6 +74,7 @@ def sweep_results():
             if any(count > n * n
                    for count in run.metrics.messages_per_update.values()):
                 summary["message_bound_breaches"].append((n, seed))
+    summary["digest"] = digest.hexdigest()
     return summary
 
 
@@ -75,6 +84,10 @@ def test_c1_safety_sweep_every_history_sequentially_consistent(sweep_results):
     assert sweep_results["sc_rejects"] == []
     print(f"\nC1 PASS: {sweep_results['runs']} seeded crash-prone runs, "
           f"all histories accepted by the fast checker")
+
+
+def test_c1_sweep_bytes_match_their_golden_digest(sweep_results):
+    assert sweep_results["digest"] == C1_SWEEP_DIGEST
 
 
 def test_c2_checker_cross_validation_on_10k_histories():

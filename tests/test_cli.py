@@ -3,11 +3,16 @@ import json
 import pytest
 
 from seqsnap.cli import main
-from seqsnap.histories import OpRecord, dump_history
+from seqsnap.histories import OpRecord
+from seqsnap.sim import history_document
 
 
 def read(path):
     return path.read_bytes()
+
+
+def write_history(history, path):
+    path.write_text(history_document(history))
 
 
 def test_simulate_writes_three_files(tmp_path, capsys):
@@ -43,6 +48,24 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
         assert read(out_a / name) == read(out_b / name)
 
 
+def test_check_of_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "3", "--ops", "4"],
+    ["rounds", "--n", "3", "--rounds", "1"],
+], ids=["simulate", "rounds"])
+def test_output_directory_that_is_a_file_is_an_input_error(tmp_path, capsys,
+                                                           command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(command + ["--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "kept"
+
+
 def test_check_accepts_real_run(tmp_path, capsys):
     out = tmp_path / "run"
     main(["simulate", "--n", "3", "--seed", "1", "--ops", "12", "--out", str(out)])
@@ -60,7 +83,7 @@ def test_check_rejects_incomparable_history(tmp_path, capsys):
         OpRecord(1, 1, "snapshot", 1.0, 2.0, result=(0, 1)),
     ]
     path = tmp_path / "bad.jsonl"
-    dump_history(history, path)
+    write_history(history, path)
     assert main(["check", str(path)]) == 1
     assert main(["check", str(path), "--mode", "brute"]) == 1
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -71,14 +94,14 @@ def test_check_refuses_oversized_brute(tmp_path, capsys):
     history = [OpRecord(0, i, "write", float(i), float(i), value=i + 1)
                for i in range(50)]
     path = tmp_path / "big.jsonl"
-    dump_history(history, path)
+    write_history(history, path)
     assert main(["check", str(path), "--mode", "brute"]) == 2
 
 
 @pytest.mark.parametrize("mode", ["fast", "brute", "lin"])
 def test_check_refuses_repeated_op_id(tmp_path, capsys, mode):
     path = tmp_path / "dup.jsonl"
-    dump_history([OpRecord(0, 0, "write", 0.0, 0.0, value=1),
+    write_history([OpRecord(0, 0, "write", 0.0, 0.0, value=1),
                   OpRecord(0, 0, "snapshot", 1.0, 2.0, result=(1,))], path)
     assert main(["check", str(path), "--mode", mode]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -87,7 +110,7 @@ def test_check_refuses_repeated_op_id(tmp_path, capsys, mode):
 @pytest.mark.parametrize("mode", ["fast", "brute", "lin"])
 def test_check_refuses_op_after_cut_off_write(tmp_path, capsys, mode):
     path = tmp_path / "cut.jsonl"
-    dump_history([OpRecord(0, 0, "write", 0.0, None, value=1),
+    write_history([OpRecord(0, 0, "write", 0.0, None, value=1),
                   OpRecord(0, 1, "snapshot", 1.0, 2.0, result=(0, 0))], path)
     assert main(["check", str(path), "--mode", mode]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -25,10 +25,9 @@ from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted
-from seqsnap.sim import (CrashSpec, SimConfig, SyncDelay, run_simulation,
-                         serialize_run)
+from seqsnap.sim import CrashSpec, SimConfig, SyncDelay, run_simulation
 from seqsnap.workloads import abd_workload, random_workload
-from sweep import mutate_history, sweep_config
+from sweep import mutate_history, run_digest, sweep_config
 
 OPS = 40
 
@@ -37,6 +36,19 @@ def forced_recipients_config():
     crashes = [CrashSpec(1, on_send=2, recipients=(3, 0, 3))]
     return SimConfig(n=5, seed=3, crashes=crashes,
                      workload=random_workload(5, OPS, 3))
+
+
+def sender_among_forced_recipients_configs():
+    """A crashing sender whose forced recipients include itself: its own
+    copy of the cut-off broadcast is dropped with it."""
+    return {
+        "snapshot": SimConfig(n=5, seed=3, workload=random_workload(5, OPS, 3),
+                              crashes=[CrashSpec(1, on_send=2,
+                                                 recipients=(1, 3))]),
+        "abd": SimConfig(n=5, seed=4, protocol="abd",
+                         workload=abd_workload(5, OPS, 4),
+                         crashes=[CrashSpec(2, on_send=3, recipients=(2, 0))]),
+    }
 
 
 def sync_config():
@@ -57,6 +69,9 @@ CASES = {
        for n, seed in ((2, 0), (2, 1), (3, 0), (3, 9), (5, 9), (5, 11),
                        (7, 0), (7, 8))},
     "forced-recipients": lambda: run_simulation(forced_recipients_config()),
+    **{f"forced-self-{name}": (lambda name=name: run_simulation(
+        sender_among_forced_recipients_configs()[name]))
+       for name in ("snapshot", "abd")},
     "sync-delay": lambda: run_simulation(sync_config()),
     "fig4a": lambda: replay_scripted("fig4a"),
     "abd-n5": lambda: run_simulation(abd_config(5, 60, 4)),
@@ -76,6 +91,10 @@ GOLDEN = {
         "d5aa2f99abcc9caa97f799087059d5369827036e40abcfb9e389582660daa54c",
     "forced-recipients":
         "0fc3fb43d7a692285fd630defddca76fcbe8f38f88c7175b79bee96e3011622f",
+    "forced-self-abd":
+        "d0ec4c56e924da4933499cae4817fe43ef46e05e53a39cf3e8d6a429b650bae0",
+    "forced-self-snapshot":
+        "5e1cc831e1409deaefc9c5121906faaca1f6ee94ad0a2a86601309388493fc42",
     "rounds-n5":
         "dac9ffa9bd684de3316e381009f82453d9434b7787d2f11ceb30e326ead027d2",
     "sweep-n2-s0":
@@ -99,27 +118,25 @@ GOLDEN = {
 }
 
 
-def run_digest(run) -> str:
-    h = hashlib.sha256()
-    docs = serialize_run(run)
-    for name in ("history", "metrics", "vctrace"):
-        h.update(docs[name].encode())
-    h.update(repr((len(run.delivery_log), len(run.message_log))).encode())
-    h.update(repr([(time, sender, to)
-                   for time, sender, to, _payload in run.delivery_log]).encode())
-    h.update(repr([(msg.time, msg.sender, msg.chain, msg.recipients)
-                   for msg in run.message_log]).encode())
-    h.update(repr(run.validation_log).encode())
-    h.update(repr(sorted(run.crashed)).encode())
-    return h.hexdigest()
-
-
 def test_sweep_cases_cover_every_crash_kind():
     crashes = [c for n, seed in ((3, 9), (5, 11), (7, 8))
                for c in sweep_config(n, seed).crashes]
     assert any(c.at_time is not None for c in crashes)
     assert any(c.on_send is not None and c.recipients is None for c in crashes)
     assert len(sweep_config(7, 8).crashes) == 3
+
+
+def test_forced_self_cases_drop_the_crashing_senders_own_copy():
+    for config in sender_among_forced_recipients_configs().values():
+        run = run_simulation(config)
+        (crash,) = config.crashes
+        (cut,) = [msg for msg in run.message_log
+                  if msg.sender == crash.proc and crash.proc in msg.recipients
+                  and len(msg.recipients) == 2]
+        assert run.crashed == {crash.proc}
+        assert [to for _time, sender, to, payload in run.delivery_log
+                if payload is cut.payload and sender == crash.proc] == [
+            r for r in cut.recipients if r != crash.proc]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,9 +1,9 @@
 import pytest
 
-from seqsnap.histories import (OpRecord, TraceFormatError, dump_history,
-                               history_lines, infer_process_count,
-                               load_history, record_from_json)
-from seqsnap.sim import SimConfig, run_simulation
+from seqsnap.histories import (OpRecord, TraceFormatError, history_lines,
+                               infer_process_count, load_history,
+                               record_from_json)
+from seqsnap.sim import SimConfig, history_document, run_simulation
 from seqsnap.workloads import random_workload
 
 
@@ -11,7 +11,7 @@ def test_round_trip_preserves_records(tmp_path):
     run = run_simulation(SimConfig(n=3, seed=9,
                                    workload=random_workload(3, 12, 9)))
     path = tmp_path / "history.jsonl"
-    dump_history(run.history, path)
+    path.write_text(history_document(run.history))
     loaded = load_history(path)
     assert loaded == run.history
 

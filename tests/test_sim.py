@@ -5,8 +5,8 @@ from math import inf, nan
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqsnap import abd, protocol, sim
-from seqsnap.histories import compact_json
+from seqsnap import abd, histories, protocol, sim
+from seqsnap.histories import OpRecord, compact_json
 from seqsnap.protocol import UpdateMsg
 from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.scenarios import replay_scripted
@@ -155,9 +155,9 @@ def test_event_cap_stops_the_run_not_quiescent(monkeypatch):
 
 def count_sends(monkeypatch):
     """Wrap _Sim._send to tally each run's sends independently of the
-    metrics: copies are counted as the heap entries the send pushed, and
-    keyed by payload type, in order of first send. Each run appends its
-    tally to the returned list."""
+    metrics: copies are counted as the entries the send added to the event
+    heap and the own-copy queue, and keyed by payload type, in order of
+    first send. Each run appends its tally to the returned list."""
     tallies = []
     real = sim._Sim._send
     baseline = (abd.QueryMsg, abd.QueryReply, abd.PropagateMsg, abd.Ack)
@@ -167,9 +167,9 @@ def count_sends(monkeypatch):
             tallies.append({"sim": self, "total": 0, "per_update": {},
                             "per_op": {}, "truncated": []})
         tally = tallies[-1]
-        before = len(self.heap)
+        before = len(self.heap) + len(self.own_copies)
         real(self, proc, payload, recipients, chain, now)
-        copies = len(self.heap) - before
+        copies = len(self.heap) + len(self.own_copies) - before
         tally["total"] += copies
         if type(payload) is UpdateMsg:
             key = (payload.object_id, payload.writer, payload.stamp)
@@ -462,6 +462,108 @@ def test_vc_document_matches_the_reference_encoding():
                 == reference_vc_document(run.vc_trace, seed))
     assert sim.vc_trace_document([], 3) == reference_vc_document([], 3)
     assert sim.vc_trace_document([], 3) == '{"run_seed":3,"samples":[]}\n'
+
+
+def reference_record(rec):
+    """A history line as compact_json writes the record's fields."""
+    doc = {"run_seed": rec.run_seed, "proc": rec.proc, "seq": rec.seq,
+           "op": rec.kind, "t_inv": rec.t_inv, "object_id": rec.object_id}
+    if rec.t_ret is not None:
+        doc["t_ret"] = rec.t_ret
+    if rec.kind == "write":
+        doc["value"] = rec.value
+    if rec.kind == "snapshot" and rec.t_ret is not None:
+        doc["result"] = list(rec.result)
+    if rec.kind == "read":
+        doc["target"] = rec.target
+        if rec.t_ret is not None:
+            doc["result"] = rec.result
+    return compact_json(doc)
+
+
+def reference_metrics_document(metrics, run_seed):
+    return compact_json({
+        "run_seed": run_seed,
+        "messages_total": metrics.messages_total,
+        "messages_per_update": {f"{obj}:{writer}:{stamp}": count
+                                for (obj, writer, stamp), count
+                                in metrics.messages_per_update.items()},
+        "messages_per_op": {f"{proc}:{seq}": count for (proc, seq), count
+                            in metrics.messages_per_op.items()},
+        "op_causal_depth": {f"{proc}:{seq}": depth for (proc, seq), depth
+                            in metrics.op_causal_depth.items()},
+        "quiescent": metrics.quiescent,
+    }) + "\n"
+
+
+def document_runs(monkeypatch):
+    """The int-time runs, crash-prone sweep runs at every n from 2 to 7, and
+    counted_runs: crash-injected ABD runs, composed runs and a capped run."""
+    runs = list(int_time_runs())
+    runs += [run_simulation(sweep_config(n, seed))
+             for n in range(2, 8) for seed in range(12)]
+    runs += counted_runs(monkeypatch)
+    return runs
+
+
+def test_documents_match_the_reference_encodings(monkeypatch):
+    runs = document_runs(monkeypatch)
+    records = [rec for run in runs for rec in run.history]
+    # every shape the direct writers cover occurs
+    for kind in ("write", "snapshot", "read"):
+        assert {rec.completed for rec in records if rec.kind == kind} == {
+            True, False}, kind
+    assert any(rec.object_id for rec in records)
+    assert any(type(rec.t_inv) is int for rec in records)
+    assert any(type(rec.t_ret) is int for rec in records)
+    assert not runs[-1].metrics.quiescent
+    # and none of it takes the compact_json path
+    encoded = []
+    monkeypatch.setattr(histories, "compact_json", encoded.append)
+    for run in runs:
+        lines = [reference_record(rec) for rec in run.history]
+        assert [histories.record_to_json(rec) for rec in run.history] == lines
+        assert sim.history_document(run.history) == "".join(
+            line + "\n" for line in lines)
+        seed = run.config.seed
+        assert (sim.metrics_document(run.metrics, seed)
+                == reference_metrics_document(run.metrics, seed))
+    assert encoded == []
+    assert sim.history_document([]) == ""
+
+
+def test_metrics_document_sorts_a_key_before_its_extensions():
+    metrics = sim.Metrics(
+        messages_total=9, quiescent=False,
+        messages_per_update={(0, 1, 10): 3, (0, 1, 1): 4, (0, 11, 0): 2},
+        messages_per_op={(1, 10): 1, (10, 1): 2, (1, 1): 3},
+        op_causal_depth={(0, 10): 2, (0, 1): 0})
+    doc = sim.metrics_document(metrics, 5)
+    assert doc == reference_metrics_document(metrics, 5)
+    # by key text: ":" sorts after the digits, and a key ends before them
+    assert doc.index('"0:11:0"') < doc.index('"0:1:1"') < doc.index('"0:1:10"')
+    assert sim.metrics_document(sim.Metrics(), 0) == \
+        reference_metrics_document(sim.Metrics(), 0)
+
+
+@pytest.mark.parametrize("rec", [
+    OpRecord(True, 0, "write", 0.0, 0.0, value=1),
+    OpRecord(0, 1.0, "write", 0.5, 0.5, value=1),
+    OpRecord(0, 0, "snapshot", 0.0, inf, result=(1, 2)),
+    OpRecord(0, 0, "read", 1.0, 2.0, target=1, result=[7]),
+    OpRecord(0, 0, "snapshot", 1.0, 2.0, result=(1, True)),
+], ids=["bool-proc", "float-seq", "infinite-t_ret", "list-result", "bool-cell"])
+def test_records_outside_the_direct_writer_take_the_reference_path(
+        monkeypatch, rec):
+    encoded = []
+
+    def recording(doc):
+        encoded.append(doc)
+        return compact_json(doc)
+
+    monkeypatch.setattr(histories, "compact_json", recording)
+    assert histories.record_to_json(rec) == reference_record(rec)
+    assert len(encoded) == 1
 
 
 class TestConfigValidation:
