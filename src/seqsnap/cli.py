@@ -20,9 +20,17 @@ from .histories import TraceFormatError, infer_process_count, load_history
 from .rounds import RoundConfig, check_composition, run_rounds
 from .scenarios import SCENARIOS, replay_scripted
 from .sim import (AsyncDelay, ConfigError, SimConfig, SyncDelay,
-                  history_document, run_simulation, write_run_files)
+                  history_document, run_simulation, validate_config,
+                  write_run_files)
 
 OK, REJECTED, USAGE = 0, 1, 2
+
+# each --workload name: its generator and the protocol that runs it
+WORKLOADS = {
+    "random": (workloads.random_workload, "snapshot"),
+    "write-heavy": (workloads.write_heavy_workload, "snapshot"),
+    "abd": (workloads.abd_workload, "abd"),
+}
 
 
 def _parse_delay(text: str):
@@ -50,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--ops", type=int, default=20)
     sim.add_argument("--crashes", type=int, default=0)
     sim.add_argument("--delay", type=_parse_delay, default=AsyncDelay())
-    sim.add_argument("--workload", default="random",
-                     choices=("random", "write-heavy", "abd"))
+    sim.add_argument("--workload", default="random", choices=WORKLOADS)
     sim.add_argument("--out", default="out")
 
     rep = sub.add_parser("replay", help="replay a named scripted scenario")
@@ -77,28 +84,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(text: str) -> Path:
+    """The --out directory, made before the run: a path that cannot be one
+    is refused before any event runs."""
+    out = Path(text)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_simulate(args) -> int:
-    if args.workload == "abd":
-        items = workloads.abd_workload(args.n, args.ops, args.seed)
-        protocol = "abd"
-    else:
-        items = workloads.generate(args.workload, args.n, args.ops, args.seed)
-        protocol = "snapshot"
+    generate, protocol = WORKLOADS[args.workload]
+    items = generate(args.n, args.ops, args.seed)
     crashes = workloads.random_crashes(args.n, args.crashes, args.seed)
     items = workloads.trim_for_crashes(items, crashes)
     config = SimConfig(n=args.n, seed=args.seed, protocol=protocol,
                        delay=args.delay, workload=items, crashes=crashes)
-    run = run_simulation(config)
-    paths = write_run_files(run, args.out)
-    for path in paths:
+    validate_config(config)     # an invalid config leaves no --out behind
+    out = _out_dir(args.out)
+    for path in write_run_files(run_simulation(config), out):
         print(path)
     return OK
 
 
 def _cmd_replay(args) -> int:
-    run = replay_scripted(args.scenario)
-    paths = write_run_files(run, args.out)
-    for path in paths:
+    out = _out_dir(args.out)
+    for path in write_run_files(replay_scripted(args.scenario), out):
         print(path)
     return OK
 
@@ -136,9 +146,8 @@ def _cmd_rounds(args) -> int:
     crashes = workloads.random_crashes(args.n, args.crashes, args.seed)
     config = RoundConfig(n=args.n, rounds=args.rounds, seed=args.seed,
                          crashes=crashes)
+    out = _out_dir(args.out)
     run = run_rounds(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "history.jsonl").write_text(history_document(run.history))
     verdict = check_composition(run.history, args.n)
     doc = verdict_document(verdict)

@@ -51,35 +51,13 @@ compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                 check_circular=False).encode
 
 
-def _record_document(rec: OpRecord) -> str:
-    """compact_json of the record's fields: the reference encoding, for any
-    record the direct writer below does not cover."""
-    doc = {
-        "run_seed": rec.run_seed,
-        "proc": rec.proc,
-        "seq": rec.seq,
-        "op": rec.kind,
-        "t_inv": rec.t_inv,
-        "object_id": rec.object_id,
-    }
-    if rec.t_ret is not None:
-        doc["t_ret"] = rec.t_ret
-    if rec.kind == WRITE:
-        doc["value"] = rec.value
-    if rec.kind == SNAPSHOT and rec.t_ret is not None:
-        doc["result"] = list(rec.result)
-    if rec.kind == READ:
-        doc["target"] = rec.target
-        if rec.t_ret is not None:
-            doc["result"] = rec.result
-    return compact_json(doc)
-
-
-def _json_time(t) -> str | None:
-    """The JSON text of a finite int or float, or None for anything else."""
-    if type(t) is float:
-        return float.__repr__(t) if math.isfinite(t) else None
-    return int.__repr__(t) if type(t) is int else None
+def _json_time(t) -> str:
+    """The JSON text of a finite int or float."""
+    if type(t) is float and math.isfinite(t):
+        return float.__repr__(t)
+    if type(t) is int:
+        return int.__repr__(t)
+    raise ValueError(f"{t!r} is not a finite number")
 
 
 _INT = {int}
@@ -90,19 +68,16 @@ def record_to_json(rec: OpRecord) -> str:
     fields (keys in sorted order: object_id, op, proc, result, run_seed,
     seq, t_inv, t_ret, target, value).
 
-    Written straight from the fields when each id, value, target and result
-    cell is an exact int and each time a finite int or float, which every
-    simulated record satisfies; any other record is encoded through
-    compact_json, so the two agree on every record."""
+    Raises ValueError on a record that record_from_json would refuse: an
+    id, value, target or result cell that is not an exact int, a time that
+    is not a finite int or float, or an unknown kind."""
     kind, proc, seq, t_ret = rec.kind, rec.proc, rec.seq, rec.t_ret
     t_inv = _json_time(rec.t_inv)
     if t_ret is not None:
         t_ret = _json_time(t_ret)
-        if t_ret is None:
-            return _record_document(rec)
-    if (t_inv is None or type(proc) is not int or type(seq) is not int
+    if (type(proc) is not int or type(seq) is not int
             or type(rec.object_id) is not int or type(rec.run_seed) is not int):
-        return _record_document(rec)
+        raise ValueError(f"record ids are not all ints: {rec!r}")
     head = f'{{"object_id":{rec.object_id},"op":"{kind}","proc":{proc},'
     tail = f'"run_seed":{rec.run_seed},"seq":{seq},"t_inv":{t_inv}'
     if t_ret is not None:
@@ -123,7 +98,7 @@ def record_to_json(rec: OpRecord) -> str:
                 return f'{head}{tail},"target":{target}}}'
             if type(result) is int:
                 return f'{head}"result":{result},{tail},"target":{target}}}'
-    return _record_document(rec)
+    raise ValueError(f"record outside the trace format: {rec!r}")
 
 
 def history_lines(history: list[OpRecord]) -> list[str]:

@@ -113,10 +113,6 @@ def init(n: int, me: int, object_id: int = 0) -> ProcState:
                      object_id=object_id)
 
 
-def has_own_pending(state: ProcState) -> bool:
-    return state.own_pending > 0
-
-
 def idle(state: ProcState) -> bool:
     """True when nothing is in flight: no update awaits validation here and
     no write is buffered."""
@@ -132,7 +128,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
 def invoke_write(state: ProcState, value: int) -> Effect:
     """Write to our own cell; completes immediately in both branches."""
     eff = Effect(completions=[(WRITE, None)])
-    if has_own_pending(state):
+    if state.own_pending:
         # Only the newest postponed write survives; an overwritten one still
         # counts as an operation and lands just before its overwriter in any
         # witness order.
@@ -144,7 +140,7 @@ def invoke_write(state: ProcState, value: int) -> Effect:
 
 def invoke_snapshot(state: ProcState) -> Effect:
     """Snapshot the array; immediate unless one of our updates is in flight."""
-    if has_own_pending(state):
+    if state.own_pending:
         state.snapshot_pending = True
         return NOTHING
     return Effect(completions=[(SNAPSHOT, state.view)])

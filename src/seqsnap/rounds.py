@@ -37,16 +37,18 @@ class RoundConfig:
     seed: int = 0
     crashes: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # before round_workload's range() sees them; SimConfig checks n's value
+        if type(self.n) is not int:
+            raise ConfigError(f"need a whole number of processes, not {self.n!r}")
+        if type(self.rounds) is not int or self.rounds < 1:
+            raise ConfigError(f"need a whole number of rounds, at least one, "
+                              f"not {self.rounds!r}")
+
 
 def round_workload(config: RoundConfig) -> list[WorkItem]:
     """Per process and round: one write, then one snapshot, on the round's
     object, with seeded think times."""
-    # checked before range() sees them; SimConfig checks n's value
-    if type(config.n) is not int:
-        raise ConfigError(f"need a whole number of processes, not {config.n!r}")
-    if type(config.rounds) is not int or config.rounds < 1:
-        raise ConfigError(f"need a whole number of rounds, at least one, "
-                          f"not {config.rounds!r}")
     rng = random.Random(f"rounds:{config.seed}")
     items = []
     for proc in range(config.n):
@@ -102,10 +104,3 @@ def check_composition(history: list[OpRecord], n: int) -> Verdict:
     if contains_process_order(spliced, included) and replay_legal(spliced, n):
         return Verdict(True, witness=[op_id(rec) for rec in spliced])
     return check_sc_brute(history, n)   # entry and round rules hold already
-
-
-def check_composition_brute(history: list[OpRecord], n: int) -> Verdict:
-    """Exhaustive composed check: the interleaving search already folds one
-    register array per object id."""
-    check_discipline(checker._check_ops(history, n))
-    return check_sc_brute(history, n)

@@ -125,11 +125,3 @@ def trim_for_crashes(workload: list[WorkItem],
     cutoff = {c.proc: c.at_time for c in crashes if c.at_time is not None}
     return [item for item in workload
             if item.proc not in cutoff or item.at < cutoff[item.proc]]
-
-
-def generate(name: str, n: int, ops: int, seed: int) -> list[WorkItem]:
-    if name == "random":
-        return random_workload(n, ops, seed)
-    if name == "write-heavy":
-        return write_heavy_workload(n, ops, seed)
-    raise ValueError(f"unknown workload {name!r}")

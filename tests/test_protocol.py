@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqsnap import protocol
 from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
-                              depends, handle_message, has_own_pending, init,
+                              depends, handle_message, init,
                               invoke_snapshot, invoke_write)
 from seqsnap.sim import run_simulation
 from sweep import SWEEP_NS, sweep_config
@@ -193,7 +193,7 @@ class TestComputeValidable:
         assert compute_validable(pending, 3) == []
         protocol._retire(state, (0, 1))
         assert compute_validable(pending, 3) == [(1, 1), (2, 1)]
-        assert state.own_pending == 0 and not has_own_pending(state)
+        assert state.own_pending == 0
 
 
 def deliver_all(states, eff_queue):
@@ -449,11 +449,11 @@ def run_sweep_checking(monkeypatch, invariant):
 
 def test_buffered_write_only_while_own_update_pending(monkeypatch):
     # invoke_snapshot relies on this: a buffered write implies an own
-    # pending update, so has_own_pending alone decides whether to wait.
+    # pending update, so own_pending alone decides whether to wait.
     buffered = [0]
 
     def invariant(state):
-        assert state.deferred is None or has_own_pending(state)
+        assert state.deferred is None or state.own_pending > 0
         buffered[0] += state.deferred is not None
 
     run_sweep_checking(monkeypatch, invariant)

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
-from seqsnap.checker import CheckRefusal, check_sc_brute, check_sc_fast
+from seqsnap.checker import (BRUTE_BOUND, CheckRefusal, check_sc_brute,
+                             check_sc_fast)
 from seqsnap.histories import OpRecord
 from seqsnap.rounds import (DisciplineError, RoundConfig, check_composition,
-                            check_composition_brute, round_workload,
-                            run_rounds)
+                            round_workload, run_rounds)
 from seqsnap.sim import (CrashSpec, SimConfig, WorkItem, run_simulation,
                          serialize_run)
 from seqsnap.workloads import encode_value
+from sweep import mutate_history
 from test_checker import assert_witness_holds
 
 
@@ -51,7 +54,29 @@ def test_crashed_process_leaves_other_rounds_intact():
 def test_small_instance_passes_composed_brute_force():
     run = run_rounds(RoundConfig(n=2, rounds=2, seed=6))
     assert len(run.history) <= 10
-    assert check_composition_brute(run.history, 2).accepted
+    assert check_sc_brute(run.history, 2).accepted
+
+
+def test_composition_agrees_with_the_oracle_on_runs_and_mutants():
+    # check_sc_brute folds one register array per object, so it is the
+    # exhaustive composed check; every history it can judge must get the
+    # same verdict from check_composition
+    verdicts = []
+    for seed in range(100):
+        n = (2, 3)[seed % 2]
+        crashes = ([CrashSpec(seed % n, on_send=1 + seed % 5)]
+                   if n == 3 and seed % 3 == 0 else [])
+        run = run_rounds(RoundConfig(n=n, rounds=1 + seed % 3, seed=seed,
+                                     crashes=crashes))
+        rng = random.Random(f"mutants:{seed}")
+        mutants = (mutate_history(run.history, n, rng) for _ in range(3))
+        for history in [run.history] + [m for m in mutants if m is not None]:
+            if len(history) <= BRUTE_BOUND:
+                composed = check_composition(history, n).accepted
+                assert composed == check_sc_brute(history, n).accepted, seed
+                verdicts.append(composed)
+    # 200 of the 400 histories are within the bound, 125 of them accepted
+    assert len(verdicts) >= 100 and True in verdicts and False in verdicts
 
 
 def test_corrupted_round_snapshot_rejected_with_object_named():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqsnap import abd, histories, protocol, sim
-from seqsnap.histories import OpRecord, compact_json
+from seqsnap.histories import (OpRecord, TraceFormatError, compact_json,
+                               record_from_json)
 from seqsnap.protocol import UpdateMsg
 from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.scenarios import replay_scripted
@@ -473,7 +474,7 @@ def reference_record(rec):
     if rec.kind == "write":
         doc["value"] = rec.value
     if rec.kind == "snapshot" and rec.t_ret is not None:
-        doc["result"] = list(rec.result)
+        doc["result"] = rec.result      # a tuple is written as a JSON array
     if rec.kind == "read":
         doc["target"] = rec.target
         if rec.t_ret is not None:
@@ -532,6 +533,13 @@ def test_documents_match_the_reference_encodings(monkeypatch):
     assert sim.history_document([]) == ""
 
 
+def test_reader_reads_back_every_line_the_writer_writes(monkeypatch):
+    records = [rec for run in document_runs(monkeypatch) for rec in run.history]
+    assert any(rec.kind == "read" and not rec.completed for rec in records)
+    for rec in records:
+        assert record_from_json(histories.record_to_json(rec)) == rec
+
+
 def test_metrics_document_sorts_a_key_before_its_extensions():
     metrics = sim.Metrics(
         messages_total=9, quiescent=False,
@@ -552,18 +560,17 @@ def test_metrics_document_sorts_a_key_before_its_extensions():
     OpRecord(0, 0, "snapshot", 0.0, inf, result=(1, 2)),
     OpRecord(0, 0, "read", 1.0, 2.0, target=1, result=[7]),
     OpRecord(0, 0, "snapshot", 1.0, 2.0, result=(1, True)),
-], ids=["bool-proc", "float-seq", "infinite-t_ret", "list-result", "bool-cell"])
-def test_records_outside_the_direct_writer_take_the_reference_path(
-        monkeypatch, rec):
-    encoded = []
-
-    def recording(doc):
-        encoded.append(doc)
-        return compact_json(doc)
-
-    monkeypatch.setattr(histories, "compact_json", recording)
-    assert histories.record_to_json(rec) == reference_record(rec)
-    assert len(encoded) == 1
+    OpRecord(0, 0, "snapshot", 1.0, 2.0),
+    OpRecord(0, 0, "cas", 1.0, 2.0, value=1),
+    OpRecord(0, 0, "write", nan, 1.0, value=1),
+], ids=["bool-proc", "float-seq", "infinite-t_ret", "list-result", "bool-cell",
+        "snapshot-without-result", "unknown-kind", "nan-t_inv"])
+def test_records_outside_the_trace_format_are_refused_by_the_writer(rec):
+    with pytest.raises(ValueError):
+        histories.record_to_json(rec)
+    # the reader refuses the same record written as a dict
+    with pytest.raises(TraceFormatError):
+        record_from_json(reference_record(rec))
 
 
 class TestConfigValidation:
