@@ -114,6 +114,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     history = load_history(args.history)
     n = infer_process_count(history)
     composed = len({rec.object_id for rec in history}) > 1
@@ -126,9 +127,7 @@ def _cmd_check(args) -> int:
         verdict = check_lin_brute(history, n)
     doc = verdict_document(verdict)
     sys.stdout.write(doc)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verdict.json").write_text(doc)
     return OK if verdict.accepted else REJECTED
 

@@ -185,6 +185,23 @@ def compute_validable(pending: dict, n: int) -> list:
     return sorted(ready)
 
 
+def _blocked(pending: dict, key: tuple, n: int) -> bool:
+    """True when the entry at `key` reaches, over depends-on edges (an entry
+    x waits on o while x.ahead[o] * 2 <= n), an entry that is short of a
+    majority of stamps. The entry at `key` itself is not tested."""
+    reached = {key}
+    stack = [pending[key]]
+    while stack:
+        for other, count in stack.pop().ahead.items():
+            if count * 2 <= n and other not in reached:
+                entry = pending[other]
+                if entry.known * 2 <= n:
+                    return True
+                reached.add(other)
+                stack.append(entry)
+    return False
+
+
 def _admit(state: ProcState, key: tuple, value: int) -> PendingUpdate:
     """Add an update with no stamp yet, and return its entry: it is ahead of
     no other entry, and each other entry is ahead of it at every stamp that
@@ -237,16 +254,22 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
 
     A stale copy (of an already-validated update) changes nothing. Any other
     copy records its sender's stamp on the update's entry `e`, and the
-    validation pass runs only when `e` is then majority-stamped. Skipping it
-    otherwise is exact, because every transition leaves the state closed:
-    the pass would return [] on it (a pass retires the largest validable
-    set, and what it leaves waits on an update that is not
-    majority-stamped). A new entry is stamped by no one and only adds a
+    validation pass runs only when `e` is then majority-stamped and not
+    `_blocked`. Skipping it otherwise is exact, because every transition
+    leaves the state closed: the pass would return [] on it (a pass retires
+    the largest validable set, and what it leaves waits on an update that is
+    not majority-stamped). A new entry is stamped by no one and only adds a
     constraint. A stamp from p_j on `e` raises `e.known`, raises `e.ahead`
     against the entries p_j stamped later or not yet, and lowers their
-    `ahead` against `e`. The last makes `e` block them more, and none of it
-    touches another entry's `known`, so only `e`'s own status can change:
-    while `e` is short of a majority, the pass still returns [].
+    `ahead` against `e`: it only removes depends-on edges out of `e` and
+    adds edges into `e`, and touches no other entry's `known`. The pass
+    computes a greatest fixpoint, which is exactly the majority-stamped
+    entries from which every entry reached over depends-on edges is
+    majority-stamped too. An entry that does not reach `e` reaches the same
+    entries as before the stamp, so it was not validable then and is not
+    now. Any entry the pass could now return thus reaches `e`, so the pass
+    is non-empty exactly when `e` is majority-stamped and everything `e`
+    reaches is too, and then it returns `e`.
     """
     eff = NOTHING
     value, writer, stamp, relay_stamp, sender, _object_id = msg
@@ -266,24 +289,25 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
         # from the writer's copy: a relay says nothing about the order the
         # writer saw concurrent updates.
         _record_stamp(state, key, sender, relay_stamp)
-        if entry.known * 2 > state.n:
-            validable = compute_validable(pending, state.n)
-            if validable:
-                if eff is NOTHING:
-                    eff = Effect()
-                # copy the view at most once, and only if a stamp rises
-                stamps, view = state.view_stamps, None
-                for key in validable:
-                    value = _retire(state, key).value
-                    writer, stamp = key
-                    if stamps[writer] < stamp:
-                        if view is None:
-                            stamps, view = list(stamps), list(state.view)
-                        stamps[writer] = stamp
-                        view[writer] = value
-                    eff.validated.append(key)
-                if view is not None:
-                    state.view_stamps, state.view = tuple(stamps), tuple(view)
+        n = state.n
+        if entry.known * 2 > n and not _blocked(pending, key, n):
+            validable = compute_validable(pending, n)
+            # the pass finds at least `key`
+            if eff is NOTHING:
+                eff = Effect()
+            # copy the view at most once, and only if a stamp rises
+            stamps, view = state.view_stamps, None
+            for key in validable:
+                value = _retire(state, key).value
+                writer, stamp = key
+                if stamps[writer] < stamp:
+                    if view is None:
+                        stamps, view = list(stamps), list(state.view)
+                    stamps[writer] = stamp
+                    view[writer] = value
+                eff.validated.append(key)
+            if view is not None:
+                state.view_stamps, state.view = tuple(stamps), tuple(view)
     if (state.deferred is not None or state.snapshot_pending) \
             and not state.own_pending:
         # Flush a buffered write; a waiting snapshot then keeps waiting,

@@ -58,14 +58,17 @@ def test_check_of_a_directory_is_an_input_error(tmp_path, capsys):
     ["simulate", "--n", "3", "--ops", "4"],
     ["replay", "--scenario", "fig4a"],
     ["rounds", "--n", "3", "--rounds", "1"],
-], ids=["simulate", "replay", "rounds"])
+    ["check", "history.jsonl"],
+], ids=["simulate", "replay", "rounds", "check"])
 def test_output_directory_that_is_a_file_is_an_input_error(tmp_path, capsys,
                                                            monkeypatch, command):
-    # refused before the run starts
+    # refused before the run starts, or before the history is read
     def never(*args):
         raise AssertionError("the run started")
 
-    for name in ("run_simulation", "run_rounds", "replay_scripted"):
+    for name in ("run_simulation", "run_rounds", "replay_scripted",
+                 "load_history", "check_sc_fast", "check_sc_brute",
+                 "check_lin_brute", "check_composition"):
         monkeypatch.setattr(cli, name, never)
     taken = tmp_path / "taken"
     taken.write_text("kept")

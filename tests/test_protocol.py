@@ -268,6 +268,21 @@ class TestHandleMessage:
         eff = handle_message(state, relay)
         assert calls == [1] and eff.validated == [(3, 1)]
 
+    def test_a_majority_stamp_behind_a_blocker_runs_no_pass(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        state = init(3, 0)
+        # p1 relays b = (2, 1), then writes a = (1, 2): p1 stamped b first
+        relay_b = handle_message(state, UpdateMsg(5, 2, 1, 1, 1)).broadcasts[0]
+        relay_a = handle_message(state, UpdateMsg(7, 1, 2, 2, 1)).broadcasts[0]
+        # our own copy gives a a majority, but a waits on b, which has one
+        # stamp: the pass would find nothing, so it does not run
+        assert handle_message(state, relay_a) is protocol.NOTHING
+        assert state.pending[(1, 2)].known == 2
+        assert calls == []
+        # the blocker's majority stamp runs the pass, which validates both
+        eff = handle_message(state, relay_b)
+        assert calls == [2] and eff.validated == [(1, 2), (2, 1)]
+
     def test_buffered_write_flushes_on_validation(self):
         state = init(3, 0)
         eff = invoke_write(state, 5)
@@ -397,10 +412,16 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
         if key not in pending:
             protocol._admit(state, key, 1)
         protocol._record_stamp(state, key, sender, stamp)
+        expected = reference_validable(pending, n)
         if pending[key].known * 2 <= n:
             # the state was closed before this stamp, and handle_message
             # skips the pass here: the pass must have nothing to validate
-            assert reference_validable(pending, n) == []
+            assert expected == []
+        else:
+            # handle_message runs the pass exactly when the stamped entry
+            # is not blocked, and the pass then validates that entry
+            assert protocol._blocked(pending, key, n) == (expected == [])
+            assert expected == [] or key in expected
         validable = agree()
         while validable:
             key = data.draw(st.sampled_from(validable))
@@ -427,7 +448,16 @@ def run_sweep_checking(monkeypatch, invariant):
     `invariant(state)` after every protocol transition, that a transition
     returns the shared NOTHING exactly when it asks nothing, and that every
     receipt leaves the state closed: the reference fixpoint finds nothing
-    left to validate, which is what lets handle_message skip the pass."""
+    left to validate, which is what lets handle_message skip the pass. Every
+    validation pass that handle_message runs must validate something."""
+    passes = [0]
+
+    def counted(pending, n):
+        validable = compute_validable(pending, n)
+        assert validable, "a validation pass found nothing to validate"
+        passes[0] += 1
+        return validable
+
     def checked(transition, closed=False):
         def call(state, *args):
             eff = transition(state, *args)
@@ -442,9 +472,11 @@ def run_sweep_checking(monkeypatch, invariant):
         monkeypatch.setattr(protocol, name, checked(getattr(protocol, name)))
     monkeypatch.setattr(protocol, "handle_message",
                         checked(protocol.handle_message, closed=True))
+    monkeypatch.setattr(protocol, "compute_validable", counted)
     for n in SWEEP_NS:
         for seed in range(100):
             run_simulation(sweep_config(n, seed))
+    assert passes[0] > 0
 
 
 def test_buffered_write_only_while_own_update_pending(monkeypatch):
