@@ -54,8 +54,6 @@ _TIME_TYPES = frozenset((int, float))
 _INT = frozenset((int,))
 
 _SEQ = attrgetter("seq")
-_OBJECT_ID = attrgetter("object_id")
-_T_RET = attrgetter("t_ret")
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
@@ -307,15 +305,21 @@ def _interleave_search(queues: list[list[OpRecord]], n: int, realtime: bool):
     Register states are a function of the per-process consumed counts, so
     dead count vectors are memoized, each as one mixed-radix int that moves
     by its queue's stride when an op of that queue is placed. The search
-    backtracks over one counts list, one path and one state per object id,
-    each set before a step and put back after it. Returns a witness list or
-    None.
+    backtracks over one counts list, one path and one register list per
+    object id: each op is decoded once into a step that a write applies by
+    setting one cell (put back after it) and that a snapshot or read checks
+    against the list, which is what seq_step does on the array. A snapshot
+    or read that asks a cell for a value other than 0 that the cell's writer
+    never writes on its object can never be placed, so such a history is
+    rejected before any search. Returns a witness list or None.
     """
-    ops = list(chain.from_iterable(queues))
-    # n < 1 has no initial state, and only an empty history gets here with it
-    states = dict.fromkeys(map(_OBJECT_ID, ops), initial_state(n)) if ops else {}
-    # each queue ends in None, so a queue that is used up needs no length test
-    steps = [queue + [None] for queue in queues]
+    # every op that returned must be placed
+    left = sum(rec.t_ret is not None for rec in chain.from_iterable(queues))
+    if left == 0:
+        return []
+    steps = _search_steps(queues, n)
+    if steps is None:
+        return None
     strides = list(accumulate(map(len, steps), mul, initial=1))
     # earliest[i][k]: the earliest return among queue i's ops from position k
     # on. In real time an op may be placed only when every op that returned
@@ -330,34 +334,82 @@ def _interleave_search(queues: list[list[OpRecord]], n: int, realtime: bool):
     def search(key, left):
         # key is neither dead nor done: the caller tests both
         horizon = min(map(getitem, earliest, counts)) if realtime else inf
-        for i, queue in enumerate(steps):
+        for i, row in enumerate(steps):
             idx = counts[i]
-            rec = queue[idx]
-            if rec is None or horizon < rec.t_inv:
+            step = row[idx]
+            if step is None:
                 continue
-            obj = rec.object_id
-            state = states[obj]
-            states[obj], ok = seq_step(state, rec)
-            if ok:
-                rest = left - (rec.t_ret is not None)
-                if rest == 0:
-                    path.append(rec)
+            rec, cells, cell, value, write, returned, t_inv = step
+            if horizon < t_inv:
+                continue
+            if write:
+                old = cells[cell]
+                cells[cell] = value
+            elif (cells if cell is None else cells[cell]) != value:
+                continue
+            rest = left - returned
+            if rest == 0:
+                path.append(rec)
+                return True
+            child = key + strides[i]
+            if child not in dead:
+                counts[i] = idx + 1
+                path.append(rec)
+                if search(child, rest):
                     return True
-                child = key + strides[i]
-                if child not in dead:
-                    counts[i] = idx + 1
-                    path.append(rec)
-                    if search(child, rest):
-                        return True
-                    path.pop()
-                    counts[i] = idx
-            states[obj] = state
+                path.pop()
+                counts[i] = idx
+            if write:
+                cells[cell] = old
         dead.add(key)
         return False
 
-    # every op that returned must be placed
-    left = len(ops) - list(map(_T_RET, ops)).count(None)
-    return path if left == 0 or search(0, left) else None
+    found = search(0, left)
+    # the closure refers to itself; dropping the name frees the search's
+    # state by reference counting alone, without the cyclic collector
+    del search
+    return path if found else None
+
+
+def _search_steps(queues, n):
+    """Decode each op of the queues into a step (record, its object's
+    register list, the cell, the value, is-write, returned, t_inv): a write
+    sets cell to value, a read compares cell with value, and a snapshot
+    (cell None) compares the whole list with its result as a list. Each
+    queue ends in None, so a queue that is used up needs no length test.
+    Returns None when a snapshot or read asks for a value that can never be
+    in its cell; only writes are cut off in _check_ops's queues, so every
+    such op returned and must be placed."""
+    registers = {}
+    written = {}
+    for rec in chain.from_iterable(queues):
+        obj = rec.object_id
+        if obj not in registers:
+            registers[obj] = [0] * n
+        if rec.kind == WRITE:
+            written.setdefault((obj, rec.proc), {0}).add(rec.value)
+    initial = {0}
+    steps = []
+    for queue in queues:
+        row = []
+        for rec in queue:
+            obj, kind = rec.object_id, rec.kind
+            if kind == WRITE:
+                cell, value = rec.proc, rec.value
+            elif kind == SNAPSHOT:
+                cell, value = None, list(rec.result)
+                for q, got in enumerate(value):
+                    if got not in written.get((obj, q), initial):
+                        return None
+            else:
+                cell, value = rec.target, rec.result
+                if value not in written.get((obj, cell), initial):
+                    return None
+            row.append((rec, registers[obj], cell, value, kind == WRITE,
+                        rec.t_ret is not None, rec.t_inv))
+        row.append(None)
+        steps.append(row)
+    return steps
 
 
 def _oracle(history: list[OpRecord], n: int, realtime: bool) -> Verdict:

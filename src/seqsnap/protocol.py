@@ -57,8 +57,9 @@ class PendingUpdate:
 
     known counts the finite stamps in seen, and ahead[key] counts the
     processes that stamped this update before the pending update `key`
-    (as `depends` would count them). handle_message keeps both current, so a
-    receipt costs O(|pending|) instead of rescanning every pair of updates.
+    (unknown stamps, INF, never count as earlier). handle_message keeps both
+    current, so a receipt costs O(|pending|) instead of rescanning every
+    pair of updates.
     """
 
     value: int
@@ -146,26 +147,15 @@ def invoke_snapshot(state: ProcState) -> Effect:
     return Effect(completions=[(SNAPSHOT, state.view)])
 
 
-def depends(first: PendingUpdate, second: PendingUpdate, n: int) -> bool:
-    """True when `second` must not be validated before `first`.
-
-    The constraint is dropped only once a strict majority of processes is
-    known to have stamped `second` before `first`. Unknown stamps (INF)
-    never count as earlier. compute_validable reads this count from the
-    `ahead` that handle_message keeps on `second`; this is the same test
-    stated on the stamps.
-    """
-    ahead = sum(1 for j in range(n) if second.seen[j] < first.seen[j])
-    return ahead * 2 <= n
-
-
 def compute_validable(pending: dict, n: int) -> list:
     """Keys of updates that may validate now.
 
     Starts from the majority-stamped updates and repeatedly drops any that
     depends on an update left outside, so the returned set is closed under
-    the dependency relation within `pending`. Reads the counts kept on each
-    entry; `depends` states the same test on the stamps themselves.
+    the dependency relation within `pending`: an update waits on `other`
+    until a strict majority is known to have stamped it before `other`, i.e.
+    while its ahead[other] * 2 <= n. Reads the counts kept on each entry;
+    the tests state the same relation on the stamps themselves.
     """
     ready = {key for key, g in pending.items() if g.known * 2 > n}
     if not ready:

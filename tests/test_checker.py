@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from dataclasses import replace
@@ -520,3 +521,125 @@ def test_search_matches_reference_on_composed_runs(seed):
     mutants = (mutate_history(history, n, rng) for _ in range(3))
     for candidate in [history] + [m for m in mutants if m is not None]:
         assert_search_matches_reference(candidate, n)
+
+
+@st.composite
+def read_history(draw):
+    """Up to 7 writes, snapshots and reads spread over objects 0 and 1; now
+    and then a process's last op never returns and it takes no more ops.
+    Values are unique per writer across both objects. A read's result, and
+    each cell of a snapshot's, is 0, a value its writer wrote on either
+    object, or 999, which no writer writes."""
+    n = draw(st.integers(1, 3))
+    records = []
+    written = {p: [] for p in range(n)}
+    alive = list(range(n))
+    time = 0.0
+    for _ in range(draw(st.integers(0, 7))):
+        if not alive:
+            break
+        proc = draw(st.sampled_from(alive))
+        seq = sum(1 for r in records if r.proc == proc)
+        obj = draw(st.integers(0, 1))
+        time += draw(st.floats(0.0, 2.0, allow_nan=False))
+        t_ret = time + 1 if draw(st.integers(0, 5)) > 0 else None
+        if t_ret is None:
+            alive.remove(proc)
+
+        def shown(q):
+            return draw(st.sampled_from([0, 999] + written[q]))
+
+        kind = draw(st.sampled_from(["write", "snapshot", "read"]))
+        if kind == "write":
+            value = len(written[proc]) * 10 + proc + 1
+            written[proc].append(value)
+            rec = OpRecord(proc, seq, kind, time, t_ret, value=value)
+        elif kind == "snapshot":
+            result = tuple(shown(q) for q in range(n))
+            rec = OpRecord(proc, seq, kind, time, t_ret,
+                           result=None if t_ret is None else result)
+        else:
+            target = draw(st.integers(0, n - 1))
+            result = shown(target)
+            rec = OpRecord(proc, seq, kind, time, t_ret, target=target,
+                           result=None if t_ret is None else result)
+        records.append(replace(rec, object_id=obj))
+    return n, records
+
+
+@given(read_history())
+@settings(max_examples=400, deadline=None)
+def test_search_matches_reference_on_read_histories(case):
+    assert_search_matches_reference(case[1], case[0])
+
+
+def R(proc, seq, target, result, object_id=0):
+    return OpRecord(proc, seq, "read", proc * 100 + seq, proc * 100 + seq + 1,
+                    target=target, result=result, object_id=object_id)
+
+
+class TestEarlyReject:
+    """A returned snapshot or read that asks a cell for a value its writer
+    never writes on that object (and not 0) is rejected before any search,
+    with the same verdict the search gives."""
+
+    @pytest.mark.parametrize("history", [
+        [W(0, 0, 1), S(1, 0, [2, 0])],
+        [W(0, 0, 1), R(1, 0, 0, 2)],
+        # written, but on the other object
+        [W(0, 0, 1), replace(W(1, 0, 5), object_id=1), S(1, 1, [1, 5])],
+        [replace(W(0, 0, 1), object_id=1), R(1, 0, 0, 1)],
+    ], ids=["snapshot", "read", "snapshot-other-object", "read-other-object"])
+    def test_never_written_value_is_rejected(self, history):
+        queues = checker._check_ops(history, 2)
+        assert checker._search_steps(queues, 2) is None
+        for realtime in (False, True):
+            assert checker._interleave_search(queues, 2, realtime) is None
+            assert reference_interleave_search(queues, 2, realtime) is None
+        for check in (check_sc_brute, check_lin_brute):
+            verdict = check(history, 2)
+            assert not verdict.accepted
+            assert verdict.certificate == [op_id(r) for r in history]
+
+    @pytest.mark.parametrize("history", [
+        [W(0, 0, 1), S(1, 0, [0, 0]), R(1, 1, 0, 0)],
+        [W(0, 0, 0), R(1, 0, 0, 0), S(1, 1, [0, 0])],
+        # a cut-off write may still have taken effect
+        [OpRecord(0, 0, "write", 0.0, None, value=3), R(1, 0, 0, 3)],
+    ], ids=["initial", "written-zero", "cut-off-write"])
+    def test_zero_and_written_values_are_searched(self, history):
+        queues = checker._check_ops(history, 2)
+        assert checker._search_steps(queues, 2) is not None
+        assert check_sc_brute(history, 2).accepted
+
+
+def test_checks_leave_no_cyclic_garbage():
+    """Every check frees what it built by reference counting alone: with
+    the collector off, nothing is left for it to find."""
+    composed = run_rounds(RoundConfig(n=2, rounds=2, seed=0)).history
+    snapshot_cases = [
+        [W(0, 0, 1), S(1, 0, [0, 0]), S(1, 1, [1, 0])],              # accepted
+        [W(0, 0, 1), S(0, 1, [1, 0]), W(1, 0, 1), S(1, 1, [0, 1])],  # rejected
+        [W(0, 0, 1), S(1, 0, [7, 0])],                       # never written
+        [W(0, 0, 0), S(1, 0, [0, 0])],                  # fast hands to brute
+    ]
+    read_cases = [[W(0, 0, 1), R(1, 0, 0, 1)], [W(0, 0, 1), R(1, 0, 0, 7)]]
+    calls = [(check, history)
+             for check in (check_sc_fast, check_sc_brute, check_lin_brute,
+                           check_composition)
+             for history in snapshot_cases]
+    calls += [(check, history)
+              for check in (check_sc_brute, check_lin_brute)
+              for history in read_cases]
+    mutant = mutate_history(composed, 2, random.Random("garbage"))
+    calls += [(check_composition, composed), (check_composition, mutant)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for check, history in calls:
+            check(history, 2)
+            assert gc.collect() == 0, (check.__name__, history)
+    finally:
+        if enabled:
+            gc.enable()

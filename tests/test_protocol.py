@@ -5,10 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from seqsnap import protocol
 from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
-                              depends, handle_message, init,
-                              invoke_snapshot, invoke_write)
+                              handle_message, init, invoke_snapshot,
+                              invoke_write)
 from seqsnap.sim import run_simulation
 from sweep import SWEEP_NS, sweep_config
+
+
+def depends(first, second, n):
+    """True when `second` must not be validated before `first`: until a
+    strict majority of processes is known to have stamped `second` before
+    `first`. Unknown stamps (INF) never count as earlier. This is the test
+    compute_validable reads from the `ahead` counts that handle_message
+    keeps on `second`, stated on the stamps."""
+    ahead = sum(1 for j in range(n) if second.seen[j] < first.seen[j])
+    return ahead * 2 <= n
 
 
 def derived_counts(pending):
