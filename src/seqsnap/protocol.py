@@ -4,6 +4,8 @@ Writes are zero-latency: they either FIFO-broadcast a freshly stamped update,
 or, while an earlier update of ours is still unconfirmed, overwrite a one-slot
 buffer that is flushed as soon as that earlier update validates. Snapshots
 return the local validated view once none of our own updates is outstanding.
+An update of ours is outstanding from the instant it is broadcast, so the
+transitions are correct in any per-channel FIFO order, self channel included.
 
 Every process relays the first message it sees for an update, attaching a
 fresh stamp of its own. An update validates once a strict majority of
@@ -124,6 +126,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
     eff.broadcasts.append(tuple.__new__(UpdateMsg, (
         value, state.me, state.clock, state.clock, state.me, state.object_id)))
+    _admit(state, (state.me, state.clock), value)
 
 
 def invoke_write(state: ProcState, value: int) -> Effect:
@@ -268,12 +271,12 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
         pending = state.pending
         entry = pending.get(key)
         if entry is None:
-            if writer != state.me:
-                # first sighting of someone else's update: relay it stamped
-                state.clock += 1
-                eff = Effect([tuple.__new__(UpdateMsg, (
-                    value, writer, stamp, state.clock, state.me,
-                    state.object_id))])
+            # first sighting of someone else's update (ours has an entry
+            # from its send until it validates): relay it stamped
+            state.clock += 1
+            eff = Effect([tuple.__new__(UpdateMsg, (
+                value, writer, stamp, state.clock, state.me,
+                state.object_id))])
             entry = _admit(state, key, value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the
@@ -298,16 +301,12 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
                 eff.validated.append(key)
             if view is not None:
                 state.view_stamps, state.view = tuple(stamps), tuple(view)
-    if (state.deferred is not None or state.snapshot_pending) \
-            and not state.own_pending:
-        # Flush a buffered write; a waiting snapshot then keeps waiting,
-        # since the flushed update is in flight the instant it is sent.
-        if eff is NOTHING:
-            eff = Effect()
-        if state.deferred is not None:
-            _broadcast_own(state, eff, state.deferred)
-            state.deferred = None
-        else:
-            state.snapshot_pending = False
-            eff.completions.append((SNAPSHOT, state.view))
+            if not state.own_pending:
+                # flush a buffered write, which a waiting snapshot waits on
+                if state.deferred is not None:
+                    _broadcast_own(state, eff, state.deferred)
+                    state.deferred = None
+                elif state.snapshot_pending:
+                    state.snapshot_pending = False
+                    eff.completions.append((SNAPSHOT, state.view))
     return eff

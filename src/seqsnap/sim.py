@@ -427,19 +427,15 @@ class _Sim:
         self._after_transition(proc, eff, 0, now)
 
     def _after_transition(self, proc, eff, cause_chain, now):
-        alive = self.alive
         chain = cause_chain + 1
         for payload in eff.broadcasts:
-            if not alive[proc]:
-                break
             recipients = self._broadcast_recipients(proc)
             self._send(proc, payload, recipients, chain, now)
+            # a broadcast is the only send a crash cuts short
+            if not self.alive[proc]:
+                return
         for payload, dest in eff.sends:
-            if not alive[proc]:
-                break
             self._send(proc, payload, self.only[dest], chain, now)
-        if not alive[proc]:
-            return
         for kind, value in eff.completions:
             self._complete(proc, kind, value, now, cause_chain)
         for key in eff.validated:

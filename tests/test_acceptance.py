@@ -16,6 +16,7 @@ from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
 from seqsnap.histories import OpRecord
+from seqsnap.protocol import idle
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted, validation_order
 from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
@@ -23,8 +24,9 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, SWEEP_NS, mutate_history, run_digest,
-                   sweep_config, waiting_violations)
+from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_schedule_run,
+                   mutate_history, run_digest, sweep_config,
+                   waiting_violations)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -199,6 +201,42 @@ def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority():
     assert failures == []
     print(f"\nC1+C3 even n PASS: {len(EVEN_NS) * SEEDS_PER_N} runs at "
           f"n in {EVEN_NS}, all SC with totally ordered stamp vectors")
+
+
+def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
+    """C1, the waiting claim and C4's drained states under a scheduler that
+    may hold any channel, a process's channel to itself included, for any
+    number of steps: 1,000 crash-free runs at n = 2..7, and 1,000 runs at
+    n = 3..7 in which one process up to the crash budget is marked to
+    crash, mostly mid-broadcast. The simulator always hands a sender its
+    own copy first, so no other gate reaches these orders."""
+    runs = 1000
+    failures = []
+    crashed_total = 0
+    for crash_runs in (False, True):
+        for seed in range(runs):
+            if crash_runs:
+                n = FIFO_NS[1 + seed % (len(FIFO_NS) - 1)]
+                crashes = 1 + seed % ((n - 1) // 2)
+            else:
+                n, crashes = FIFO_NS[seed % len(FIFO_NS)], 0
+            history, states, crashed = fifo_schedule_run(n, seed, crashes)
+            crashed_total += len(crashed)
+            if not check_sc_fast(history, n).accepted:
+                failures.append(("C1", n, seed, crashes))
+            if waiting_violations(history):
+                failures.append(("wait", n, seed, crashes))
+            # in crash runs too, every correct process returns all its
+            # ops and ends idle
+            if not all(rec.completed for rec in history
+                       if rec.proc not in crashed) or not all(
+                    idle(state) for proc, state in enumerate(states)
+                    if proc not in crashed):
+                failures.append(("residue", n, seed, crashes))
+    assert failures == []
+    assert crashed_total > runs
+    print(f"\nC1 any-FIFO PASS: {2 * runs} scheduler-driven runs, "
+          f"{crashed_total} crashes, all SC, no undue wait, all drained")
 
 
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):

@@ -110,6 +110,14 @@ class TestWrite:
         assert state.deferred == 7
         assert eff.broadcasts == [] and eff.completions == [("write", None)]
 
+    def test_write_is_buffered_before_the_last_writes_own_copy_arrives(self):
+        # the first update is pending from its send, not from its own copy
+        state = init(3, 0)
+        first = invoke_write(state, 5).broadcasts
+        eff = invoke_write(state, 6)
+        assert len(first) == 1 and eff.broadcasts == []
+        assert state.deferred == 6 and state.own_pending == 1
+
     def test_newer_buffered_write_drops_older(self):
         state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         invoke_write(state, 7)
@@ -146,6 +154,12 @@ class TestSnapshot:
         state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
         eff = invoke_snapshot(state)
         assert eff is protocol.NOTHING and state.snapshot_pending
+
+    def test_waits_before_the_own_copy_of_a_write_arrives(self):
+        state = init(3, 0)
+        invoke_write(state, 5)
+        assert invoke_snapshot(state) is protocol.NOTHING
+        assert state.snapshot_pending
 
     def test_single_process_write_then_snapshot(self):
         state = init(1, 0)
@@ -320,6 +334,10 @@ class TestHandleMessage:
         assert state.snapshot_pending
         assert all(kind != "snapshot" for kind, _ in eff.completions)
         flush = eff.broadcasts[0]
+        # nor in a receipt of another process's update before the flush's
+        # own copy: the flushed update is pending from its send
+        eff = handle_message(state, UpdateMsg(7, 1, 1, 1, 1))
+        assert eff.completions == [] and state.snapshot_pending
         handle_message(state, flush)
         eff = handle_message(state, UpdateMsg(6, 0, flush.stamp, 9, 2))
         assert eff.completions == [("snapshot", (6, 0, 0))]
@@ -491,15 +509,19 @@ def run_sweep_checking(monkeypatch, invariant):
 
 def test_buffered_write_only_while_own_update_pending(monkeypatch):
     # invoke_snapshot relies on this: a buffered write implies an own
-    # pending update, so own_pending alone decides whether to wait.
-    buffered = [0]
+    # pending update, so own_pending alone decides whether to wait. A
+    # waiting snapshot implies one too, a flush's included: only a
+    # validation pass lowers own_pending, so only a pass releases either.
+    buffered, waiting = [0], [0]
 
     def invariant(state):
         assert state.deferred is None or state.own_pending > 0
+        assert not state.snapshot_pending or state.own_pending > 0
         buffered[0] += state.deferred is not None
+        waiting[0] += state.snapshot_pending
 
     run_sweep_checking(monkeypatch, invariant)
-    assert buffered[0] > 0
+    assert buffered[0] > 0 and waiting[0] > 0
 
 
 def test_pending_counts_match_the_stamps_after_every_transition(monkeypatch):

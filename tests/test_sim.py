@@ -275,11 +275,27 @@ def test_run_restores_the_collector_state(monkeypatch):
     assert during and not any(during)
 
 
-def test_self_delivery_precedes_next_same_time_invocation():
-    # two writes at the same instant: the second must observe the first's
-    # own pending entry and be buffered
+def test_self_delivery_precedes_next_same_time_invocation(monkeypatch):
+    # This pins the network model: a sender receives its own copy of a
+    # broadcast before its next invocation at the same instant. The protocol
+    # does not rely on it, since an update is pending from its send, so the
+    # second of two same-instant writes is buffered in either order.
+    steps = []
+    write, handle = protocol.invoke_write, protocol.handle_message
+
+    def recorded_write(state, value):
+        steps.append(("write", value))
+        return write(state, value)
+
+    def recorded_handle(state, payload):
+        steps.append(("receive", state.me, payload.sender))
+        return handle(state, payload)
+
+    monkeypatch.setattr(protocol, "invoke_write", recorded_write)
+    monkeypatch.setattr(protocol, "handle_message", recorded_handle)
     run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1),
                            WorkItem(0, 0.0, "write", value=2)])
+    assert steps[:3] == [("write", 1), ("receive", 0, 0), ("write", 2)]
     originals = [m for m in run.message_log
                  if isinstance(m.payload, UpdateMsg)
                  and m.sender == m.payload.writer]
@@ -337,6 +353,18 @@ def test_snapshot_depth_two_and_four():
     depth = run.metrics.op_causal_depth
     assert depth[(0, 1)] == 2
     assert depth[(0, 4)] == 4
+
+
+def test_invariant_checks_report_violations():
+    assert vc_total_order_violations(
+        [(0, 0.0, (0, 0)), (0, 1.0, (1, 0)), (1, 1.0, (0, 1))]) == \
+        [((0, 1), (1, 0))]
+    run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1),
+                           WorkItem(2, 0.0, "write", value=3)])
+    assert liveness_violations(run) == [] and not run.crashed
+    # process 1 lags both correct updates once its stamps are reset
+    run.states[1][0].view_stamps = (0, 0, 0)
+    assert liveness_violations(run) == [((0, 0, 1), 1), ((0, 2, 1), 1)]
 
 
 def test_vc_trace_total_order_and_liveness():
@@ -580,6 +608,12 @@ class TestConfigValidation:
                                      crashes=[CrashSpec(0, at_time=1.0),
                                               CrashSpec(1, at_time=1.0)]))
 
+    def test_process_crashing_twice(self):
+        with pytest.raises(ConfigError, match="crashes twice"):
+            run_simulation(SimConfig(n=5, workload=[],
+                                     crashes=[CrashSpec(1, at_time=1.0),
+                                              CrashSpec(1, on_send=1)]))
+
     def test_out_of_range_process(self):
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(n=2, workload=[WorkItem(2, 0.0, "snapshot")]))
@@ -627,6 +661,11 @@ class TestConfigValidation:
         ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(0.0, 2))]),
         ("snapshot", [], [CrashSpec(1, on_send=1, recipients=(False,))]),
         ("snapshot", [], [CrashSpec(1, on_send=1, recipients=2)]),
+        ("snapshot", [], [CrashSpec(1, at_time=1.0, on_send=1)]),
+        ("snapshot", [], [CrashSpec(1)]),
+        ("snapshot", [WorkItem(0, 2.0, "snapshot"),
+                      WorkItem(0, 1.0, "snapshot")], []),
+        ("paxos", [], []),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
@@ -637,7 +676,9 @@ class TestConfigValidation:
             "object-bool", "proc-float", "item-at-bool", "item-at-str",
             "crash-at-bool", "on-send-float", "on-send-bool",
             "crash-proc-bool", "crash-proc-float", "recipient-float",
-            "recipient-bool", "recipients-not-a-sequence"])
+            "recipient-bool", "recipients-not-a-sequence",
+            "crash-at-time-and-on-send", "crash-at-neither",
+            "item-times-backwards", "unknown-protocol"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
@@ -684,6 +725,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             sim.validate_config(config)
         with pytest.raises(ConfigError):
+            run_simulation(config)
+
+    def test_scripted_delivery_must_not_precede_its_send(self):
+        # the table is FIFO, so only the run can see the write sent at 5.0
+        config = SimConfig(n=2, delay=ScriptedDelays({(0, 1): {1: 3.0}}),
+                           workload=[WorkItem(0, 5.0, "write", value=1)])
+        sim.validate_config(config)
+        with pytest.raises(ConfigError, match="precedes its send"):
             run_simulation(config)
 
     @pytest.mark.parametrize("at", [nan, inf, True, "3"],
