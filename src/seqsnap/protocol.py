@@ -3,9 +3,9 @@
 Writes are zero-latency: they either FIFO-broadcast a freshly stamped update,
 or, while an earlier update of ours is still unconfirmed, overwrite a one-slot
 buffer that is flushed as soon as that earlier update validates. Snapshots
-return the local validated view once none of our own updates is outstanding.
-An update of ours is outstanding from the instant it is broadcast, so the
-transitions are correct in any per-channel FIFO order, self channel included.
+return the local validated view once it holds our latest write, which is
+outstanding from the instant it is broadcast, so the transitions are correct
+in any per-channel FIFO order, self channel included.
 
 Every process relays the first message it sees for an update, attaching a
 fresh stamp of its own. An update validates once a strict majority of
@@ -97,13 +97,16 @@ NOTHING = Effect((), (), (), ())
 
 @dataclass
 class ProcState:
+    """One process's state for one object. An own update is in flight while
+    view_stamps[me] < written, and it is then the one own entry in pending."""
+
     me: int
     n: int
     view: tuple[int, ...]         # last validated value per writer
     view_stamps: tuple[int, ...]  # stamp the writer attached to view[j], 0 if none
     clock: int = 0           # bumped on every broadcast; stamps are unique per process
     pending: dict = field(default_factory=dict)  # (writer, stamp) -> PendingUpdate
-    own_pending: int = 0     # entries of pending whose writer is me
+    written: int = 0         # stamp of our latest own broadcast, 0 if none
     deferred: int | None = None                  # newest write waiting for an older one
     snapshot_pending: bool = False
     object_id: int = 0
@@ -124,6 +127,7 @@ def idle(state: ProcState) -> bool:
 
 def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
+    state.written = state.clock
     eff.broadcasts.append(tuple.__new__(UpdateMsg, (
         value, state.me, state.clock, state.clock, state.me, state.object_id)))
     _admit(state, (state.me, state.clock), value)
@@ -132,7 +136,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
 def invoke_write(state: ProcState, value: int) -> Effect:
     """Write to our own cell; completes immediately in both branches."""
     eff = Effect(completions=[(WRITE, None)])
-    if state.own_pending:
+    if state.view_stamps[state.me] < state.written:
         # Only the newest postponed write survives; an overwritten one still
         # counts as an operation and lands just before its overwriter in any
         # witness order.
@@ -143,8 +147,8 @@ def invoke_write(state: ProcState, value: int) -> Effect:
 
 
 def invoke_snapshot(state: ProcState) -> Effect:
-    """Snapshot the array; immediate unless one of our updates is in flight."""
-    if state.own_pending:
+    """Snapshot the array; immediate unless our view lacks our latest write."""
+    if state.view_stamps[state.me] < state.written:
         state.snapshot_pending = True
         return NOTHING
     return Effect(completions=[(SNAPSHOT, state.view)])
@@ -158,11 +162,10 @@ def compute_validable(pending: dict, n: int) -> list:
     the dependency relation within `pending`: an update waits on `other`
     until a strict majority is known to have stamped it before `other`, i.e.
     while its ahead[other] * 2 <= n. Reads the counts kept on each entry;
-    the tests state the same relation on the stamps themselves.
+    the tests state the same relation on the stamps themselves. An empty
+    `ready` gives []; handle_message calls it only for a validable entry.
     """
     ready = {key for key, g in pending.items() if g.known * 2 > n}
-    if not ready:
-        return []
     # Only an update dropped in the last round can newly block one still in.
     blocked = [key for key in pending if key not in ready]
     while blocked:
@@ -198,15 +201,13 @@ def _blocked(pending: dict, key: tuple, n: int) -> bool:
 def _admit(state: ProcState, key: tuple, value: int) -> PendingUpdate:
     """Add an update with no stamp yet, and return its entry: it is ahead of
     no other entry, and each other entry is ahead of it at every stamp that
-    entry has."""
+    entry has. Like _retire, it keeps the books whoever wrote the update."""
     pending = state.pending
     entry = PendingUpdate(value, [INF] * state.n,
                           ahead=dict.fromkeys(pending, 0))
     for other in pending.values():
         other.ahead[key] = other.known
     pending[key] = entry
-    if key[0] == state.me:
-        state.own_pending += 1
     return entry
 
 
@@ -232,13 +233,11 @@ def _record_stamp(state: ProcState, key: tuple, j: int, stamp: int) -> None:
 
 
 def _retire(state: ProcState, key: tuple) -> PendingUpdate:
-    """Remove a validated entry, and every other entry's count against it."""
+    """Drop a validated entry, whoever wrote it, and the counts against it."""
     pending = state.pending
     entry = pending.pop(key)
     for other in pending.values():
         del other.ahead[key]
-    if key[0] == state.me:
-        state.own_pending -= 1
     return entry
 
 
@@ -301,7 +300,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
                 eff.validated.append(key)
             if view is not None:
                 state.view_stamps, state.view = tuple(stamps), tuple(view)
-            if not state.own_pending:
+            if state.view_stamps[state.me] >= state.written:
                 # flush a buffered write, which a waiting snapshot waits on
                 if state.deferred is not None:
                     _broadcast_own(state, eff, state.deferred)

@@ -20,8 +20,6 @@ from .seqspec import READ, WRITE
 from .sim import (AsyncDelay, RunResult, ScriptedDelays, SimConfig, WorkItem,
                   run_simulation)
 
-SCENARIOS = ("fig4a", "fig4b", "abd_baseline_demo")
-
 # n=5. Broadcast schedule: p4 writes a=(4,1) and p0 writes b=(0,1) at t=0;
 # every other process relays each update exactly once, so each update costs
 # exactly 25 messages. Senders' broadcast order: p0: b, relay(a); p1:
@@ -103,6 +101,7 @@ _CONFIGS = {
     "fig4b": postponed_chain_config,
     "abd_baseline_demo": abd_baseline_demo_config,
 }
+SCENARIOS = tuple(_CONFIGS)
 
 
 def scenario_config(name: str) -> SimConfig:

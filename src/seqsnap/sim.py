@@ -535,14 +535,13 @@ def vc_total_order_violations(vc_trace) -> list:
 
 def correct_original_updates(run: RunResult) -> list:
     """(object_id, writer, stamp) of every update whose initial broadcast was
-    made by a process that never crashed in this run."""
+    made by a process that never crashed in this run. A process never relays
+    its own update, so a copy its writer sent is the initial broadcast."""
     out = []
     for msg in run.message_log:
         payload = msg.payload
         if (isinstance(payload, protocol.UpdateMsg)
-                and msg.sender == payload.writer
                 and payload.sender == payload.writer
-                and payload.relay_stamp == payload.stamp
                 and payload.writer not in run.crashed):
             out.append((payload.object_id, payload.writer, payload.stamp))
     return out

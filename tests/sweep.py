@@ -95,6 +95,13 @@ FIFO_NS = (2, 3, 4, 5, 6, 7)
 FIFO_OPS_PER_PROC = 6
 
 
+def fifo_crash_case(seed: int) -> tuple:
+    """(n, crashes) of the crash-injected scheduler run with this seed: n
+    cycles through FIFO_NS above 2, and crashes through 1..(n - 1) // 2."""
+    n = FIFO_NS[1 + seed % (len(FIFO_NS) - 1)]
+    return n, 1 + seed % ((n - 1) // 2)
+
+
 def fifo_schedule_run(n: int, seed: int, crashes: int = 0):
     """One run of the snapshot protocol's transitions under a seeded
     scheduler instead of the simulator. Each step is drawn uniformly from

@@ -1,9 +1,12 @@
 import copy
 
+import pytest
+
 from seqsnap import abd
 from seqsnap.checker import check_lin_brute
-from seqsnap.protocol import NOTHING
-from seqsnap.sim import AsyncDelay, CrashSpec, SimConfig, WorkItem, run_simulation
+from seqsnap.protocol import NOTHING, UpdateMsg
+from seqsnap.sim import (AsyncDelay, CrashSpec, SimConfig, WorkItem,
+                         all_pending_empty, run_simulation)
 from seqsnap.workloads import abd_workload, trim_for_crashes
 
 
@@ -17,6 +20,18 @@ def run_abd(n, workload, seed=0, crashes=()):
 def test_tags_order_lexicographically():
     assert abd.Tag(1, 2) < abd.Tag(2, 0)
     assert abd.Tag(1, 0) < abd.Tag(1, 2)
+
+
+def test_out_of_range_process_id():
+    with pytest.raises(ValueError):
+        abd.init(3, 3)
+    with pytest.raises(ValueError):
+        abd.init(3, -1)
+
+
+def test_a_snapshot_protocol_message_is_refused():
+    with pytest.raises(TypeError):
+        abd.handle_message(abd.init(3, 0), UpdateMsg(1, 1, 1, 1, 1))
 
 
 def test_two_sequential_writes_have_increasing_tags():
@@ -154,6 +169,8 @@ def test_concurrent_histories_are_linearizable():
         run = run_abd(3, workload, seed=seed)
         verdict = check_lin_brute(run.history, 3)
         assert verdict.accepted, (seed, verdict.reason)
+        # crash-free: every process ends with no operation in flight
+        assert all_pending_empty(run), seed
 
 
 def test_crashed_histories_stay_linearizable():

@@ -24,9 +24,9 @@ from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_schedule_run,
-                   mutate_history, run_digest, sweep_config,
-                   waiting_violations)
+from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_crash_case,
+                   fifo_schedule_run, mutate_history, run_digest,
+                   sweep_config, waiting_violations)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -216,8 +216,7 @@ def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
     for crash_runs in (False, True):
         for seed in range(runs):
             if crash_runs:
-                n = FIFO_NS[1 + seed % (len(FIFO_NS) - 1)]
-                crashes = 1 + seed % ((n - 1) // 2)
+                n, crashes = fifo_crash_case(seed)
             else:
                 n, crashes = FIFO_NS[seed % len(FIFO_NS)], 0
             history, states, crashed = fifo_schedule_run(n, seed, crashes)

@@ -75,6 +75,9 @@ class TestFastChecker:
         witness = [ordered[i] for i in verdict.witness]
         assert contains_process_order(witness, h)
         assert replay_legal(witness, 2)
+        # an order that leaves an op out, or swaps p0's two ops, does not
+        assert not contains_process_order(witness[1:], h)
+        assert not contains_process_order([h[1], h[0], h[2]], h)
 
     def test_incomparable_snapshots_rejected(self):
         h = [W(0, 0, 1), S(0, 1, [1, 0]), W(1, 0, 1), S(1, 1, [0, 1])]

@@ -44,7 +44,8 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--n", "5", "--seed", "7", "--ops", "30", "--crashes", "1"]
     assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b)]) == 0
+    # `--delay async` names the default delay
+    assert main(args + ["--delay", "async", "--out", str(out_b)]) == 0
     for name in ("history.jsonl", "metrics.json", "vctrace.json"):
         assert read(out_a / name) == read(out_b / name)
 
@@ -246,6 +247,8 @@ def test_check_dispatches_composed_traces(tmp_path):
 def test_usage_error_exit_code():
     assert main(["simulate"]) == 2          # missing --n
     assert main(["no-such-command"]) == 2
+    assert main(["simulate", "--n", "3", "--delay", "fast"]) == 2
+    assert main(["simulate", "--n", "3", "--delay", "async:1"]) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,11 +25,13 @@ def test_incomplete_op_has_no_return_fields():
 
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
+    # blank lines are skipped but still counted
     path.write_text('{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}\n'
+                    '\n   \n'
                     'not json at all\n')
     with pytest.raises(TraceFormatError) as err:
         load_history(path)
-    assert err.value.lineno == 2
+    assert err.value.lineno == 4
 
 
 def test_missing_field_rejected():
@@ -51,9 +53,11 @@ def test_missing_field_rejected():
     '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
+    '[{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}]',
 ], ids=["read-without-result", "write-value-null", "snapshot-result-null",
         "snapshot-result-string", "value-float", "value-string", "value-bool",
-        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan"])
+        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan",
+        "not-an-object"])
 def test_bad_field_rejected_with_line_number(line):
     with pytest.raises(TraceFormatError) as err:
         record_from_json(line, 3)

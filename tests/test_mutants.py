@@ -1,0 +1,100 @@
+"""Mutant-kill gate: each catalogued one-line edit of the snapshot protocol
+must still be caught by the acceptance criterion that catches it today.
+
+A mutant edits one line of a current `protocol` function's source, is
+compiled in `protocol`'s namespace and patched over the module global, which
+is how the simulator calls it. Each mutant runs only the sweep runs recorded
+as killing it: every one must fail its criterion under the mutant and pass
+without it. So a change that weakens a gate, or rewrites the line a mutant
+edits, fails here instead of passing silently.
+"""
+
+from __future__ import annotations
+
+import inspect
+import textwrap
+
+import pytest
+
+from seqsnap import protocol
+from seqsnap.checker import check_sc_fast
+from seqsnap.sim import run_simulation, vc_total_order_violations
+from sweep import sweep_config, waiting_violations
+
+# What each criterion of the acceptance gate says about one run.
+CRITERIA = {
+    "C1": lambda run: check_sc_fast(run.history, run.config.n).accepted,
+    "C3": lambda run: not vc_total_order_violations(run.vc_trace),
+    "wait": lambda run: not waiting_violations(run.history),
+}
+
+# name -> (function, line as written, line as mutated, criterion -> the first
+# killing (n, seed) sweep runs). Kill totals when recorded, over the C1 sweep
+# (n = 2, 3, 5, 7, seeds 0-499) plus the even-n runs (n = 4, 6, seeds
+# 0-499) for the first three, over the C1 sweep for the last two:
+#   no dependency fixpoint: C1 155, C3 1,266;
+#   ahead at half: C1 2, C3 86;
+#   ready set at half: C1 4, C3 8;
+#   snapshot never waits: C1 2,000;
+#   snapshot waits on any pending entry: wait 571.
+MUTANTS = {
+    "no dependency fixpoint": (
+        "compute_validable",
+        "blocked = [key for key in pending if key not in ready]",
+        "blocked = []",
+        {"C1": [(5, 1), (5, 20), (5, 27)], "C3": [(3, 1), (3, 2), (3, 5)]}),
+    "ahead at half": (
+        "compute_validable",
+        "if ahead[other] * 2 <= n:",
+        "if ahead[other] * 2 < n:",
+        {"C1": [(4, 293), (6, 388)], "C3": [(4, 15), (4, 22), (4, 24)]}),
+    "ready set at half": (
+        "compute_validable",
+        "ready = {key for key, g in pending.items() if g.known * 2 > n}",
+        "ready = {key for key, g in pending.items() if g.known * 2 >= n}",
+        {"C1": [(4, 36), (4, 129), (4, 441)],
+         "C3": [(4, 36), (4, 52), (4, 104)]}),
+    "snapshot never waits": (
+        "invoke_snapshot",
+        "if state.view_stamps[state.me] < state.written:",
+        "if False:",
+        {"C1": [(2, 0), (2, 1), (2, 2)]}),
+    "snapshot waits on any pending entry": (
+        "invoke_snapshot",
+        "if state.view_stamps[state.me] < state.written:",
+        "if state.pending:",
+        {"wait": [(5, 0), (5, 1), (5, 2)]}),
+}
+
+
+def mutant(name: str):
+    """The catalogued mutant `name`: (function name, mutated function)."""
+    func, line, mutated, _kills = MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(protocol, func)))
+    lines = source.splitlines(keepends=True)
+    hits = [i for i, text in enumerate(lines) if text.strip() == line]
+    assert len(hits) == 1, f"{func} no longer has the line {line!r}"
+    [i] = hits
+    indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = f"{indent}{mutated}\n"
+    defined = {}
+    exec(compile("".join(lines), protocol.__file__, "exec"),
+         vars(protocol), defined)
+    return func, defined[func]
+
+
+def criterion_holds(criterion: str, n: int, seed: int) -> bool:
+    return CRITERIA[criterion](run_simulation(sweep_config(n, seed)))
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_recorded_runs_kill_the_mutant(name, monkeypatch):
+    kills = MUTANTS[name][3]
+    for criterion, runs in kills.items():
+        for n, seed in runs:
+            assert criterion_holds(criterion, n, seed), (criterion, n, seed)
+    monkeypatch.setattr(protocol, *mutant(name))
+    for criterion, runs in kills.items():
+        survived = [(n, seed) for n, seed in runs
+                    if criterion_holds(criterion, n, seed)]
+        assert survived == [], f"{name} survives {criterion} at {survived}"

@@ -8,7 +8,7 @@ from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
                               handle_message, init, invoke_snapshot,
                               invoke_write)
 from seqsnap.sim import run_simulation
-from sweep import SWEEP_NS, sweep_config
+from sweep import SWEEP_NS, fifo_crash_case, fifo_schedule_run, sweep_config
 
 
 def depends(first, second, n):
@@ -41,17 +41,28 @@ def pending_set(seen_by_key):
 
 def with_pending(state, seen_by_key):
     """Enter value-1 updates into state's pending set through the handler's
-    own bookkeeping, each stamped as its list says (INF: not yet)."""
+    own bookkeeping, each stamped as its list says (INF: not yet). An own
+    update is entered as the process's latest broadcast."""
     for key, seen in seen_by_key.items():
         protocol._admit(state, key, 1)
+        if key[0] == state.me:
+            state.written = key[1]
         for j, stamp in enumerate(seen):
             if stamp < INF:
                 protocol._record_stamp(state, key, j, stamp)
     return state
 
 
-def own_entries(state):
-    return sum(1 for (writer, _stamp) in state.pending if writer == state.me)
+def in_flight(state):
+    """The protocol's test for an own update in flight."""
+    return state.view_stamps[state.me] < state.written
+
+
+def check_own_entry(state):
+    """At most one own entry is pending, the latest broadcast's, and one is
+    exactly while the view lacks that write."""
+    own = [key for key in state.pending if key[0] == state.me]
+    assert own == ([(state.me, state.written)] if in_flight(state) else [])
 
 
 def reference_validable(pending, n):
@@ -116,7 +127,8 @@ class TestWrite:
         first = invoke_write(state, 5).broadcasts
         eff = invoke_write(state, 6)
         assert len(first) == 1 and eff.broadcasts == []
-        assert state.deferred == 6 and state.own_pending == 1
+        assert state.deferred == 6 and in_flight(state)
+        assert state.written == 1
 
     def test_newer_buffered_write_drops_older(self):
         state = with_pending(init(3, 0), {(0, 1): [1, INF, INF]})
@@ -217,7 +229,6 @@ class TestComputeValidable:
         assert compute_validable(pending, 3) == []
         protocol._retire(state, (0, 1))
         assert compute_validable(pending, 3) == [(1, 1), (2, 1)]
-        assert state.own_pending == 0
 
 
 def deliver_all(states, eff_queue):
@@ -431,7 +442,6 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
         assert got == reference_validable(pending, n)
         assert derived_counts(pending) == {
             key: (g.known, g.ahead) for key, g in pending.items()}
-        assert state.own_pending == own_entries(state)
         return got
 
     for key, sender, stamp in arrivals:
@@ -471,13 +481,13 @@ def test_nothing_is_shared_and_cannot_grow():
     assert asks_nothing(protocol.NOTHING)
 
 
-def run_sweep_checking(monkeypatch, invariant):
-    """Run 400 crash-prone sweep configs (n = 2, 3, 5, 7), checking
-    `invariant(state)` after every protocol transition, that a transition
-    returns the shared NOTHING exactly when it asks nothing, and that every
-    receipt leaves the state closed: the reference fixpoint finds nothing
-    left to validate, which is what lets handle_message skip the pass. Every
-    validation pass that handle_message runs must validate something."""
+def check_every_transition(monkeypatch, invariant):
+    """Patch the protocol's transitions to check `invariant(state)` after
+    each one, that a transition returns the shared NOTHING exactly when it
+    asks nothing, and that every receipt leaves the state closed: the
+    reference fixpoint finds nothing left to validate, which is what lets
+    handle_message skip the pass. Every validation pass that handle_message
+    runs must validate something; returns their running count."""
     passes = [0]
 
     def counted(pending, n):
@@ -501,6 +511,13 @@ def run_sweep_checking(monkeypatch, invariant):
     monkeypatch.setattr(protocol, "handle_message",
                         checked(protocol.handle_message, closed=True))
     monkeypatch.setattr(protocol, "compute_validable", counted)
+    return passes
+
+
+def run_sweep_checking(monkeypatch, invariant):
+    """check_every_transition over 400 crash-prone sweep configs (n = 2, 3,
+    5, 7)."""
+    passes = check_every_transition(monkeypatch, invariant)
     for n in SWEEP_NS:
         for seed in range(100):
             run_simulation(sweep_config(n, seed))
@@ -509,14 +526,14 @@ def run_sweep_checking(monkeypatch, invariant):
 
 def test_buffered_write_only_while_own_update_pending(monkeypatch):
     # invoke_snapshot relies on this: a buffered write implies an own
-    # pending update, so own_pending alone decides whether to wait. A
-    # waiting snapshot implies one too, a flush's included: only a
-    # validation pass lowers own_pending, so only a pass releases either.
+    # update in flight, so the view's own stamp alone decides whether to
+    # wait. A waiting snapshot implies one too, a flush's included: only a
+    # validation pass raises that stamp, so only a pass releases either.
     buffered, waiting = [0], [0]
 
     def invariant(state):
-        assert state.deferred is None or state.own_pending > 0
-        assert not state.snapshot_pending or state.own_pending > 0
+        assert state.deferred is None or in_flight(state)
+        assert not state.snapshot_pending or in_flight(state)
         buffered[0] += state.deferred is not None
         waiting[0] += state.snapshot_pending
 
@@ -530,8 +547,28 @@ def test_pending_counts_match_the_stamps_after_every_transition(monkeypatch):
     def invariant(state):
         assert derived_counts(state.pending) == {
             key: (g.known, g.ahead) for key, g in state.pending.items()}
-        assert state.own_pending == own_entries(state)
+        check_own_entry(state)
         largest[0] = max(largest[0], len(state.pending))
 
     run_sweep_checking(monkeypatch, invariant)
     assert largest[0] > 2
+
+
+def test_one_own_entry_exactly_while_in_flight_in_any_fifo_order(
+        monkeypatch):
+    """check_every_transition with check_own_entry over 1,000 crash-injected
+    scheduler runs, where a process's channel to itself may lag: only there
+    can a receipt or an invocation fall between a broadcast and its own
+    copy."""
+    seen = {True: 0, False: 0}
+
+    def invariant(state):
+        check_own_entry(state)
+        seen[in_flight(state)] += 1
+
+    passes = check_every_transition(monkeypatch, invariant)
+    crashed = 0
+    for seed in range(1000):
+        n, crashes = fifo_crash_case(seed)
+        crashed += len(fifo_schedule_run(n, seed, crashes)[2])
+    assert passes[0] > 0 and crashed > 1000 and seen[True] and seen[False]

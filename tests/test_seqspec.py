@@ -47,6 +47,12 @@ def test_malformed_ops_are_rejected_not_illegal():
         seq_step((0, 0), W(5, 1))
     with pytest.raises(ValueError):
         seq_step((0, 0), R(0, 7, 0))
+    with pytest.raises(ValueError):
+        seq_step((0, 0), OpRecord(0, 0, "write", 0.0, 0.0))   # no value
+    with pytest.raises(ValueError):
+        seq_step((0, 0), OpRecord(0, 0, "scan", 0.0, 1.0))
+    with pytest.raises(ValueError):
+        initial_state(0)
 
 
 def test_empty_word_is_legal():
