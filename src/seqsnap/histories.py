@@ -3,8 +3,9 @@
 One JSON object per line with fields: run_seed, proc, seq, op, t_inv, t_ret
 (absent while incomplete), value (writes), result (completed snapshots: the
 full vector; reads: the returned scalar), target (reads) and object_id.
-Integer fields must be JSON integers and times finite JSON numbers. The
-checkers consume exactly this format.
+Integer fields must be JSON integers and times pass is_time, the one time
+rule, which the simulator's config checks apply too. The checkers consume
+exactly this format.
 """
 
 from __future__ import annotations
@@ -51,13 +52,24 @@ compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                 check_circular=False).encode
 
 
-def _json_time(t) -> str:
-    """The JSON text of a finite int or float."""
-    if type(t) is float and math.isfinite(t):
-        return float.__repr__(t)
-    if type(t) is int:
-        return int.__repr__(t)
-    raise ValueError(f"{t!r} is not a finite number")
+def is_time(t) -> bool:
+    """The one rule for a time: an exact int or float that converts to a
+    finite float. A bool, a subclass (whose repr need not be its JSON text)
+    and an int too large for a float (the simulator adds float delays to
+    times) are not times."""
+    try:
+        return (type(t) is int or type(t) is float) and math.isfinite(t)
+    except OverflowError:
+        return False
+
+
+def _time(t):
+    """A time, as it is: the reader keeps it, so a line read and written
+    back keeps its bytes, and the writer writes its repr, which is json's
+    text for an exact int or float."""
+    if not is_time(t):
+        raise ValueError(f"{t!r} is not a time")
+    return t
 
 
 _INT = {int}
@@ -70,11 +82,11 @@ def record_to_json(rec: OpRecord) -> str:
 
     Raises ValueError on a record that record_from_json would refuse: an
     id, value, target or result cell that is not an exact int, a time that
-    is not a finite int or float, or an unknown kind."""
+    is_time refuses, or an unknown kind."""
     kind, proc, seq, t_ret = rec.kind, rec.proc, rec.seq, rec.t_ret
-    t_inv = _json_time(rec.t_inv)
+    t_inv = repr(_time(rec.t_inv))
     if t_ret is not None:
-        t_ret = _json_time(t_ret)
+        t_ret = repr(_time(t_ret))
     if (type(proc) is not int or type(seq) is not int
             or type(rec.object_id) is not int or type(rec.run_seed) is not int):
         raise ValueError(f"record ids are not all ints: {rec!r}")
@@ -112,17 +124,13 @@ def _integer(value) -> int:
     return value
 
 
-def _time(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
-
-
 def record_from_json(line: str, lineno: int = 0) -> OpRecord:
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(lineno, f"not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:   # an integer literal too long for int()
+        raise TraceFormatError(lineno, f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise TraceFormatError(lineno, "record is not a JSON object")
     try:

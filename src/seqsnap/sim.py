@@ -12,6 +12,10 @@ an operation invocation starts a chain of length 1, a message sent while
 handling message m extends m's chain by one, and an operation that completes
 while handling m is charged m's chain length (0 if it completed at
 invocation).
+
+validate_config refuses a config before any event runs unless every time
+it gives is a time by the trace format's one rule (histories.is_time), so
+every time a run writes is one the trace reader reads back.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
 from . import abd, protocol
-from .histories import OpRecord, compact_json, history_lines
+from .histories import OpRecord, compact_json, history_lines, is_time
 from .seqspec import READ, SNAPSHOT, WRITE
 
 EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
@@ -38,16 +41,11 @@ class ConfigError(Exception):
     """The run is rejected before it starts."""
 
 
-def _is_number(x) -> bool:
-    """An int or a float, but not a bool: times reach the JSON documents,
-    which would write a bool as true or false."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# Delay models: validate() rejects times that are not finite or that admit a
-# negative or reversed transit range; arrival() gives the delivery time of one remote copy
-# sent at `now` during the sender's send_index-th broadcast, before the
-# simulator's FIFO clamp.
+# Delay models: validate() rejects a bound or delivery time that is not a
+# time (histories.is_time, the trace format's rule, since times reach the
+# trace) and a negative or reversed transit range; arrival() gives the
+# delivery time of one remote copy sent at `now` during the sender's
+# send_index-th broadcast, before the simulator's FIFO clamp.
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,10 @@ class AsyncDelay:
     high: float = 8.0
 
     def validate(self) -> None:
-        if not (_is_number(self.low) and _is_number(self.high)
-                and isfinite(self.low) and isfinite(self.high)
+        if not (is_time(self.low) and is_time(self.high)
                 and 0 <= self.low <= self.high):
             raise ConfigError(f"delay range [{self.low!r}, {self.high!r}] "
-                              f"must be finite with 0 <= low <= high")
+                              f"must be times with 0 <= low <= high")
 
     def arrival(self, rng, now, sender, recipient, send_index):
         # Random.uniform's own formula, inlined: the same floats, one frame
@@ -94,10 +91,10 @@ class ScriptedDelays:
         last = {}
         for (sender, index), row in sorted(self.table.items()):
             for recipient, at in row.items():
-                if not _is_number(at) or not isfinite(at):
+                if not is_time(at):
                     raise ConfigError(f"scripted delivery time {at!r} of "
                                       f"broadcast {index} of process {sender} "
-                                      f"is not a finite number")
+                                      f"is not a time")
                 if at < last.get((sender, recipient), at):
                     raise ConfigError(
                         f"scripted channel {sender}->{recipient} delivers "
@@ -229,9 +226,9 @@ def validate_config(config: SimConfig) -> None:
             raise ConfigError(f"crash of process {crash.proc} forces recipients "
                               f"{crash.recipients!r}, not ints in 0..{config.n - 1}")
         if crash.at_time is not None:
-            if not _is_number(crash.at_time) or not isfinite(crash.at_time):
+            if not is_time(crash.at_time):
                 raise ConfigError(f"crash of process {crash.proc} at "
-                                  f"{crash.at_time!r}, not a finite number")
+                                  f"{crash.at_time!r}, not a time")
             crash_time[crash.proc] = crash.at_time
     module, actions = PROTOCOLS[config.protocol]
     last_at = {}
@@ -245,9 +242,9 @@ def validate_config(config: SimConfig) -> None:
                               f"objects are non-negative ints")
         if item.object_id and module is abd:
             raise ConfigError("the register baseline runs on object 0 only")
-        if not _is_number(item.at) or not isfinite(item.at):
+        if not is_time(item.at):
             raise ConfigError(f"workload schedules process {item.proc} at "
-                              f"{item.at!r}, not a finite number")
+                              f"{item.at!r}, not a time")
         if item.action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {item.action!r}")
@@ -578,26 +575,20 @@ def history_document(history) -> str:
 
 
 def metrics_document(metrics: Metrics, run_seed: int) -> str:
-    """The text compact_json writes for the run's counts, built directly.
-    Each count map is written as its "key":count items in sorted order. A
-    key is ints joined by colons, and each of its characters sorts after
-    the quote that closes it, so sorting the items sorts them by key, with
-    a key before any key it is a prefix of, as compact_json sorts them."""
-    per_update = ",".join(sorted([
-        f'"{obj}:{writer}:{stamp}":{count}'
-        for (obj, writer, stamp), count in metrics.messages_per_update.items()]))
-    per_op = ",".join(sorted([
-        f'"{proc}:{seq}":{count}'
-        for (proc, seq), count in metrics.messages_per_op.items()]))
-    depth = ",".join(sorted([
-        f'"{proc}:{seq}":{depth}'
-        for (proc, seq), depth in metrics.op_causal_depth.items()]))
-    return (f'{{"messages_per_op":{{{per_op}}},'
-            f'"messages_per_update":{{{per_update}}},'
-            f'"messages_total":{metrics.messages_total},'
-            f'"op_causal_depth":{{{depth}}},'
-            f'"quiescent":{compact_json(metrics.quiescent)},'
-            f'"run_seed":{compact_json(run_seed)}}}\n')
+    """The run's counts as compact_json writes them; the key of a count is
+    its tuple's ints joined by colons."""
+    return compact_json({
+        "messages_per_op": {f"{proc}:{seq}": count for (proc, seq), count
+                            in metrics.messages_per_op.items()},
+        "messages_per_update": {f"{obj}:{writer}:{stamp}": count
+                                for (obj, writer, stamp), count
+                                in metrics.messages_per_update.items()},
+        "messages_total": metrics.messages_total,
+        "op_causal_depth": {f"{proc}:{seq}": depth for (proc, seq), depth
+                            in metrics.op_causal_depth.items()},
+        "quiescent": metrics.quiescent,
+        "run_seed": run_seed,
+    }) + "\n"
 
 
 def vc_trace_document(vc_trace, run_seed: int) -> str:
@@ -607,10 +598,9 @@ def vc_trace_document(vc_trace, run_seed: int) -> str:
     `,[...]]` of its vector. So each distinct vector is encoded once, and a
     sample that repeats the previous sample's time or vector object reuses
     its text (about half the samples of a sweep run repeat the time: a self
-    copy runs at its send's instant). Process ids are ints and times
-    finite; a float time is written as json writes it (float.__repr__), and
-    any other time goes through compact_json."""
-    float_repr = float.__repr__
+    copy runs at its send's instant). Process ids are ints, and a time, an
+    exact int or float (histories.is_time), is written as its repr, which
+    is what json writes."""
     prefixes = {}
     suffixes = {}
     parts = []
@@ -627,10 +617,7 @@ def vc_trace_document(vc_trace, run_seed: int) -> str:
                 last_suffix = suffixes[vec] = f",{compact_json(list(vec))}]"
         if time is not last_time:
             last_time = time
-            try:
-                last_text = float_repr(time)
-            except TypeError:   # an int time, such as WorkItem(at=0)'s
-                last_text = compact_json(time)
+            last_text = repr(time)
         extend((prefix, last_text, last_suffix))
     if parts:
         parts[0] = parts[0][1:]     # the first sample has no comma before it

@@ -63,7 +63,7 @@ def waiting_violations(history) -> list:
     bad = []
     for rec in history:     # invocation order, so each process's in seq order
         if (rec.t_ret is not None and rec.t_ret != rec.t_inv
-                and (rec.kind == "write" or previous.get(rec.proc) != "write")):
+                and (rec.kind == WRITE or previous.get(rec.proc) != WRITE)):
             bad.append((rec.proc, rec.seq))
         previous[rec.proc] = rec.kind
     return bad
@@ -72,7 +72,7 @@ def waiting_violations(history) -> list:
 def mutate_history(history, n, rng):
     """Corrupt one completed snapshot component: another of the writer's
     values, the initial value, or garbage."""
-    snaps = [rec for rec in history if rec.kind == "snapshot" and rec.completed]
+    snaps = [rec for rec in history if rec.kind == SNAPSHOT and rec.completed]
     if not snaps:
         return None
     victim = rng.choice(snaps)
@@ -83,7 +83,7 @@ def mutate_history(history, n, rng):
             continue
         cell = rng.randrange(n)
         written = [r.value for r in history
-                   if r.kind == "write" and r.proc == cell]
+                   if r.kind == WRITE and r.proc == cell]
         choices = [0, 999_999] + written
         result = list(victim.result)
         result[cell] = rng.choice(choices)

@@ -180,9 +180,12 @@ def test_check_reports_malformed_line(tmp_path, capsys):
     '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
 ], ids=["read-without-result", "write-value-null", "snapshot-result-null",
         "snapshot-result-string", "value-float", "value-string", "value-bool",
-        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan"])
+        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan",
+        "t_inv-401-digits", "value-4301-digits"])
 def test_check_reports_bad_field_with_line_number(tmp_path, capsys, line):
     path = tmp_path / "broken.jsonl"
     path.write_text(line + "\n")

@@ -1,7 +1,9 @@
+from math import inf, nan
+
 import pytest
 
 from seqsnap.histories import (OpRecord, TraceFormatError, history_lines,
-                               infer_process_count, load_history,
+                               infer_process_count, is_time, load_history,
                                record_from_json)
 from seqsnap.sim import SimConfig, history_document, run_simulation
 from seqsnap.workloads import random_workload
@@ -54,14 +56,36 @@ def test_missing_field_rejected():
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
     '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
     '[{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}]',
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
+    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
 ], ids=["read-without-result", "write-value-null", "snapshot-result-null",
         "snapshot-result-string", "value-float", "value-string", "value-bool",
         "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan",
-        "not-an-object"])
+        "not-an-object", "t_inv-401-digits", "value-4301-digits"])
 def test_bad_field_rejected_with_line_number(line):
     with pytest.raises(TraceFormatError) as err:
         record_from_json(line, 3)
     assert err.value.lineno == 3
+
+
+class FloatTime(float):
+    pass
+
+
+class IntTime(int):
+    pass
+
+
+@pytest.mark.parametrize("t, ok", [
+    (0, True), (-3, True), (2.5, True), (2**1000, True),
+    (True, False), (nan, False), (inf, False), (-inf, False),
+    (10**400, False), (FloatTime(1.0), False), (IntTime(1), False),
+    ("1", False), (None, False),
+], ids=["int", "negative-int", "float", "int-2**1000", "bool", "nan", "inf",
+        "minus-inf", "int-10**400", "float-subclass", "int-subclass", "str",
+        "none"])
+def test_time_rule(t, ok):
+    assert is_time(t) is ok
 
 
 def test_unknown_op_kind_rejected():

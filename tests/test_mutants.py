@@ -1,12 +1,13 @@
-"""Mutant-kill gate: each catalogued one-line edit of the snapshot protocol
-must still be caught by the acceptance criterion that catches it today.
+"""Mutant-kill gate: each catalogued mutant of the snapshot protocol must
+still be caught by the acceptance criteria that catch it today.
 
-A mutant edits one line of a current `protocol` function's source, is
-compiled in `protocol`'s namespace and patched over the module global, which
-is how the simulator calls it. Each mutant runs only the sweep runs recorded
-as killing it: every one must fail its criterion under the mutant and pass
-without it. So a change that weakens a gate, or rewrites the line a mutant
-edits, fails here instead of passing silently.
+A mutant is a list of one-line edits of current `protocol` functions'
+source. Each function it edits is compiled in `protocol`'s namespace and
+patched over the module global, which is how the simulator calls it. Each
+mutant runs only the sweep runs recorded as killing it: every one must fail
+its criterion under the mutant and pass without it. So a change that weakens
+a gate, or rewrites a line a mutant edits, fails here instead of passing
+silently.
 """
 
 from __future__ import annotations
@@ -18,69 +19,102 @@ import pytest
 
 from seqsnap import protocol
 from seqsnap.checker import check_sc_fast
-from seqsnap.sim import run_simulation, vc_total_order_violations
+from seqsnap.sim import (liveness_violations, run_simulation,
+                         vc_total_order_violations)
 from sweep import sweep_config, waiting_violations
 
 # What each criterion of the acceptance gate says about one run.
 CRITERIA = {
     "C1": lambda run: check_sc_fast(run.history, run.config.n).accepted,
     "C3": lambda run: not vc_total_order_violations(run.vc_trace),
+    "C4": lambda run: not liveness_violations(run),
     "wait": lambda run: not waiting_violations(run.history),
 }
 
-# name -> (function, line as written, line as mutated, criterion -> the first
-# killing (n, seed) sweep runs). Kill totals when recorded, over the C1 sweep
-# (n = 2, 3, 5, 7, seeds 0-499) plus the even-n runs (n = 4, 6, seeds
-# 0-499) for the first three, over the C1 sweep for the last two:
+READY_AT_HALF = (
+    "compute_validable",
+    "ready = {key for key, g in pending.items() if g.known * 2 > n}",
+    "ready = {key for key, g in pending.items() if g.known * 2 >= n}")
+
+# name -> ([(function, line as written, line as mutated), ...], criterion ->
+# the first killing (n, seed) sweep runs). Kill totals when recorded, over
+# the C1 sweep (n = 2, 3, 5, 7, seeds 0-499) plus the even-n runs (n = 4, 6,
+# seeds 0-499) for the first three, over the C1 sweep for the others:
 #   no dependency fixpoint: C1 155, C3 1,266;
 #   ahead at half: C1 2, C3 86;
 #   ready set at half: C1 4, C3 8;
 #   snapshot never waits: C1 2,000;
-#   snapshot waits on any pending entry: wait 571.
+#   snapshot waits on any pending entry: wait 571;
+#   relay with the writer's stamp: C1 3, C3 234;
+#   no relay: C4 2,000;
+#   ready set and trigger at half: C1 497, C3 500.
 MUTANTS = {
     "no dependency fixpoint": (
-        "compute_validable",
-        "blocked = [key for key in pending if key not in ready]",
-        "blocked = []",
+        [("compute_validable",
+          "blocked = [key for key in pending if key not in ready]",
+          "blocked = []")],
         {"C1": [(5, 1), (5, 20), (5, 27)], "C3": [(3, 1), (3, 2), (3, 5)]}),
     "ahead at half": (
-        "compute_validable",
-        "if ahead[other] * 2 <= n:",
-        "if ahead[other] * 2 < n:",
+        [("compute_validable",
+          "if ahead[other] * 2 <= n:",
+          "if ahead[other] * 2 < n:")],
         {"C1": [(4, 293), (6, 388)], "C3": [(4, 15), (4, 22), (4, 24)]}),
     "ready set at half": (
-        "compute_validable",
-        "ready = {key for key, g in pending.items() if g.known * 2 > n}",
-        "ready = {key for key, g in pending.items() if g.known * 2 >= n}",
+        [READY_AT_HALF],
         {"C1": [(4, 36), (4, 129), (4, 441)],
          "C3": [(4, 36), (4, 52), (4, 104)]}),
     "snapshot never waits": (
-        "invoke_snapshot",
-        "if state.view_stamps[state.me] < state.written:",
-        "if False:",
+        [("invoke_snapshot",
+          "if state.view_stamps[state.me] < state.written:",
+          "if False:")],
         {"C1": [(2, 0), (2, 1), (2, 2)]}),
     "snapshot waits on any pending entry": (
-        "invoke_snapshot",
-        "if state.view_stamps[state.me] < state.written:",
-        "if state.pending:",
+        [("invoke_snapshot",
+          "if state.view_stamps[state.me] < state.written:",
+          "if state.pending:")],
         {"wait": [(5, 0), (5, 1), (5, 2)]}),
+    "relay with the writer's stamp": (
+        [("handle_message",
+          "value, writer, stamp, state.clock, state.me,",
+          "value, writer, stamp, stamp, state.me,")],
+        {"C1": [(5, 233), (5, 290), (7, 184)],
+         "C3": [(3, 3), (3, 4), (3, 6)]}),
+    "no relay": (
+        [("handle_message",
+          "state.object_id))])",
+          "state.object_id))][:0])")],
+        {"C4": [(2, 0), (2, 1), (2, 2)]}),
+    "ready set and trigger at half": (
+        [READY_AT_HALF,
+         ("handle_message",
+          "if entry.known * 2 > n and not _blocked(pending, key, n):",
+          "if entry.known * 2 >= n and not _blocked(pending, key, n):")],
+        {"C1": [(2, 0), (2, 1), (2, 2)], "C3": [(2, 0), (2, 1), (2, 2)]}),
 }
 
 
-def mutant(name: str):
-    """The catalogued mutant `name`: (function name, mutated function)."""
-    func, line, mutated, _kills = MUTANTS[name]
-    source = textwrap.dedent(inspect.getsource(getattr(protocol, func)))
-    lines = source.splitlines(keepends=True)
-    hits = [i for i, text in enumerate(lines) if text.strip() == line]
-    assert len(hits) == 1, f"{func} no longer has the line {line!r}"
-    [i] = hits
-    indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
-    lines[i] = f"{indent}{mutated}\n"
-    defined = {}
-    exec(compile("".join(lines), protocol.__file__, "exec"),
-         vars(protocol), defined)
-    return func, defined[func]
+def mutant(name: str) -> list:
+    """The catalogued mutant `name`: (function name, mutated function) for
+    each function its edits touch."""
+    edits, _kills = MUTANTS[name]
+    sources = {}        # function name -> its lines, edited so far
+    for func, line, mutated in edits:
+        if func not in sources:
+            source = textwrap.dedent(inspect.getsource(getattr(protocol, func)))
+            sources[func] = source.splitlines(keepends=True)
+        lines = sources[func]
+        hits = [i for i, text in enumerate(lines) if text.strip() == line]
+        assert len(hits) == 1, f"{func} no longer has the line {line!r}"
+        [i] = hits
+        indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+        lines[i] = f"{indent}{mutated}\n"
+    patched = []
+    for func, lines in sources.items():
+        defined = {}
+        exec(compile("".join(lines), protocol.__file__, "exec"),
+             vars(protocol), defined)
+        patched.append((func, defined[func]))
+    return patched
 
 
 def criterion_holds(criterion: str, n: int, seed: int) -> bool:
@@ -89,11 +123,12 @@ def criterion_holds(criterion: str, n: int, seed: int) -> bool:
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_recorded_runs_kill_the_mutant(name, monkeypatch):
-    kills = MUTANTS[name][3]
+    kills = MUTANTS[name][1]
     for criterion, runs in kills.items():
         for n, seed in runs:
             assert criterion_holds(criterion, n, seed), (criterion, n, seed)
-    monkeypatch.setattr(protocol, *mutant(name))
+    for func, mutated in mutant(name):
+        monkeypatch.setattr(protocol, func, mutated)
     for criterion, runs in kills.items():
         survived = [(n, seed) for n, seed in runs
                     if criterion_holds(criterion, n, seed)]

@@ -546,7 +546,7 @@ def test_documents_match_the_reference_encodings(monkeypatch):
     assert any(type(rec.t_inv) is int for rec in records)
     assert any(type(rec.t_ret) is int for rec in records)
     assert not runs[-1].metrics.quiescent
-    # and none of it takes the compact_json path
+    # and no history line takes the compact_json path
     encoded = []
     monkeypatch.setattr(histories, "compact_json", encoded.append)
     for run in runs:
@@ -564,8 +564,13 @@ def test_documents_match_the_reference_encodings(monkeypatch):
 def test_reader_reads_back_every_line_the_writer_writes(monkeypatch):
     records = [rec for run in document_runs(monkeypatch) for rec in run.history]
     assert any(rec.kind == "read" and not rec.completed for rec in records)
+    assert any(type(rec.t_inv) is int for rec in records)
     for rec in records:
-        assert record_from_json(histories.record_to_json(rec)) == rec
+        line = histories.record_to_json(rec)
+        back = record_from_json(line)
+        assert back == rec
+        # and writes out as the same bytes: an int time stays an int
+        assert histories.record_to_json(back) == line
 
 
 def test_metrics_document_sorts_a_key_before_its_extensions():
@@ -599,6 +604,25 @@ def test_records_outside_the_trace_format_are_refused_by_the_writer(rec):
     # the reader refuses the same record written as a dict
     with pytest.raises(TraceFormatError):
         record_from_json(reference_record(rec))
+
+
+class FloatTime(float):
+    pass
+
+
+class IntTime(int):
+    pass
+
+
+# Every place a config gives a time, as a config with the time `t` there.
+TIME_PLACES = {
+    "item-at": lambda t: SimConfig(n=3, workload=[
+        WorkItem(0, t, "write", value=1)]),
+    "crash-at": lambda t: SimConfig(n=3, crashes=[CrashSpec(1, at_time=t)]),
+    "delay-low": lambda t: SimConfig(n=3, delay=AsyncDelay(t, 2.0)),
+    "delay-high": lambda t: SimConfig(n=3, delay=AsyncDelay(0.5, t)),
+    "scripted": lambda t: SimConfig(n=2, delay=ScriptedDelays({(0, 1): {1: t}})),
+}
 
 
 class TestConfigValidation:
@@ -742,6 +766,16 @@ class TestConfigValidation:
                            workload=[WorkItem(0, 0.0, "write", value=1)])
         with pytest.raises(ConfigError):
             sim.validate_config(config)
+
+    @pytest.mark.parametrize("at", [FloatTime(1.0), IntTime(1), 10**400],
+                             ids=["float-subclass", "int-subclass", "int-10**400"])
+    @pytest.mark.parametrize("place", TIME_PLACES)
+    def test_times_follow_the_trace_format_rule(self, place, at):
+        # the same place takes a plain int or float time
+        for plain in (1, 1.0):
+            sim.validate_config(TIME_PLACES[place](plain))
+        with pytest.raises(ConfigError):
+            sim.validate_config(TIME_PLACES[place](at))
 
 
 @settings(max_examples=40, deadline=None)

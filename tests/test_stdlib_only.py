@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package, and each script under tools/, imports nothing
+outside the standard library."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "seqsnap").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def imported_modules(path):
@@ -23,13 +25,16 @@ def imported_modules(path):
 
 def test_sources_are_found():
     assert {"protocol.py", "sim.py", "checker.py"} <= {p.name for p in SOURCES}
+    assert "bench_pairs.py" in {p.name for p in TOOLS}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
 def test_every_import_is_stdlib_or_the_package(path):
     for module, level in imported_modules(path):
         if level:
-            assert level == 1, f"{path.name} imports from outside the package"
+            # a tool is a script, outside any package
+            assert level == 1 and path in SOURCES, \
+                f"{path.name} imports from outside the package"
         else:
             assert module in sys.stdlib_module_names, \
                 f"{path.name} imports {module!r}, not a standard module"
