@@ -12,6 +12,9 @@ fresh stamp of its own. An update validates once a strict majority of
 processes have stamped it and no update that must be ordered before it is
 still blocked; validating folds the value into the local view.
 
+A state is one process of one object, and the module never learns which:
+the simulator routes each message to the state of the object that sent it.
+
 Each state is single-owner: transitions mutate the passed state in place
 (the view and its stamps are tuples that a validation replaces, so snapshot
 results and trace samples share them), return the Effect they ask of the
@@ -45,7 +48,6 @@ class UpdateMsg(NamedTuple):
     stamp: int
     relay_stamp: int
     sender: int
-    object_id: int = 0
 
 
 @dataclass
@@ -97,7 +99,7 @@ NOTHING = Effect((), (), (), ())
 
 @dataclass
 class ProcState:
-    """One process's state for one object. An own update is in flight while
+    """One process's state of one object. An own update is in flight while
     view_stamps[me] < written, and it is then the one own entry in pending."""
 
     me: int
@@ -109,14 +111,12 @@ class ProcState:
     written: int = 0         # stamp of our latest own broadcast, 0 if none
     deferred: int | None = None                  # newest write waiting for an older one
     snapshot_pending: bool = False
-    object_id: int = 0
 
 
-def init(n: int, me: int, object_id: int = 0) -> ProcState:
+def init(n: int, me: int) -> ProcState:
     if not 0 <= me < n:
         raise ValueError(f"process id {me} out of range for n={n}")
-    return ProcState(me=me, n=n, view=(0,) * n, view_stamps=(0,) * n,
-                     object_id=object_id)
+    return ProcState(me=me, n=n, view=(0,) * n, view_stamps=(0,) * n)
 
 
 def idle(state: ProcState) -> bool:
@@ -129,7 +129,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
     state.written = state.clock
     eff.broadcasts.append(tuple.__new__(UpdateMsg, (
-        value, state.me, state.clock, state.clock, state.me, state.object_id)))
+        value, state.me, state.clock, state.clock, state.me)))
     _admit(state, (state.me, state.clock), value)
 
 
@@ -264,7 +264,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     reaches is too, and then it returns `e`.
     """
     eff = NOTHING
-    value, writer, stamp, relay_stamp, sender, _object_id = msg
+    value, writer, stamp, relay_stamp, sender = msg
     if stamp > state.view_stamps[writer]:
         key = (writer, stamp)
         pending = state.pending
@@ -274,8 +274,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
             # from its send until it validates): relay it stamped
             state.clock += 1
             eff = Effect([tuple.__new__(UpdateMsg, (
-                value, writer, stamp, state.clock, state.me,
-                state.object_id))])
+                value, writer, stamp, state.clock, state.me))])
             entry = _admit(state, key, value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the

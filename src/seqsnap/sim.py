@@ -14,8 +14,9 @@ while handling m is charged m's chain length (0 if it completed at
 invocation).
 
 validate_config refuses a config before any event runs unless every time
-it gives is a time by the trace format's one rule (histories.is_time), so
-every time a run writes is one the trace reader reads back.
+it gives is a time by the trace format's one rule (histories.is_time) and
+its delays cannot carry a run past the largest time, so every time a run
+writes is one the trace reader reads back.
 """
 
 from __future__ import annotations
@@ -158,13 +159,15 @@ class Metrics:
 
 
 class MessageRecord(NamedTuple):
-    """One sent message; each of its deliveries refers to this record."""
+    """One sent message, and the object whose state sent it. Each delivery
+    names this record and goes to the recipient's state of that object."""
 
     time: float
     sender: int
     payload: object
     chain: int
     recipients: tuple[int, ...]
+    object_id: int
 
 
 @dataclass
@@ -176,8 +179,8 @@ class RunResult:
     # state's own view_stamps tuple, which only a rising stamp replaces
     vc_trace: list
     states: list                 # states[proc][object_id]: each process state
-    message_log: list            # one record per send, in send order
-    delivery_log: list           # (time, sender, to, payload), in processing order
+    message_log: list            # one MessageRecord per send, in send order
+    delivery_log: list           # (time, to, record), in processing order
     validation_log: list         # (proc, time, (writer, stamp)), on any object
     crashed: frozenset
 
@@ -262,6 +265,14 @@ def validate_config(config: SimConfig) -> None:
         if item.at < last_at.get(item.proc, 0.0):
             raise ConfigError(f"workload times for process {item.proc} go backwards")
         last_at[item.proc] = item.at
+    # A transition's copies arrive at most one transit after it, so no run's
+    # time passes the latest workload time plus EVENT_CAP transits (scripted
+    # times are all given); the factor leaves room for the sums' rounding.
+    latest = max(last_at.values(), default=0)
+    if isinstance(config.delay, AsyncDelay) and not is_time(
+            (latest + EVENT_CAP * float(config.delay.high)) * (1 + 1e-9)):
+        raise ConfigError(f"{EVENT_CAP} transits of up to {config.delay.high!r}"
+                          f" after time {latest!r} pass the largest time")
 
 
 class _Sim:
@@ -292,11 +303,8 @@ class _Sim:
         self.module = PROTOCOLS[config.protocol][0]
         # states[proc][object_id]; a process keeps handling the messages of
         # round objects it has left
-        if self.module is abd:
-            self.states = [[abd.init(n, me)] for me in range(n)]
-        else:
-            self.states = [[protocol.init(n, me, object_id=obj)
-                            for obj in range(objects)] for me in range(n)]
+        self.states = [[self.module.init(n, me) for _ in range(objects)]
+                       for me in range(n)]
         self.heap = []
         self.own_copies = deque()
         self.next_seq = itertools.count().__next__
@@ -339,10 +347,10 @@ class _Sim:
         heap, next_seq, alive = self.heap, self.next_seq, self.alive
         own_copies = self.own_copies
         next_own_copy = own_copies.popleft
-        # Deliveries call the protocol's handler on the recipient's state, or
-        # on its list of per-object states when the run spans several
-        # objects. The handler is read from its module once per run, so a
-        # handler patched before the run sees every delivery.
+        # Deliveries call the protocol's handler on the recipient's state of
+        # the record's object (its one state, unless the run spans several).
+        # The handler is read from its module once per run, so a handler
+        # patched before the run sees every delivery.
         handle = self.module.handle_message
         by_object = len(self.states[0]) > 1
         targets = [states if by_object else states[0] for states in self.states]
@@ -379,14 +387,13 @@ class _Sim:
             if msg is None:
                 self._invoke(proc, time)
             else:
-                payload = msg.payload
-                log_delivery((time, msg.sender, proc, payload))
+                log_delivery((time, proc, msg))
                 state = targets[proc]
                 if by_object:
-                    state = state[payload.object_id]
-                eff = handle(state, payload)
+                    state = state[msg.object_id]
+                eff = handle(state, msg.payload)
                 if eff is not nothing:
-                    after_transition(proc, eff, msg.chain, time)
+                    after_transition(proc, msg.object_id, eff, msg.chain, time)
             # Sample the stamps as the transition left them: a reading of the
             # state, not of the effect, so that a stamp changed without a
             # validation shows. A transition cut short by its sender's crash
@@ -412,27 +419,28 @@ class _Sim:
         self.op_count[proc] += 1
         self.history.append(rec)
         self.current_op[proc] = rec
-        # each function is read from its module at call time, so a patched
-        # one sees every invocation
-        state = self.states[proc][item.object_id]
+        # each function is read from the run's module at call time, so a
+        # patched one sees every invocation
+        module, obj = self.module, item.object_id
+        state = self.states[proc][obj]
         if item.action == WRITE:
-            eff = self.module.invoke_write(state, item.value)
+            eff = module.invoke_write(state, item.value)
         elif item.action == SNAPSHOT:
-            eff = protocol.invoke_snapshot(state)
+            eff = module.invoke_snapshot(state)
         else:
-            eff = abd.invoke_read(state, item.target)
-        self._after_transition(proc, eff, 0, now)
+            eff = module.invoke_read(state, item.target)
+        self._after_transition(proc, obj, eff, 0, now)
 
-    def _after_transition(self, proc, eff, cause_chain, now):
+    def _after_transition(self, proc, obj, eff, cause_chain, now):
         chain = cause_chain + 1
         for payload in eff.broadcasts:
             recipients = self._broadcast_recipients(proc)
-            self._send(proc, payload, recipients, chain, now)
+            self._send(proc, obj, payload, recipients, chain, now)
             # a broadcast is the only send a crash cuts short
             if not self.alive[proc]:
                 return
         for payload, dest in eff.sends:
-            self._send(proc, payload, self.only[dest], chain, now)
+            self._send(proc, obj, payload, self.only[dest], chain, now)
         for kind, value in eff.completions:
             self._complete(proc, kind, value, now, cause_chain)
         for key in eff.validated:
@@ -452,10 +460,11 @@ class _Sim:
         keep = self.rng.randint(0, n - 1)
         return tuple(sorted(self.rng.sample(range(n), keep)))
 
-    def _send(self, proc, payload, recipients, chain, now):
+    def _send(self, proc, obj, payload, recipients, chain, now):
         # tuple.__new__ builds the record without the Python frame of the
         # NamedTuple's generated __new__: one frame fewer per send
-        msg = tuple.__new__(MessageRecord, (now, proc, payload, chain, recipients))
+        msg = tuple.__new__(MessageRecord,
+                            (now, proc, payload, chain, recipients, obj))
         heap, next_seq, rng, arrival = (self.heap, self.next_seq, self.rng,
                                         self.arrival)
         last_arrival = self.last_arrival[proc]
@@ -488,7 +497,7 @@ class _Sim:
             total += count
             payload = msg.payload
             if type(payload) is update_msg:
-                key = (payload.object_id, payload.writer, payload.stamp)
+                key = (msg.object_id, payload.writer, payload.stamp)
                 per_update[key] = per_update.get(key, 0) + count
                 continue
             op_ref = getattr(payload, "op_ref", None)
@@ -540,7 +549,7 @@ def correct_original_updates(run: RunResult) -> list:
         if (isinstance(payload, protocol.UpdateMsg)
                 and payload.sender == payload.writer
                 and payload.writer not in run.crashed):
-            out.append((payload.object_id, payload.writer, payload.stamp))
+            out.append((msg.object_id, payload.writer, payload.stamp))
     return out
 
 

@@ -45,8 +45,8 @@ def run_digest(run) -> str:
     for name in ("history", "metrics", "vctrace"):
         h.update(docs[name].encode())
     h.update(repr((len(run.delivery_log), len(run.message_log))).encode())
-    h.update(repr([(time, sender, to)
-                   for time, sender, to, _payload in run.delivery_log]).encode())
+    h.update(repr([(time, msg.sender, to)
+                   for time, to, msg in run.delivery_log]).encode())
     h.update(repr([(msg.time, msg.sender, msg.chain, msg.recipients)
                    for msg in run.message_log]).encode())
     h.update(repr(run.validation_log).encode())

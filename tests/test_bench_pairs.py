@@ -44,6 +44,13 @@ def test_higher_is_better(change, claim, regressed):
     assert (row["claim_holds"], row["regressed"]) == (claim, regressed)
 
 
+def test_summary_line_reads_without_the_json():
+    row = summary_of(HIGHER, PARENT, [v * 0.7 for v in PARENT])
+    assert bench_pairs.summary_line(row) == (
+        "oracle seed 0 items_per_s (higher is better): parent 100, "
+        "change 70, change won 0/10, claim_holds False, regressed True")
+
+
 @pytest.mark.parametrize("change, claim, regressed", [
     ([v - 10 for v in PARENT], True, False),
     ([v * 1.04 for v in PARENT], False, False),

@@ -265,6 +265,7 @@ def test_usage_error_exit_code():
     ["--n", "3", "--delay", "sync:1e308,-1e308"],   # NaN arrival times
     ["--n", "3", "--delay", "sync:5,-2"],   # transit times above 5
     ["--n", "3", "--delay", "async:8,0.5"],
+    ["--n", "2", "--delay", "async:1e308,1.7e308"],  # times past the floats
 ])
 def test_invalid_config_rejected_before_any_event(tmp_path, capsys, argv):
     out = tmp_path / "run"

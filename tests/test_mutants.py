@@ -75,14 +75,14 @@ MUTANTS = {
         {"wait": [(5, 0), (5, 1), (5, 2)]}),
     "relay with the writer's stamp": (
         [("handle_message",
-          "value, writer, stamp, state.clock, state.me,",
-          "value, writer, stamp, stamp, state.me,")],
+          "value, writer, stamp, state.clock, state.me))])",
+          "value, writer, stamp, stamp, state.me))])")],
         {"C1": [(5, 233), (5, 290), (7, 184)],
          "C3": [(3, 3), (3, 4), (3, 6)]}),
     "no relay": (
         [("handle_message",
-          "state.object_id))])",
-          "state.object_id))][:0])")],
+          "value, writer, stamp, state.clock, state.me))])",
+          "value, writer, stamp, state.clock, state.me))][:0])")],
         {"C4": [(2, 0), (2, 1), (2, 2)]}),
     "ready set and trigger at half": (
         [READY_AT_HALF,

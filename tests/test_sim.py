@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from math import inf, nan
 
 import pytest
@@ -92,8 +93,8 @@ def test_fifo_per_ordered_pair():
         for recipient in msg.recipients:
             sent.setdefault((msg.sender, recipient), []).append(msg.payload)
     delivered = {}
-    for _time, sender, to, payload in run.delivery_log:
-        delivered.setdefault((sender, to), []).append(payload)
+    for _time, to, msg in run.delivery_log:
+        delivered.setdefault((msg.sender, to), []).append(msg.payload)
     # every channel delivers exactly what was sent, in send order
     assert delivered == {pair: msgs for pair, msgs in sent.items() if msgs}
 
@@ -116,9 +117,8 @@ def remote_transit_times(delay):
     of its channels carries one message, so the FIFO clamp moves none."""
     run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1)], delay=delay)
     (original,) = [m for m in run.message_log if m.sender == 0]
-    return [time - original.time
-            for time, sender, to, payload in run.delivery_log
-            if sender == 0 and to != 0 and payload is original.payload]
+    return [time - original.time for time, to, msg in run.delivery_log
+            if msg is original and to != 0]
 
 
 def test_sync_delay_bounds_respected():
@@ -163,17 +163,17 @@ def count_sends(monkeypatch):
     real = sim._Sim._send
     baseline = (abd.QueryMsg, abd.QueryReply, abd.PropagateMsg, abd.Ack)
 
-    def counting(self, proc, payload, recipients, chain, now):
+    def counting(self, proc, obj, payload, recipients, chain, now):
         if not tallies or tallies[-1]["sim"] is not self:
             tallies.append({"sim": self, "total": 0, "per_update": {},
                             "per_op": {}, "truncated": []})
         tally = tallies[-1]
         before = len(self.heap) + len(self.own_copies)
-        real(self, proc, payload, recipients, chain, now)
+        real(self, proc, obj, payload, recipients, chain, now)
         copies = len(self.heap) + len(self.own_copies) - before
         tally["total"] += copies
         if type(payload) is UpdateMsg:
-            key = (payload.object_id, payload.writer, payload.stamp)
+            key = (obj, payload.writer, payload.stamp)
             table = tally["per_update"]
         else:
             assert isinstance(payload, baseline)
@@ -316,12 +316,28 @@ def recorded_handler(monkeypatch, module):
     return calls
 
 
-def assert_every_delivery_handled(calls, run, object_of):
+def assert_every_delivery_handled(calls, run):
     assert len(calls) == len(run.delivery_log) > 0
-    for (state, payload), (_time, _sender, to, delivered) in zip(
-            calls, run.delivery_log):
-        assert payload is delivered
-        assert state is run.states[to][object_of(payload)]
+    for (state, payload), (_time, to, msg) in zip(calls, run.delivery_log):
+        assert payload is msg.payload
+        assert state is run.states[to][msg.object_id]
+
+
+@pytest.mark.parametrize("make_run", [
+    lambda: snapshot_run(4, random_workload(4, 30, seed=3), seed=3,
+                         crashes=[CrashSpec(1, on_send=2)]),
+    lambda: run_simulation(SimConfig(n=5, seed=4, protocol="abd",
+                                     workload=abd_workload(5, 30, 4))),
+    lambda: run_rounds(RoundConfig(n=5, rounds=3, seed=2,
+                                   crashes=[CrashSpec(3, on_send=2)])),
+], ids=["snapshot", "abd", "composed"])
+def test_every_delivery_names_its_message_record(make_run):
+    run = make_run()
+    sent = {id(msg) for msg in run.message_log}
+    assert run.delivery_log
+    for time, to, msg in run.delivery_log:
+        assert id(msg) in sent
+        assert to in msg.recipients and time >= msg.time
 
 
 def test_a_patched_abd_handler_sees_every_delivery(monkeypatch):
@@ -331,7 +347,7 @@ def test_a_patched_abd_handler_sees_every_delivery(monkeypatch):
         n=5, seed=4, protocol="abd", crashes=crashes,
         workload=trim_for_crashes(abd_workload(5, 60, 4), crashes)))
     assert run.crashed == {2}
-    assert_every_delivery_handled(calls, run, lambda payload: 0)
+    assert_every_delivery_handled(calls, run)
 
 
 def test_composed_run_delivers_to_the_state_of_each_message_object(monkeypatch):
@@ -339,8 +355,8 @@ def test_composed_run_delivers_to_the_state_of_each_message_object(monkeypatch):
     run = run_rounds(RoundConfig(n=5, rounds=3, seed=2,
                                  crashes=[CrashSpec(3, on_send=2)]))
     assert run.crashed == {3}
-    assert_every_delivery_handled(calls, run, lambda payload: payload.object_id)
-    assert {payload.object_id for _state, payload in calls} == {0, 1, 2}
+    assert_every_delivery_handled(calls, run)
+    assert {msg.object_id for _time, _to, msg in run.delivery_log} == {0, 1, 2}
 
 
 def test_snapshot_depth_two_and_four():
@@ -765,6 +781,29 @@ class TestConfigValidation:
         config = SimConfig(n=2, delay=ScriptedDelays({(0, 1): {1: at}}),
                            workload=[WorkItem(0, 0.0, "write", value=1)])
         with pytest.raises(ConfigError):
+            sim.validate_config(config)
+
+    def test_a_run_that_could_pass_the_largest_time_is_refused(self):
+        # p1's snapshot would return at inf, which no trace can hold
+        config = SimConfig(n=2, delay=AsyncDelay(1e308, 1.7e308), workload=[
+            WorkItem(0, 1.7e308, "write", value=1),
+            WorkItem(0, 1.7e308, "snapshot"), WorkItem(1, 1.7e308, "snapshot")])
+        with pytest.raises(ConfigError, match="pass the largest time"):
+            sim.validate_config(config)
+
+    def test_the_time_bound_reads_the_event_cap(self, monkeypatch):
+        high = sys.float_info.max / 60
+        config = SimConfig(n=3, delay=AsyncDelay(high, high),
+                           workload=random_workload(3, 20, seed=0))
+        monkeypatch.setattr(sim, "EVENT_CAP", 50)
+        run = run_simulation(config)
+        assert not run.metrics.quiescent
+        # every transition is an invocation or a delivery
+        times = [time for time, _to, _msg in run.delivery_log]
+        times += [rec.t_inv for rec in run.history]
+        assert all(map(histories.is_time, times))
+        monkeypatch.setattr(sim, "EVENT_CAP", 60)
+        with pytest.raises(ConfigError, match="pass the largest time"):
             sim.validate_config(config)
 
     @pytest.mark.parametrize("at", [FloatTime(1.0), IntTime(1), 10**400],

@@ -16,7 +16,9 @@ core count, both commits and a digest of each side's ``src/`` and
 ``BENCHMARK.json``, both medians, how many pairs the working tree won in
 that metric's ``better`` direction, whether a claimed gain holds
 (``claim_holds``) and whether the metric fell beyond its ``bound``
-(``regressed``). Stdlib only; run from the root of a git checkout.
+(``regressed``). After writing it, prints one line per case and metric of
+that summary to standard error. Stdlib only; run from the root of a git
+checkout.
 """
 
 from __future__ import annotations
@@ -139,6 +141,16 @@ def summarize(runs: list, cases: list, compared: list) -> list:
     return summary
 
 
+def summary_line(row: dict) -> str:
+    """One summary row as a line: the case, the metric, both medians, the
+    working tree's wins and the two verdicts."""
+    return (f"{row['workload']} seed {row['seed']} {row['metric']} "
+            f"({row['better']} is better): parent {row['parent_median']:.6g}, "
+            f"change {row['change_median']:.6g}, change won "
+            f"{row['change_wins']}/{row['pairs']}, claim_holds "
+            f"{row['claim_holds']}, regressed {row['regressed']}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -182,6 +194,8 @@ def main() -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
+    for row in document["summary"]:
+        print(summary_line(row), file=sys.stderr)
     return 0
 
 
