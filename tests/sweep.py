@@ -5,7 +5,7 @@ is trimmed to the crashes. Also the one snapshot mutant that the checker
 cross-validation and the golden verdict digests judge, the digest of
 everything a run leaves behind that the golden run digests and the C1 sweep
 digest pin, and a seeded scheduler that drives the protocol's transitions in
-any FIFO order, outside the simulator."""
+any FIFO order, outside the simulator. seqsnap.gates judges their runs."""
 
 from __future__ import annotations
 
@@ -52,21 +52,6 @@ def run_digest(run) -> str:
     h.update(repr(run.validation_log).encode())
     h.update(repr(sorted(run.crashed)).encode())
     return h.hexdigest()
-
-
-def waiting_violations(history) -> list:
-    """The paper's waiting claim, checked on one history: a write returns at
-    its invocation, and a snapshot waits only when it directly follows a
-    write of its own process. Returns the (proc, seq) of every completed op
-    that waited otherwise."""
-    previous = {}       # proc -> kind of its latest op so far
-    bad = []
-    for rec in history:     # invocation order, so each process's in seq order
-        if (rec.t_ret is not None and rec.t_ret != rec.t_inv
-                and (rec.kind == WRITE or previous.get(rec.proc) != WRITE)):
-            bad.append((rec.proc, rec.seq))
-        previous[rec.proc] = rec.kind
-    return bad
 
 
 def mutate_history(history, n, rng):

@@ -1,32 +1,32 @@
 """Acceptance gate: one test per criterion, exact tolerances, with a printed
 pass line each (run with -s to see them inline).
 
-The safety sweep (criterion 1) is executed once and shared with the two
-invariant criteria that quantify over the same runs.
+The safety sweep (criterion 1) and the even-n runs are executed once, each
+run judged by seqsnap.gates.judge, the one definition of the criteria, and
+shared with every criterion that quantifies over the same runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
 
 from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
+from seqsnap.gates import drained, judge, judge_history
 from seqsnap.histories import OpRecord
-from seqsnap.protocol import idle
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted, validation_order
-from seqsnap.sim import (CrashSpec, SimConfig, all_pending_empty,
-                         liveness_violations, run_simulation, serialize_run,
-                         vc_total_order_violations)
+from seqsnap.sim import CrashSpec, SimConfig, run_simulation, serialize_run
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
 from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_crash_case,
                    fifo_schedule_run, mutate_history, run_digest,
-                   sweep_config, waiting_violations)
+                   sweep_config)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -38,51 +38,31 @@ C1_SWEEP_DIGEST = \
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    """Every sweep run, reduced to the facts the criteria quantify over."""
-    summary = {
-        "runs": 0,
-        "sc_rejects": [],
-        "vc_violations": [],
-        "liveness_failures": [],
-        "stuck_runs": [],
-        "crash_free_residue": [],
-        "message_bound_breaches": [],
-        "waiting_violations": [],
-        "waited_snapshots": 0,
-    }
+    """Every run of the C1 sweep and of the even-n runs, judged: the failing
+    (n, seed) runs of each criterion, and the C1 sweep's digest."""
+    failures = defaultdict(list)
+    runs = waited_snapshots = 0
     digest = hashlib.sha256()
-    for n in SWEEP_NS:
+    for n in SWEEP_NS + EVEN_NS:
         for seed in range(SEEDS_PER_N):
             run = run_simulation(sweep_config(n, seed))
-            summary["runs"] += 1
-            digest.update(run_digest(run).encode())
-            if waiting_violations(run.history):
-                summary["waiting_violations"].append((n, seed))
-            summary["waited_snapshots"] += sum(
+            runs += 1
+            if n in SWEEP_NS:
+                digest.update(run_digest(run).encode())
+            for criterion, violations in judge(run).items():
+                if violations:
+                    failures[criterion].append((n, seed))
+            waited_snapshots += sum(
                 rec.kind == "snapshot" and rec.completed
                 and rec.t_ret > rec.t_inv for rec in run.history)
-            if not run.metrics.quiescent:
-                summary["stuck_runs"].append((n, seed))
-                continue
-            if not check_sc_fast(run.history, n).accepted:
-                summary["sc_rejects"].append((n, seed))
-            if vc_total_order_violations(run.vc_trace):
-                summary["vc_violations"].append((n, seed))
-            if liveness_violations(run):
-                summary["liveness_failures"].append((n, seed))
-            if not run.crashed and not all_pending_empty(run):
-                summary["crash_free_residue"].append((n, seed))
-            if any(count > n * n
-                   for count in run.metrics.messages_per_update.values()):
-                summary["message_bound_breaches"].append((n, seed))
-    summary["digest"] = digest.hexdigest()
-    return summary
+    return {"runs": runs, "failures": failures, "digest": digest.hexdigest(),
+            "waited_snapshots": waited_snapshots}
 
 
 def test_c1_safety_sweep_every_history_sequentially_consistent(sweep_results):
-    assert sweep_results["runs"] == len(SWEEP_NS) * SEEDS_PER_N
-    assert sweep_results["stuck_runs"] == []
-    assert sweep_results["sc_rejects"] == []
+    assert sweep_results["runs"] == len(SWEEP_NS + EVEN_NS) * SEEDS_PER_N
+    assert sweep_results["failures"]["stuck"] == []
+    assert sweep_results["failures"]["C1"] == []
     print(f"\nC1 PASS: {sweep_results['runs']} seeded crash-prone runs, "
           f"all histories accepted by the fast checker")
 
@@ -168,7 +148,7 @@ def test_c1_writes_never_wait_and_snapshots_wait_only_after_own_writes(
         sweep_results):
     """The paper's sufficiency claim about waiting: the one wait the
     protocol needs is a snapshot's, right after its own process wrote."""
-    assert sweep_results["waiting_violations"] == []
+    assert sweep_results["failures"]["wait"] == []
     assert sweep_results["waited_snapshots"] > 0
     print(f"\nC1 waiting PASS: no write waited in {sweep_results['runs']} "
           f"runs, and each of the {sweep_results['waited_snapshots']} "
@@ -176,35 +156,26 @@ def test_c1_writes_never_wait_and_snapshots_wait_only_after_own_writes(
 
 
 def test_c3_stamp_vectors_totally_ordered_in_every_sweep_run(sweep_results):
-    assert sweep_results["vc_violations"] == []
+    assert sweep_results["failures"]["C3"] == []
     print(f"\nC3 PASS: stamp-vector comparability held across all "
           f"{sweep_results['runs']} runs")
 
 
-def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority():
-    """C1, its waiting claim and C3 over 500 sweep runs at each even n with
-    a crash budget: there "exactly half the processes" is a possible count,
-    so a threshold written as >= instead of > shows here and nowhere in
+def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority(sweep_results):
+    """Every criterion over 500 sweep runs at each even n with a crash
+    budget: there "exactly half the processes" is a possible count, so a
+    threshold written as >= instead of > shows here and nowhere in
     SWEEP_NS."""
-    failures = []
-    for n in EVEN_NS:
-        for seed in range(SEEDS_PER_N):
-            run = run_simulation(sweep_config(n, seed))
-            if not run.metrics.quiescent:
-                failures.append(("stuck", n, seed))
-            elif not check_sc_fast(run.history, n).accepted:
-                failures.append(("C1", n, seed))
-            if vc_total_order_violations(run.vc_trace):
-                failures.append(("C3", n, seed))
-            if waiting_violations(run.history):
-                failures.append(("wait", n, seed))
+    failures = [(criterion, n, seed)
+                for criterion, runs in sweep_results["failures"].items()
+                for n, seed in runs if n in EVEN_NS]
     assert failures == []
-    print(f"\nC1+C3 even n PASS: {len(EVEN_NS) * SEEDS_PER_N} runs at "
-          f"n in {EVEN_NS}, all SC with totally ordered stamp vectors")
+    print(f"\neven n PASS: {len(EVEN_NS) * SEEDS_PER_N} runs at n in "
+          f"{EVEN_NS} met every criterion")
 
 
 def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
-    """C1, the waiting claim and C4's drained states under a scheduler that
+    """C1, the waiting claim and drained states under a scheduler that
     may hold any channel, a process's channel to itself included, for any
     number of steps: 1,000 crash-free runs at n = 2..7, and 1,000 runs at
     n = 3..7 in which one process up to the crash budget is marked to
@@ -221,17 +192,11 @@ def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
                 n, crashes = FIFO_NS[seed % len(FIFO_NS)], 0
             history, states, crashed = fifo_schedule_run(n, seed, crashes)
             crashed_total += len(crashed)
-            if not check_sc_fast(history, n).accepted:
-                failures.append(("C1", n, seed, crashes))
-            if waiting_violations(history):
-                failures.append(("wait", n, seed, crashes))
-            # in crash runs too, every correct process returns all its
-            # ops and ends idle
-            if not all(rec.completed for rec in history
-                       if rec.proc not in crashed) or not all(
-                    idle(state) for proc, state in enumerate(states)
-                    if proc not in crashed):
-                failures.append(("residue", n, seed, crashes))
+            judged = judge_history(history, n)
+            judged["drained"] = drained(history, states, crashed)
+            failures += [(criterion, n, seed, crashes)
+                         for criterion, violations in judged.items()
+                         if violations]
     assert failures == []
     assert crashed_total > runs
     print(f"\nC1 any-FIFO PASS: {2 * runs} scheduler-driven runs, "
@@ -239,13 +204,14 @@ def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
 
 
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):
-    assert sweep_results["liveness_failures"] == []
-    assert sweep_results["crash_free_residue"] == []
+    assert sweep_results["failures"]["C4"] == []
+    assert sweep_results["failures"]["drained"] == []
     print(f"\nC4 PASS: liveness held in all {sweep_results['runs']} runs; "
-          f"crash-free runs drained every pending set")
+          f"every correct process returned its ops and ended idle")
 
 
-def test_c5_snapshot_protocol_cost_row_is_exact():
+def test_c5_snapshot_protocol_cost_row_is_exact(sweep_results):
+    assert sweep_results["failures"]["messages"] == []
     witnessed = set()
     for n in (3, 5, 7):
         costs = measure_snapshot(n)
@@ -259,7 +225,8 @@ def test_c5_snapshot_protocol_cost_row_is_exact():
         assert costs.snapshot_depths["after_two_writes"] == 4
     assert {0, 4} <= witnessed
     print("\nC5 PASS: write depth 0, n^2 messages per update, snapshots free, "
-          "snapshot depth in [0, 4] with both endpoints witnessed")
+          "snapshot depth in [0, 4] with both endpoints witnessed; at most "
+          f"n^2 messages per update in all {sweep_results['runs']} sweep runs")
 
 
 def test_c6_quorum_baseline_cost_row_is_exact_and_linearizable():
@@ -310,10 +277,9 @@ def test_c7_scripted_scenarios_reproduce_the_validation_patterns():
         assert states[0].view == (1, 0, 0, 0, 1)
 
     chain = replay_scripted("fig4b")
-    assert chain.metrics.quiescent
+    assert not any(judge(chain).values())
     for states in chain.states:
         assert states[0].view_stamps == (3, 0, 0, 3)
-        assert not states[0].pending and states[0].deferred is None
     flushes = [m for m in chain.message_log
                if getattr(m.payload, "writer", None) == m.sender
                and m.payload.stamp == 3]

@@ -1,5 +1,6 @@
 """Mutant-kill gate: each catalogued mutant of the snapshot protocol must
-still be caught by the acceptance criteria that catch it today.
+still be caught by the acceptance criteria that catch it today, each as
+seqsnap.gates.judge, the acceptance gate's one judge, states it.
 
 A mutant is a list of one-line edits of current `protocol` functions'
 source. Each function it edits is compiled in `protocol`'s namespace and
@@ -18,18 +19,9 @@ import textwrap
 import pytest
 
 from seqsnap import protocol
-from seqsnap.checker import check_sc_fast
-from seqsnap.sim import (liveness_violations, run_simulation,
-                         vc_total_order_violations)
-from sweep import sweep_config, waiting_violations
-
-# What each criterion of the acceptance gate says about one run.
-CRITERIA = {
-    "C1": lambda run: check_sc_fast(run.history, run.config.n).accepted,
-    "C3": lambda run: not vc_total_order_violations(run.vc_trace),
-    "C4": lambda run: not liveness_violations(run),
-    "wait": lambda run: not waiting_violations(run.history),
-}
+from seqsnap.gates import judge
+from seqsnap.sim import run_simulation
+from sweep import sweep_config
 
 READY_AT_HALF = (
     "compute_validable",
@@ -47,7 +39,8 @@ READY_AT_HALF = (
 #   snapshot waits on any pending entry: wait 571;
 #   relay with the writer's stamp: C1 3, C3 234;
 #   no relay: C4 2,000;
-#   ready set and trigger at half: C1 497, C3 500.
+#   ready set and trigger at half: C1 497, C3 500;
+#   waiting snapshot never returns: drained 2,000.
 MUTANTS = {
     "no dependency fixpoint": (
         [("compute_validable",
@@ -90,6 +83,11 @@ MUTANTS = {
           "if entry.known * 2 > n and not _blocked(pending, key, n):",
           "if entry.known * 2 >= n and not _blocked(pending, key, n):")],
         {"C1": [(2, 0), (2, 1), (2, 2)], "C3": [(2, 0), (2, 1), (2, 2)]}),
+    "waiting snapshot never returns": (
+        [("handle_message",
+          "eff.completions.append((SNAPSHOT, state.view))",
+          "pass")],
+        {"drained": [(2, 0), (2, 1), (2, 2)]}),
 }
 
 
@@ -118,7 +116,7 @@ def mutant(name: str) -> list:
 
 
 def criterion_holds(criterion: str, n: int, seed: int) -> bool:
-    return CRITERIA[criterion](run_simulation(sweep_config(n, seed)))
+    return not judge(run_simulation(sweep_config(n, seed)))[criterion]
 
 
 @pytest.mark.parametrize("name", MUTANTS)

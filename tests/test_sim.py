@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqsnap import abd, histories, protocol, sim
+from seqsnap.checker import CheckRefusal
+from seqsnap.gates import judge, judge_history
 from seqsnap.histories import (OpRecord, TraceFormatError, compact_json,
                                record_from_json)
 from seqsnap.protocol import UpdateMsg
 from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
-                         SimConfig, SyncDelay, WorkItem, all_pending_empty,
-                         liveness_violations, run_simulation, serialize_run,
+                         SimConfig, SyncDelay, WorkItem, liveness_violations,
+                         run_simulation, serialize_run,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_workload, random_crashes,
                                trim_for_crashes)
@@ -51,15 +53,13 @@ def test_update_message_bound_holds_and_is_exact_when_crash_free():
     run = snapshot_run(5, trim_for_crashes(random_workload(5, 25, seed=3),
                                            [CrashSpec(1, on_send=2)]),
                        crashes=[CrashSpec(1, on_send=2)])
-    for key, count in run.metrics.messages_per_update.items():
-        assert count <= 25
+    assert judge(run)["messages"] == []
 
 
 def test_crash_free_runs_drain_all_pending_state():
     for seed in range(5):
         run = snapshot_run(3, random_workload(3, 20, seed=seed), seed=seed)
-        assert run.metrics.quiescent
-        assert all_pending_empty(run)
+        assert not any(judge(run).values())
 
 
 def test_crash_mid_broadcast_still_validates_via_majority():
@@ -382,15 +382,44 @@ def test_invariant_checks_report_violations():
     run.states[1][0].view_stamps = (0, 0, 0)
     assert liveness_violations(run) == [((0, 0, 1), 1), ((0, 2, 1), 1)]
 
+    # each criterion of gates.judge, and it alone, fires on a run doctored
+    # to break it; history[2] is p0's snapshot, after both writes
+    doctorings = [
+        ("stuck", lambda run: setattr(run.metrics, "quiescent", False)),
+        ("C1", lambda run: setattr(run.history[2], "result", (7, 0, 3))),
+        ("C1", lambda run: run.history.append(run.history[0])),
+        ("C3", lambda run: run.vc_trace.append((1, 9.0, (0, 5, 0)))),
+        ("C4", lambda run: setattr(run.states[1][0], "view_stamps", (0, 0, 0))),
+        ("wait", lambda run: setattr(run.history[0], "t_ret", 0.5)),
+        ("drained", lambda run: setattr(run.history[2], "t_ret", None)),
+        ("drained", lambda run: setattr(run.states[1][0], "deferred", 4)),
+        ("messages", lambda run: run.metrics.messages_per_update.update(
+            {(0, 0, 1): 10})),
+    ]
+    for criterion, doctor in doctorings:
+        run = snapshot_run(3, [WorkItem(0, 0.0, "write", value=1),
+                               WorkItem(2, 0.0, "write", value=3),
+                               WorkItem(0, 1.0, "snapshot")])
+        assert not any(judge(run).values())
+        doctor(run)
+        assert [c for c, bad in judge(run).items() if bad] == [criterion]
+    assert judge(run)["messages"] == [((0, 0, 1), 10)]
+    # the fast checker's refusal is reported as one, not as a rejection
+    [refused] = judge_history(run.history + [run.history[0]], 3)["C1"]
+    assert refused.startswith("refused: ")
+    # the criteria are the snapshot memory's claims about one object
+    for other in (replay_scripted("abd_baseline_demo"),
+                  run_rounds(RoundConfig(n=3, rounds=2, seed=0))):
+        with pytest.raises(CheckRefusal):
+            judge(other)
+
 
 def test_vc_trace_total_order_and_liveness():
     for seed in range(10):
         crashes = random_crashes(5, 2, seed)
         workload = trim_for_crashes(random_workload(5, 30, seed), crashes)
         run = snapshot_run(5, workload, seed=seed, crashes=crashes)
-        assert run.metrics.quiescent
-        assert vc_total_order_violations(run.vc_trace) == []
-        assert liveness_violations(run) == []
+        assert not any(judge(run).values())
 
 
 def test_determinism_bit_identical():
@@ -824,8 +853,4 @@ def test_random_runs_preserve_core_invariants(seed, n):
     workload = trim_for_crashes(random_workload(n, 16, seed), crashes)
     run = run_simulation(SimConfig(n=n, seed=seed, workload=workload,
                                    crashes=crashes))
-    assert run.metrics.quiescent
-    assert vc_total_order_violations(run.vc_trace) == []
-    assert liveness_violations(run) == []
-    for count in run.metrics.messages_per_update.values():
-        assert count <= n * n
+    assert not any(judge(run).values())
