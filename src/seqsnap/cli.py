@@ -46,6 +46,20 @@ def _parse_delay(text: str):
         f"delay must be 'async', 'async:<lo>,<hi>' or 'sync:<d>,<u>', got {text!r}")
 
 
+def _parse_n_list(text: str) -> list[int]:
+    """'3,5,7' -> [3, 5, 7]: every process count is read and checked before
+    any table is printed."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a list of process counts of at least 1, "
+            f"like 3,5,7")
+    return counts
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqsnap",
@@ -72,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="directory for verdict.json (default: stdout only)")
 
     ben = sub.add_parser("bench", help="per-operation cost table")
-    ben.add_argument("--n", default="5",
+    ben.add_argument("--n", type=_parse_n_list, default="5",
                      help="process count, or comma list like 3,5,7")
 
     rnd = sub.add_parser("rounds", help="round-structured run plus composition check")
@@ -133,8 +147,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    for n_text in str(args.n).split(","):
-        n = int(n_text)
+    for n in args.n:
         rows = bench.bench_rows(n)
         sys.stdout.write(bench.format_table(n, rows))
         sys.stdout.write("\n")

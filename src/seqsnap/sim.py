@@ -115,8 +115,7 @@ class ScriptedDelays:
         return at
 
 
-@dataclass(frozen=True)
-class WorkItem:
+class WorkItem(NamedTuple):
     proc: int
     at: float
     action: str                 # "write" | "snapshot" | "read"
@@ -125,8 +124,7 @@ class WorkItem:
     object_id: int = 0
 
 
-@dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(NamedTuple):
     """Kill a process at a time instant or during its k-th broadcast (1-based).
 
     recipients forces the surviving recipient subset of the truncated
@@ -201,7 +199,15 @@ def validate_config(config: SimConfig) -> None:
         raise ConfigError(f"run seed {config.seed!r} is not an int")
     if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
+    if not (callable(getattr(config.delay, "validate", None))
+            and callable(getattr(config.delay, "arrival", None))):
+        raise ConfigError(f"delay {config.delay!r} is not a delay model: "
+                          f"it needs validate() and arrival()")
     config.delay.validate()
+    for name, records in (("workload", config.workload),
+                          ("crashes", config.crashes)):
+        if not isinstance(records, (list, tuple)):
+            raise ConfigError(f"{name} {records!r} is not a list or tuple")
     budget = (config.n - 1) // 2
     if len(config.crashes) > budget:
         raise ConfigError(
@@ -210,6 +216,10 @@ def validate_config(config: SimConfig) -> None:
     seen_procs = set()
     crash_time = {}
     for crash in config.crashes:
+        # records, not bare tuples: a tuple of the right length would be
+        # read field by field whatever its entries mean
+        if not isinstance(crash, CrashSpec):
+            raise ConfigError(f"crash {crash!r} is not a CrashSpec")
         # plain ints, as for workload ids: a float on_send would never fire
         if type(crash.proc) is not int or not 0 <= crash.proc < config.n:
             raise ConfigError(f"crash of out-of-range process {crash.proc!r}")
@@ -236,35 +246,38 @@ def validate_config(config: SimConfig) -> None:
     module, actions = PROTOCOLS[config.protocol]
     last_at = {}
     for item in config.workload:
+        if not isinstance(item, WorkItem):
+            raise ConfigError(f"workload entry {item!r} is not a WorkItem")
+        proc, at, action, value, target, object_id = item
         # ids and values are written to the history as JSON integers; a bool
         # would be written as true/false
-        if type(item.proc) is not int or not 0 <= item.proc < config.n:
-            raise ConfigError(f"workload references out-of-range process {item.proc!r}")
-        if type(item.object_id) is not int or item.object_id < 0:
-            raise ConfigError(f"workload references object {item.object_id!r}: "
+        if type(proc) is not int or not 0 <= proc < config.n:
+            raise ConfigError(f"workload references out-of-range process {proc!r}")
+        if type(object_id) is not int or object_id < 0:
+            raise ConfigError(f"workload references object {object_id!r}: "
                               f"objects are non-negative ints")
-        if item.object_id and module is abd:
+        if object_id and module is abd:
             raise ConfigError("the register baseline runs on object 0 only")
-        if not is_time(item.at):
-            raise ConfigError(f"workload schedules process {item.proc} at "
-                              f"{item.at!r}, not a time")
-        if item.action not in actions:
+        if not is_time(at):
+            raise ConfigError(f"workload schedules process {proc} at "
+                              f"{at!r}, not a time")
+        if action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
-                              f"action {item.action!r}")
-        if item.action == WRITE and type(item.value) is not int:
-            raise ConfigError(f"write by process {item.proc} has value "
-                              f"{item.value!r}, not an int")
-        if item.action == READ and (type(item.target) is not int
-                                    or not 0 <= item.target < config.n):
-            raise ConfigError(f"read by process {item.proc} targets cell "
-                              f"{item.target!r}, not an int in 0..{config.n - 1}")
-        if item.proc in crash_time and item.at >= crash_time[item.proc]:
+                              f"action {action!r}")
+        if action == WRITE and type(value) is not int:
+            raise ConfigError(f"write by process {proc} has value "
+                              f"{value!r}, not an int")
+        if action == READ and (type(target) is not int
+                               or not 0 <= target < config.n):
+            raise ConfigError(f"read by process {proc} targets cell "
+                              f"{target!r}, not an int in 0..{config.n - 1}")
+        if proc in crash_time and at >= crash_time[proc]:
             raise ConfigError(
-                f"workload schedules process {item.proc} at {item.at} "
-                f"after its crash at {crash_time[item.proc]}")
-        if item.at < last_at.get(item.proc, 0.0):
-            raise ConfigError(f"workload times for process {item.proc} go backwards")
-        last_at[item.proc] = item.at
+                f"workload schedules process {proc} at {at} "
+                f"after its crash at {crash_time[proc]}")
+        if at < last_at.get(proc, 0.0):
+            raise ConfigError(f"workload times for process {proc} go backwards")
+        last_at[proc] = at
     # A transition's copies arrive at most one transit after it, so no run's
     # time passes the latest workload time plus EVENT_CAP transits (scripted
     # times are all given); the factor leaves room for the sums' rounding.

@@ -18,15 +18,19 @@ def encode_value(proc: int, index: int) -> int:
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one process, got n={n}")
+    # sizes are plain ints, the rule validate_config applies to n: a bool
+    # would count as 0 or 1, and randrange refuses a float
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need a whole number of processes, at least one, "
+                         f"got n={n!r}")
 
 
 def _split_ops(n: int, ops: int) -> list[int]:
     """Operations per process; the first ops % n processes get one extra."""
     _check_n(n)
-    if ops < 0:
-        raise ValueError(f"operation count must be non-negative, got {ops}")
+    if type(ops) is not int or ops < 0:
+        raise ValueError(f"operation count must be a non-negative int, "
+                         f"got {ops!r}")
     return [ops // n + (1 if p < ops % n else 0) for p in range(n)]
 
 
@@ -102,10 +106,10 @@ def random_crashes(n: int, count: int, seed: int) -> list[CrashSpec]:
     non-negative and below half of n."""
     _check_n(n)
     budget = (n - 1) // 2
-    if not 0 <= count <= budget:
+    if type(count) is not int or not 0 <= count <= budget:
         raise ValueError(
-            f"crash count must be between 0 and {budget} for n={n}: "
-            f"fewer than half the processes may crash, got {count}")
+            f"crash count must be an int between 0 and {budget} for n={n}: "
+            f"fewer than half the processes may crash, got {count!r}")
     rng = random.Random(f"crashes:{seed}")
     how_many = rng.randint(0, count) if count else 0
     procs = rng.sample(range(n), how_many)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -59,3 +60,25 @@ def test_summary_line_reads_without_the_json():
 def test_lower_is_better(change, claim, regressed):
     row = summary_of(LOWER, PARENT, change)
     assert (row["claim_holds"], row["regressed"]) == (claim, regressed)
+
+
+def test_cases_parse_in_order():
+    assert bench_pairs.parse_cases("sweep:0,oracle:9") == [("sweep", 0),
+                                                           ("oracle", 9)]
+
+
+@pytest.mark.parametrize("text", ["sweep", "sweep:", ":0", "sweep:-1",
+                                  "sweep:x", "sweep:0,oracle:1,sweep:0"])
+def test_malformed_or_repeated_case_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_cases(text)
+
+
+def test_progress_line_names_every_compared_metric():
+    run = {"workload": "sweep", "seed": 0, "pair": 3, "side": "change",
+           "result": {"metrics": {"items_per_s": {"value": 281.25},
+                                  "peak_rss_mb": {"value": 27.5}}}}
+    assert bench_pairs.progress_line(run, [HIGHER | {"unit": "1/s"},
+                                           LOWER | {"unit": "MB"}]) == (
+        "sweep seed 0 pair 3 change: items_per_s 281.25 1/s, "
+        "peak_rss_mb 27.5 MB")

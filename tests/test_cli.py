@@ -221,6 +221,12 @@ def test_bench_table_rows(capsys):
     assert "9" in text and "49" in text   # n^2 update messages
 
 
+@pytest.mark.parametrize("counts", ["2,x", "3,,5", "3,0"])
+def test_bench_checks_every_n_before_any_table(counts, capsys):
+    assert main(["bench", "--n", counts]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_with_sync_delay_and_crashes_on_abd(tmp_path):
     out = tmp_path / "abd-crash"
     assert main(["simulate", "--n", "5", "--seed", "4", "--ops", "10",

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 from math import inf, nan
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -735,6 +736,11 @@ class TestConfigValidation:
         ("snapshot", [WorkItem(0, 2.0, "snapshot"),
                       WorkItem(0, 1.0, "snapshot")], []),
         ("paxos", [], []),
+        # a bare tuple is refused, not read field by field as a record
+        ("snapshot", [(0, 1.0, "write", 5)], []),
+        ("snapshot", [], [(0, 5.0)]),
+        ("snapshot", None, []),
+        ("snapshot", [], None),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
@@ -747,7 +753,8 @@ class TestConfigValidation:
             "crash-proc-bool", "crash-proc-float", "recipient-float",
             "recipient-bool", "recipients-not-a-sequence",
             "crash-at-time-and-on-send", "crash-at-neither",
-            "item-times-backwards", "unknown-protocol"])
+            "item-times-backwards", "unknown-protocol", "item-tuple",
+            "crash-tuple", "workload-none", "crashes-none"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):
@@ -760,8 +767,11 @@ class TestConfigValidation:
         {"n": 3, "delay": AsyncDelay("1", 2)},
         {"n": 3, "delay": AsyncDelay(1, "2")},
         {"n": 3, "delay": AsyncDelay(False, 2)},
+        {"n": 3, "delay": None},
+        {"n": 3, "delay": SimpleNamespace(validate=lambda: None)},
     ], ids=["n-float", "n-str", "n-none", "n-bool", "seed-float", "seed-bool",
-            "seed-str", "delay-low-str", "delay-high-str", "delay-low-bool"])
+            "seed-str", "delay-low-str", "delay-high-str", "delay-low-bool",
+            "delay-none", "delay-without-arrival"])
     def test_malformed_size_seed_or_delay_rejected(self, fields):
         config = SimConfig(workload=[WorkItem(0, 0.0, "write", value=1)],
                            **fields)

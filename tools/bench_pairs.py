@@ -9,7 +9,8 @@ tracked and unignored files into one temporary directory each, then runs
 ``perfbench/run.py --trace 0`` of each checkout in ten alternating pairs per
 case (``--cases workload:seed,...``, by default the five of ``CASES``), each
 run as long as ``BENCHMARK.json`` sets (the side that runs first alternates
-too, so that a drift of the host's speed falls on both sides alike). Every
+too, so that a drift of the host's speed falls on both sides alike), and
+prints each run's end-to-end metrics to standard error as it ends. Every
 result line is written to ``--out``, together with the Python version, the
 core count, both commits and a digest of each side's ``src/`` and
 ``perfbench/``, plus, per case and per end-to-end metric of
@@ -90,13 +91,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def parse_cases(text: str) -> list:
-    """'quorum:0,sweep:1' -> [("quorum", 0), ("sweep", 1)]."""
+    """'quorum:0,sweep:1' -> [("quorum", 0), ("sweep", 1)]. A case given
+    twice is refused: its runs would be summarized as one case of twice
+    the pairs."""
     cases = []
     for part in text.split(","):
         workload, sep, seed = part.strip().partition(":")
         if not sep or not workload or not seed.isdigit():
             raise argparse.ArgumentTypeError(
                 f"case {part!r} is not workload:seed")
+        if (workload, int(seed)) in cases:
+            raise argparse.ArgumentTypeError(f"case {part!r} is given twice")
         cases.append((workload, int(seed)))
     return cases
 
@@ -151,6 +156,16 @@ def summary_line(row: dict) -> str:
             f"{row['claim_holds']}, regressed {row['regressed']}")
 
 
+def progress_line(run: dict, compared: list) -> str:
+    """One run as a line: the case, the pair, the side and every compared
+    metric (the end-to-end entries of BENCHMARK.json) with its unit."""
+    metrics = ", ".join(
+        f"{entry['name']} {run['result']['metrics'][entry['name']]['value']:.6g}"
+        f" {entry['unit']}" for entry in compared)
+    return (f"{run['workload']} seed {run['seed']} pair {run['pair']} "
+            f"{run['side']}: {metrics}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -178,9 +193,8 @@ def main() -> int:
                                          f"seed {seed}: {result}")
                     runs.append({"workload": workload, "seed": seed, "pair": pair,
                                  "side": side, "result": result})
-                    print(f"{workload} seed {seed} pair {pair} {side}: "
-                          f"{result['metrics']['deliveries_per_s']['value']:.0f} "
-                          "deliveries/s", file=sys.stderr, flush=True)
+                    print(progress_line(runs[-1], benchmark["end_to_end"]),
+                          file=sys.stderr, flush=True)
         digests = {side: source_digest(path) for side, path in sides.items()}
     document = {
         "python": platform.python_version(),
