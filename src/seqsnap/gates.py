@@ -28,32 +28,28 @@ def judge_history(history, n: int) -> dict:
     return {"C1": sc, "wait": waited}
 
 
-def drained(history, states, crashed) -> list:
-    """The correct processes (not in `crashed`) with an op that never
-    returned, or whose state (states[proc]) is not idle. A process invokes
-    an op only once its last one returned, so the rest returned all theirs."""
-    unreturned = {rec.proc for rec in history if rec.t_ret is None}
-    return [proc for proc, state in enumerate(states) if proc not in crashed
-            and (proc in unreturned or not protocol.idle(state))]
-
-
 def judge(run: sim.RunResult) -> dict:
     """Each criterion's violations: stuck (stopped at the event cap), C1 and
     wait (judge_history), C3 (sim.vc_total_order_violations), C4
-    (sim.liveness_violations), drained, and messages ((update, sends) of each
-    update sent more than n^2 times). These are the paper's claims about one
-    object of its memory, so any other run is refused (CheckRefusal)."""
+    (sim.liveness_violations), drained (the correct processes with an op
+    that never returned or a state that is not idle; a process invokes an
+    op only once its last one returned), and messages ((update, sends) of
+    each update sent more than n^2 times). These are the paper's claims
+    about one object of its memory, so any other run is refused
+    (CheckRefusal)."""
     if run.config.protocol != "snapshot" or len(run.states[0]) > 1:
         raise checker.CheckRefusal("the criteria judge single-object runs "
                                    "of the snapshot memory only")
     n = run.config.n
+    unreturned = {rec.proc for rec in run.history if rec.t_ret is None}
     return {
         "stuck": [] if run.metrics.quiescent else ["not quiescent"],
         **judge_history(run.history, n),
         "C3": sim.vc_total_order_violations(run.vc_trace),
         "C4": sim.liveness_violations(run),
-        "drained": drained(run.history, [states[0] for states in run.states],
-                           run.crashed),
+        "drained": [proc for proc, (state,) in enumerate(run.states)
+                    if proc not in run.crashed
+                    and (proc in unreturned or not protocol.idle(state))],
         "messages": [(update, sends) for update, sends
                      in run.metrics.messages_per_update.items()
                      if sends > n * n],

@@ -4,7 +4,8 @@ Models n asynchronous processes over reliable FIFO channels with FIFO
 broadcast: per ordered pair, delivery order equals send order; a process
 receives its own broadcast copy instantly, before any other pending event of
 its own; a process that crashes mid-broadcast reaches only a seeded subset of
-recipients and takes no further transitions.
+recipients and takes no further transitions. run_fifo runs the same
+transitions with every channel, the self channel too, held for any steps.
 
 Identical configs (including seed) produce bit-identical histories, metrics
 and stamp traces. Causal depth is accounted per message: a message sent from
@@ -413,9 +414,12 @@ class _Sim:
             # is not sampled.
             if traced and alive[proc]:
                 log_sample((proc, time, targets[proc].view_stamps))
+        return self._result()
+
+    def _result(self) -> RunResult:
         self._count_messages()
-        crashed = frozenset(p for p in range(config.n) if not alive[p])
-        return RunResult(config=config, history=self.history,
+        crashed = frozenset(p for p, live in enumerate(self.alive) if not live)
+        return RunResult(config=self.config, history=self.history,
                          metrics=self.metrics, vc_trace=self.vc_trace,
                          states=self.states, message_log=self.message_log,
                          delivery_log=self.delivery_log,
@@ -535,6 +539,82 @@ class _Sim:
 def run_simulation(config: SimConfig) -> RunResult:
     """Execute the workload to quiescence (or EVENT_CAP transitions)."""
     return _Sim(config).run()
+
+
+class _FifoSim(_Sim):
+    """A run in any FIFO order. Every copy, the sender's own included, waits
+    on its channel, and each step is drawn uniformly from the enabled ones:
+    deliver the head of a nonempty channel, invoke the next item of a live
+    process with no op in flight, or crash a process that has an at_time
+    crash. Times are step numbers, so a config's times only order each
+    process's items. All else is _Sim's; the heap _complete feeds is unread.
+    """
+
+    def __init__(self, config: SimConfig):
+        super().__init__(config)
+        n = config.n
+        self.channels = [[deque() for _ in range(n)] for _ in range(n)]
+        self.busy = []      # (sender, recipient) of every nonempty channel
+
+    def _send(self, proc, obj, payload, recipients, chain, now):
+        msg = MessageRecord(now, proc, payload, chain, recipients, obj)
+        for recipient in recipients:
+            # a crashed process receives nothing more
+            if self.alive[recipient]:
+                channel = self.channels[proc][recipient]
+                if not channel:
+                    self.busy.append((proc, recipient))
+                channel.append(msg)
+        self.message_log.append(msg)
+
+    def _run(self) -> RunResult:
+        rng, alive, busy, states = self.rng, self.alive, self.busy, self.states
+        handle, nothing = self.module.handle_message, protocol.NOTHING
+        traced = self.module is protocol and len(states[0]) == 1
+        at_time = [crash.proc for crash in self.config.crashes
+                   if crash.at_time is not None]
+        step = 0
+        while True:
+            starters = [proc for proc, queue in enumerate(self.queues) if queue
+                        and alive[proc] and self.current_op[proc] is None]
+            delivering, starting = len(busy), len(busy) + len(starters)
+            enabled = starting + len(at_time)
+            if not enabled:
+                break
+            if step >= EVENT_CAP:
+                self.metrics.quiescent = False
+                break
+            pick = rng.randrange(enabled)
+            step += 1
+            if pick < delivering:
+                sender, proc = busy[pick]
+                channel = self.channels[sender][proc]
+                msg = channel.popleft()
+                if not channel:
+                    busy[pick] = busy[-1]
+                    busy.pop()
+                self.delivery_log.append((step, proc, msg))
+                eff = handle(states[proc][msg.object_id], msg.payload)
+                if eff is not nothing:
+                    self._after_transition(proc, msg.object_id, eff,
+                                           msg.chain, step)
+            elif pick < starting:
+                proc = starters[pick - delivering]
+                self._invoke(proc, step)
+            else:
+                proc = at_time.pop(pick - starting)
+                alive[proc] = False
+            if not alive[proc]:     # it crashed in this step
+                busy[:] = [pair for pair in busy if pair[1] != proc]
+            elif traced:
+                self.vc_trace.append((proc, step, states[proc][0].view_stamps))
+        return self._result()
+
+
+def run_fifo(config: SimConfig) -> RunResult:
+    """Execute the workload in any FIFO order (_FifoSim), to quiescence or
+    EVENT_CAP steps."""
+    return _FifoSim(config).run()
 
 
 # ---------------------------------------------------------------------------

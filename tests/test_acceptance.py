@@ -17,16 +17,16 @@ import pytest
 from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
-from seqsnap.gates import drained, judge, judge_history
+from seqsnap.gates import judge
 from seqsnap.histories import OpRecord
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted, validation_order
-from seqsnap.sim import CrashSpec, SimConfig, run_simulation, serialize_run
+from seqsnap.sim import (CrashSpec, SimConfig, run_fifo, run_simulation,
+                         serialize_run)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_crash_case,
-                   fifo_schedule_run, mutate_history, run_digest,
-                   sweep_config)
+from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_config, fifo_crash_case,
+                   mutate_history, run_digest, sweep_config)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -34,6 +34,9 @@ SEEDS_PER_N = 500
 # before own broadcast copies left the event heap
 C1_SWEEP_DIGEST = \
     "d73fa7c0adce6beccaa738a0e8aae8803e61e517a6ac63e2ffe1e7d12af0a3e8"
+# The same over the any-FIFO gate's 2,000 sim.run_fifo runs, in run order
+FIFO_DIGEST = \
+    "ac8e891175017fd37b1a7469289a446c7759363615d9be15f3019ddb76a86141"
 
 
 @pytest.fixture(scope="module")
@@ -175,32 +178,34 @@ def test_c1_c3_hold_at_even_n_where_half_is_not_a_majority(sweep_results):
 
 
 def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
-    """C1, the waiting claim and drained states under a scheduler that
-    may hold any channel, a process's channel to itself included, for any
+    """Every criterion of judge under sim.run_fifo, where any channel, a
+    process's channel to itself included, may hold its messages for any
     number of steps: 1,000 crash-free runs at n = 2..7, and 1,000 runs at
     n = 3..7 in which one process up to the crash budget is marked to
     crash, mostly mid-broadcast. The simulator always hands a sender its
-    own copy first, so no other gate reaches these orders."""
+    own copy first, so no other gate reaches these orders. The runs' bytes
+    are pinned as the C1 sweep's are."""
     runs = 1000
     failures = []
     crashed_total = 0
+    digest = hashlib.sha256()
     for crash_runs in (False, True):
         for seed in range(runs):
             if crash_runs:
                 n, crashes = fifo_crash_case(seed)
             else:
                 n, crashes = FIFO_NS[seed % len(FIFO_NS)], 0
-            history, states, crashed = fifo_schedule_run(n, seed, crashes)
-            crashed_total += len(crashed)
-            judged = judge_history(history, n)
-            judged["drained"] = drained(history, states, crashed)
+            run = run_fifo(fifo_config(n, seed, crashes))
+            crashed_total += len(run.crashed)
+            digest.update(run_digest(run).encode())
             failures += [(criterion, n, seed, crashes)
-                         for criterion, violations in judged.items()
+                         for criterion, violations in judge(run).items()
                          if violations]
     assert failures == []
     assert crashed_total > runs
-    print(f"\nC1 any-FIFO PASS: {2 * runs} scheduler-driven runs, "
-          f"{crashed_total} crashes, all SC, no undue wait, all drained")
+    assert digest.hexdigest() == FIFO_DIGEST
+    print(f"\nany-FIFO PASS: {2 * runs} runs in any FIFO order, "
+          f"{crashed_total} crashes, every criterion met")
 
 
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):

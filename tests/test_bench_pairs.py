@@ -1,9 +1,15 @@
-"""The verdicts tools/bench_pairs.py writes beside each case's medians."""
+"""The verdicts tools/bench_pairs.py writes beside each case's medians, and
+its clean-up when it is stopped."""
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,3 +88,48 @@ def test_progress_line_names_every_compared_metric():
                                            LOWER | {"unit": "MB"}]) == (
         "sweep seed 0 pair 3 change: items_per_s 281.25 1/s, "
         "peak_rss_mb 27.5 MB")
+
+
+def benchmarks_under(directory: Path) -> list:
+    """Process ids of the perfbench runs working in `directory` (Linux)."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if (entry.name.isdigit()
+                    and b"perfbench/run.py" in (entry / "cmdline").read_bytes()
+                    and os.readlink(entry / "cwd").startswith(
+                        f"{directory.resolve()}{os.sep}")):
+                found.append(int(entry.name))
+        except OSError:     # the process ended, or is not ours to read
+            pass
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/cwd").exists()
+                    or not (_PATH.parent.parent / ".git").exists(),
+                    reason="needs Linux /proc and a git checkout")
+def test_sigterm_removes_both_checkouts(tmp_path):
+    child = subprocess.Popen(
+        [sys.executable, str(_PATH), "--parent", "HEAD",
+         "--out", str(tmp_path / "BENCH.json"), "--cases", "sweep:0"],
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not benchmarks_under(tmp_path):
+            assert child.poll() is None and time.monotonic() < deadline, \
+                "bench_pairs started no benchmark"
+            time.sleep(0.05)
+        child.send_signal(signal.SIGTERM)
+        _out, err = child.communicate(timeout=60)
+        left = benchmarks_under(tmp_path)
+    finally:
+        # whatever fails, leave nothing of this test running
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        for pid in benchmarks_under(tmp_path):
+            os.kill(pid, signal.SIGKILL)
+    assert child.returncode == 143, err
+    assert list(tmp_path.iterdir()) == []
+    assert left == []

@@ -6,6 +6,7 @@ from seqsnap import cli
 from seqsnap.cli import main
 from seqsnap.histories import OpRecord
 from seqsnap.sim import history_document
+from test_histories import BAD_LINES
 
 
 def read(path):
@@ -168,24 +169,7 @@ def test_check_reports_malformed_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", [
-    '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1.5}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": "7"}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": true}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [1.5]}',
-    '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
-], ids=["read-without-result", "write-value-null", "snapshot-result-null",
-        "snapshot-result-string", "value-float", "value-string", "value-bool",
-        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan",
-        "t_inv-401-digits", "value-4301-digits"])
+@pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES)
 def test_check_reports_bad_field_with_line_number(tmp_path, capsys, line):
     path = tmp_path / "broken.jsonl"
     path.write_text(line + "\n")

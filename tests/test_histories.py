@@ -43,25 +43,27 @@ def test_missing_field_rejected():
         record_from_json('{"proc": 0, "op": "write", "t_inv": 0, "value": 1}', 4)
 
 
-@pytest.mark.parametrize("line", [
-    '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1.5}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": "7"}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": true}',
-    '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [1.5]}',
-    '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
-    '[{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}]',
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
-    '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
-], ids=["read-without-result", "write-value-null", "snapshot-result-null",
-        "snapshot-result-string", "value-float", "value-string", "value-bool",
-        "snapshot-cell-float", "proc-string", "t_inv-string", "t_inv-nan",
-        "not-an-object", "t_inv-401-digits", "value-4301-digits"])
+# id -> a malformed trace line; tests/test_cli.py feeds the same lines to
+# `seqsnap check`
+BAD_LINES = {
+    "read-without-result": '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0}',
+    "write-value-null": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": null}',
+    "snapshot-result-null": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [null]}',
+    "snapshot-result-string": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": ["a"]}',
+    "value-float": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1.5}',
+    "value-string": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": "7"}',
+    "value-bool": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": true}',
+    "snapshot-cell-float": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [1.5]}',
+    "proc-string": '{"proc": "0", "seq": 0, "op": "write", "t_inv": 0, "value": 1}',
+    "t_inv-string": '{"proc": 0, "seq": 0, "op": "write", "t_inv": "0", "value": 1}',
+    "t_inv-nan": '{"proc": 0, "seq": 0, "op": "write", "t_inv": NaN, "value": 1}',
+    "not-an-object": '[{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}]',
+    "t_inv-401-digits": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
+    "value-4301-digits": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES)
 def test_bad_field_rejected_with_line_number(line):
     with pytest.raises(TraceFormatError) as err:
         record_from_json(line, 3)

@@ -5,10 +5,11 @@ seqsnap.gates.judge, the acceptance gate's one judge, states it.
 A mutant is a list of one-line edits of current `protocol` functions'
 source. Each function it edits is compiled in `protocol`'s namespace and
 patched over the module global, which is how the simulator calls it. Each
-mutant runs only the sweep runs recorded as killing it: every one must fail
-its criterion under the mutant and pass without it. So a change that weakens
-a gate, or rewrites a line a mutant edits, fails here instead of passing
-silently.
+mutant runs only the runs recorded as killing it: sweep runs under
+sim.run_simulation and, for two mutants, any-FIFO runs under sim.run_fifo.
+Every one must fail its criterion under the mutant and pass without it. So a
+change that weakens a gate, or rewrites a line a mutant edits, fails here
+instead of passing silently.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import pytest
 
 from seqsnap import protocol
 from seqsnap.gates import judge
-from seqsnap.sim import run_simulation
-from sweep import sweep_config
+from seqsnap.sim import run_fifo, run_simulation
+from sweep import fifo_config, sweep_config
 
 READY_AT_HALF = (
     "compute_validable",
@@ -90,6 +91,17 @@ MUTANTS = {
         {"drained": [(2, 0), (2, 1), (2, 2)]}),
 }
 
+# name -> criterion -> the first killing (n, seed, crashes) runs of the
+# any-FIFO gate (sweep.fifo_config), for the two mutants whose C1-sweep kills
+# are rarest. Kill totals over that gate's seeds 0-499 in each half:
+#   ahead at half: C1 2, C3 9;
+#   relay with the writer's stamp: C1 5, C3 122.
+FIFO_KILLS = {
+    "ahead at half": {"C3": [(6, 226, 0), (4, 236, 0), (4, 242, 0)]},
+    "relay with the writer's stamp": {"C3": [(5, 9, 0), (6, 10, 0),
+                                             (4, 14, 0)]},
+}
+
 
 def mutant(name: str) -> list:
     """The catalogued mutant `name`: (function name, mutated function) for
@@ -115,19 +127,30 @@ def mutant(name: str) -> list:
     return patched
 
 
-def criterion_holds(criterion: str, n: int, seed: int) -> bool:
-    return not judge(run_simulation(sweep_config(n, seed)))[criterion]
+def recorded_kills(name: str) -> list:
+    """(criterion, runner, config) of each run recorded as killing `name`,
+    the sweep's first."""
+    return ([(criterion, run_simulation, sweep_config(n, seed))
+             for criterion, runs in MUTANTS[name][1].items()
+             for n, seed in runs]
+            + [(criterion, run_fifo, fifo_config(n, seed, crashes))
+               for criterion, runs in FIFO_KILLS.get(name, {}).items()
+               for n, seed, crashes in runs])
+
+
+def criterion_holds(criterion: str, runner, config) -> bool:
+    return not judge(runner(config))[criterion]
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_recorded_runs_kill_the_mutant(name, monkeypatch):
-    kills = MUTANTS[name][1]
-    for criterion, runs in kills.items():
-        for n, seed in runs:
-            assert criterion_holds(criterion, n, seed), (criterion, n, seed)
+    kills = recorded_kills(name)
+    for criterion, runner, config in kills:
+        assert criterion_holds(criterion, runner, config), (
+            criterion, runner.__name__, config.n, config.seed)
     for func, mutated in mutant(name):
         monkeypatch.setattr(protocol, func, mutated)
-    for criterion, runs in kills.items():
-        survived = [(n, seed) for n, seed in runs
-                    if criterion_holds(criterion, n, seed)]
-        assert survived == [], f"{name} survives {criterion} at {survived}"
+    survived = [(criterion, runner.__name__, config.n, config.seed)
+                for criterion, runner, config in kills
+                if criterion_holds(criterion, runner, config)]
+    assert survived == [], f"{name} survives at {survived}"

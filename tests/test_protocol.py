@@ -7,8 +7,8 @@ from seqsnap import protocol
 from seqsnap.protocol import (INF, PendingUpdate, UpdateMsg, compute_validable,
                               handle_message, init, invoke_snapshot,
                               invoke_write)
-from seqsnap.sim import run_simulation
-from sweep import SWEEP_NS, fifo_crash_case, fifo_schedule_run, sweep_config
+from seqsnap.sim import run_fifo, run_simulation
+from sweep import SWEEP_NS, fifo_config, fifo_crash_case, sweep_config
 
 
 def depends(first, second, n):
@@ -557,7 +557,7 @@ def test_pending_counts_match_the_stamps_after_every_transition(monkeypatch):
 def test_one_own_entry_exactly_while_in_flight_in_any_fifo_order(
         monkeypatch):
     """check_every_transition with check_own_entry over 1,000 crash-injected
-    scheduler runs, where a process's channel to itself may lag: only there
+    sim.run_fifo runs, where a process's channel to itself may lag: only there
     can a receipt or an invocation fall between a broadcast and its own
     copy."""
     seen = {True: 0, False: 0}
@@ -570,5 +570,5 @@ def test_one_own_entry_exactly_while_in_flight_in_any_fifo_order(
     crashed = 0
     for seed in range(1000):
         n, crashes = fifo_crash_case(seed)
-        crashed += len(fifo_schedule_run(n, seed, crashes)[2])
+        crashed += len(run_fifo(fifo_config(n, seed, crashes)).crashed)
     assert passes[0] > 0 and crashed > 1000 and seen[True] and seen[False]

@@ -17,16 +17,20 @@ from seqsnap.rounds import RoundConfig, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
                          SimConfig, SyncDelay, WorkItem, liveness_violations,
-                         run_simulation, serialize_run,
+                         run_fifo, run_simulation, serialize_run,
                          vc_total_order_violations)
 from seqsnap.workloads import (abd_workload, random_workload, random_crashes,
                                trim_for_crashes)
 from sweep import SWEEP_NS, sweep_config
 
 
-def snapshot_run(n, workload, seed=0, crashes=(), delay=AsyncDelay(0.5, 3.0)):
-    return run_simulation(SimConfig(n=n, seed=seed, delay=delay,
-                                    workload=workload, crashes=list(crashes)))
+RUNNERS = (run_simulation, run_fifo)
+
+
+def snapshot_run(n, workload, seed=0, crashes=(), delay=AsyncDelay(0.5, 3.0),
+                 runner=run_simulation):
+    return runner(SimConfig(n=n, seed=seed, delay=delay, workload=workload,
+                            crashes=list(crashes)))
 
 
 def test_single_process_write_then_snapshot():
@@ -65,52 +69,78 @@ def test_crash_free_runs_drain_all_pending_state():
 
 def test_crash_mid_broadcast_still_validates_via_majority():
     # writer crashes during its broadcast and only p0 hears of the update
-    run = snapshot_run(
-        3,
-        [WorkItem(2, 0.0, "write", value=9)],
-        crashes=[CrashSpec(2, on_send=1, recipients=(0,))])
-    assert run.crashed == frozenset({2})
-    for proc in (0, 1):
-        assert run.states[proc][0].view_stamps[2] == 1
-        assert run.states[proc][0].view[2] == 9
+    for runner in RUNNERS:
+        run = snapshot_run(
+            3,
+            [WorkItem(2, 0.0, "write", value=9)],
+            crashes=[CrashSpec(2, on_send=1, recipients=(0,))], runner=runner)
+        assert run.crashed == frozenset({2})
+        for proc in (0, 1):
+            assert run.states[proc][0].view_stamps[2] == 1
+            assert run.states[proc][0].view[2] == 9
 
 
 def test_crashed_process_takes_no_further_transitions():
-    run = snapshot_run(3,
-                       [WorkItem(1, 0.0, "write", value=4)],
-                       crashes=[CrashSpec(1, on_send=1, recipients=())])
-    assert run.crashed == frozenset({1})
-    # nobody ever heard of the update
-    for proc in (0, 2):
-        assert run.states[proc][0].view_stamps[1] == 0
-    # dying inside the broadcast leaves the write unreturned
-    assert len(run.history) == 1 and not run.history[0].completed
+    for runner in RUNNERS:
+        run = snapshot_run(3,
+                           [WorkItem(1, 0.0, "write", value=4)],
+                           crashes=[CrashSpec(1, on_send=1, recipients=())],
+                           runner=runner)
+        assert run.crashed == frozenset({1})
+        # nobody ever heard of the update
+        for proc in (0, 2):
+            assert run.states[proc][0].view_stamps[1] == 0
+        # dying inside the broadcast leaves the write unreturned
+        assert len(run.history) == 1 and not run.history[0].completed
 
 
 def test_fifo_per_ordered_pair():
-    run = snapshot_run(4, random_workload(4, 30, seed=5), seed=5)
-    sent = {}
-    for msg in run.message_log:
-        for recipient in msg.recipients:
-            sent.setdefault((msg.sender, recipient), []).append(msg.payload)
-    delivered = {}
-    for _time, to, msg in run.delivery_log:
-        delivered.setdefault((msg.sender, to), []).append(msg.payload)
-    # every channel delivers exactly what was sent, in send order
-    assert delivered == {pair: msgs for pair, msgs in sent.items() if msgs}
+    for runner in RUNNERS:
+        run = snapshot_run(4, random_workload(4, 30, seed=5), seed=5,
+                           runner=runner)
+        sent = {}
+        for msg in run.message_log:
+            for recipient in msg.recipients:
+                sent.setdefault((msg.sender, recipient), []).append(msg.payload)
+        delivered = {}
+        for _time, to, msg in run.delivery_log:
+            delivered.setdefault((msg.sender, to), []).append(msg.payload)
+        # every channel delivers exactly what was sent, in send order
+        assert delivered == {pair: msgs for pair, msgs in sent.items() if msgs}
+
+
+def test_any_fifo_order_lets_a_process_act_before_its_own_copy():
+    """In some run_fifo run a process invokes an op or receives a message
+    between a broadcast of its own and the delivery of that broadcast's
+    copy to itself, which run_simulation never lets happen. Times are step
+    numbers there, one transition each."""
+    run = snapshot_run(4, random_workload(4, 30, seed=5), seed=5,
+                       runner=run_fifo)
+    steps = {proc: [] for proc in range(4)}
+    for time, to, _msg in run.delivery_log:
+        steps[to].append(time)
+    for rec in run.history:
+        steps[rec.proc].append(rec.t_inv)
+    own_copies = [(to, msg.time, time) for time, to, msg in run.delivery_log
+                  if to == msg.sender]
+    assert own_copies and any(sent < step < delivered
+                              for proc, sent, delivered in own_copies
+                              for step in steps[proc])
 
 
 def test_stamps_unique_per_sender_and_originals_self_stamped():
-    run = snapshot_run(4, random_workload(4, 30, seed=6), seed=6)
-    relay_stamps = {}
-    for msg in run.message_log:
-        payload = msg.payload
-        relay_stamps.setdefault(msg.sender, []).append(payload.relay_stamp)
-        if payload.sender == payload.writer:
-            assert payload.relay_stamp == payload.stamp
-    for sender, stamps in relay_stamps.items():
-        assert len(stamps) == len(set(stamps))
-        assert stamps == sorted(stamps)
+    for runner in RUNNERS:
+        run = snapshot_run(4, random_workload(4, 30, seed=6), seed=6,
+                           runner=runner)
+        relay_stamps = {}
+        for msg in run.message_log:
+            payload = msg.payload
+            relay_stamps.setdefault(msg.sender, []).append(payload.relay_stamp)
+            if payload.sender == payload.writer:
+                assert payload.relay_stamp == payload.stamp
+        for sender, stamps in relay_stamps.items():
+            assert len(stamps) == len(set(stamps))
+            assert stamps == sorted(stamps)
 
 
 def remote_transit_times(delay):
@@ -777,8 +807,9 @@ class TestConfigValidation:
                            **fields)
         with pytest.raises(ConfigError):
             sim.validate_config(config)
-        with pytest.raises(ConfigError):
-            run_simulation(config)
+        for runner in RUNNERS:
+            with pytest.raises(ConfigError):
+                runner(config)
 
     @pytest.mark.parametrize("n, rounds", [(3, 2.5), (3, "2"), (3, True),
                                            (3, 0), (2.5, 2)],

@@ -18,8 +18,9 @@ core count, both commits and a digest of each side's ``src/`` and
 that metric's ``better`` direction, whether a claimed gain holds
 (``claim_holds``) and whether the metric fell beyond its ``bound``
 (``regressed``). After writing it, prints one line per case and metric of
-that summary to standard error. Stdlib only; run from the root of a git
-checkout.
+that summary to standard error. Stopped by SIGTERM, it kills its running
+benchmark, removes both checkouts and exits 143. Stdlib only; run from the
+root of a git checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -167,6 +169,10 @@ def progress_line(run: dict, compared: list) -> str:
 
 
 def main() -> int:
+    # SIGTERM's default action ends the process without unwinding, which
+    # would leave both checkouts behind; as SystemExit it unwinds the
+    # running perfbench subprocess (killed) and the temporary directory
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
