@@ -154,37 +154,12 @@ def invoke_snapshot(state: ProcState) -> Effect:
     return Effect(completions=[(SNAPSHOT, state.view)])
 
 
-def compute_validable(pending: dict, n: int) -> list:
-    """Keys of updates that may validate now.
-
-    Starts from the majority-stamped updates and repeatedly drops any that
-    depends on an update left outside, so the returned set is closed under
-    the dependency relation within `pending`: an update waits on `other`
-    until a strict majority is known to have stamped it before `other`, i.e.
-    while its ahead[other] * 2 <= n. Reads the counts kept on each entry;
-    the tests state the same relation on the stamps themselves. An empty
-    `ready` gives []; handle_message calls it only for a validable entry.
-    """
-    ready = {key for key, g in pending.items() if g.known * 2 > n}
-    # Only an update dropped in the last round can newly block one still in.
-    blocked = [key for key in pending if key not in ready]
-    while blocked:
-        dropped = []
-        for key in ready:
-            ahead = pending[key].ahead
-            for other in blocked:
-                if ahead[other] * 2 <= n:
-                    dropped.append(key)
-                    break
-        ready.difference_update(dropped)
-        blocked = dropped
-    return sorted(ready)
-
-
-def _blocked(pending: dict, key: tuple, n: int) -> bool:
-    """True when the entry at `key` reaches, over depends-on edges (an entry
-    x waits on o while x.ahead[o] * 2 <= n), an entry that is short of a
-    majority of stamps. The entry at `key` itself is not tested."""
+def _clear_closure(pending: dict, key: tuple, n: int) -> set | None:
+    """The keys the entry at `key` reaches over depends-on edges, `key`
+    included, or None as soon as it reaches an entry short of a majority of
+    stamps. An entry x waits on o until a strict majority is known to have
+    stamped x before o, i.e. while x.ahead[o] * 2 <= n. The entry at `key`
+    itself is not tested."""
     reached = {key}
     stack = [pending[key]]
     while stack:
@@ -192,10 +167,26 @@ def _blocked(pending: dict, key: tuple, n: int) -> bool:
             if count * 2 <= n and other not in reached:
                 entry = pending[other]
                 if entry.known * 2 <= n:
-                    return True
+                    return None
                 reached.add(other)
                 stack.append(entry)
-    return False
+    return reached
+
+
+def compute_validable(pending: dict, n: int) -> list:
+    """Keys of updates that may validate now: the union of the clear
+    closures of the majority-stamped entries, so exactly the majority-stamped
+    entries from which every entry reached over depends-on edges is
+    majority-stamped too. Reads the counts kept on each entry; the tests
+    state the same relation on the stamps themselves. An entry already in
+    the union is skipped, as its closure lies inside it."""
+    ready = set()
+    for key, entry in pending.items():
+        if entry.known * 2 > n and key not in ready:
+            reached = _clear_closure(pending, key, n)
+            if reached is not None:
+                ready |= reached
+    return sorted(ready)
 
 
 def _admit(state: ProcState, key: tuple, value: int) -> PendingUpdate:
@@ -246,22 +237,15 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
 
     A stale copy (of an already-validated update) changes nothing. Any other
     copy records its sender's stamp on the update's entry `e`, and the
-    validation pass runs only when `e` is then majority-stamped and not
-    `_blocked`. Skipping it otherwise is exact, because every transition
-    leaves the state closed: the pass would return [] on it (a pass retires
-    the largest validable set, and what it leaves waits on an update that is
-    not majority-stamped). A new entry is stamped by no one and only adds a
-    constraint. A stamp from p_j on `e` raises `e.known`, raises `e.ahead`
-    against the entries p_j stamped later or not yet, and lowers their
-    `ahead` against `e`: it only removes depends-on edges out of `e` and
-    adds edges into `e`, and touches no other entry's `known`. The pass
-    computes a greatest fixpoint, which is exactly the majority-stamped
-    entries from which every entry reached over depends-on edges is
-    majority-stamped too. An entry that does not reach `e` reaches the same
-    entries as before the stamp, so it was not validable then and is not
-    now. Any entry the pass could now return thus reaches `e`, so the pass
-    is non-empty exactly when `e` is majority-stamped and everything `e`
-    reaches is too, and then it returns `e`.
+    validation pass runs only when `e` is then majority-stamped and its
+    closure is clear: the pass's own test for `e`. Skipping it otherwise is
+    exact, because every transition leaves the state closed (the pass would
+    return []). A new entry is stamped by no one and only adds a constraint,
+    and a stamp on `e` only removes depends-on edges out of `e`, adds edges
+    into `e` and raises no other entry's `known`. So an entry that does not
+    reach `e` reaches the same entries as before and is still not validable,
+    and an entry that reaches `e` is validable only if `e` is: the pass
+    returns something exactly when it returns `e`.
     """
     eff = NOTHING
     value, writer, stamp, relay_stamp, sender = msg
@@ -281,7 +265,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
         # writer saw concurrent updates.
         _record_stamp(state, key, sender, relay_stamp)
         n = state.n
-        if entry.known * 2 > n and not _blocked(pending, key, n):
+        if entry.known * 2 > n and _clear_closure(pending, key, n) is not None:
             validable = compute_validable(pending, n)
             # the pass finds at least `key`
             if eff is NOTHING:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
@@ -340,12 +341,19 @@ class _Sim:
         self.last_arrival = [[0.0] * n for _ in range(n)]
         self.history = []
         self.metrics = Metrics()
+        # Stamp vectors are traced only where one joint vector exists: in a
+        # run of the snapshot memory on one object (stamps of different
+        # objects are unrelated).
+        self.traced = self.module is protocol and objects == 1
         self.vc_trace = []
         self.message_log = []
         self.delivery_log = []
         self.validation_log = []
 
     def run(self) -> RunResult:
+        for proc, queue in enumerate(self.queues):
+            if queue:
+                self._ready(proc, queue[0].at)
         # A run makes no reference cycles, so reference counting frees all it
         # drops; the cyclic collector would only rescan its live logs.
         collecting = gc.isenabled()
@@ -370,14 +378,9 @@ class _Sim:
         targets = [states if by_object else states[0] for states in self.states]
         log_delivery = self.delivery_log.append
         after_transition = self._after_transition
-        # Stamp vectors are traced only where one joint vector exists: stamps
-        # of different objects are unrelated.
-        traced = self.module is protocol and not by_object
+        traced = self.traced
         log_sample = self.vc_trace.append
         nothing = protocol.NOTHING
-        for proc, queue in enumerate(self.queues):
-            if queue:
-                heappush(heap, (queue[0].at, next_seq(), proc, None))
         for crash in config.crashes:
             if crash.at_time is not None:
                 heappush(heap, (crash.at_time, next_seq(), crash.proc, CRASH))
@@ -532,8 +535,12 @@ class _Sim:
         self.current_op[proc] = None
         queue = self.queues[proc]
         if queue:
-            heappush(self.heap, (max(queue[0].at, now), self.next_seq(),
-                                 proc, None))
+            self._ready(proc, max(queue[0].at, now))
+
+    def _ready(self, proc, at):
+        """`proc`, alive with no op in flight, may invoke its next item from
+        time `at` on."""
+        heappush(self.heap, (at, self.next_seq(), proc, None))
 
 
 def run_simulation(config: SimConfig) -> RunResult:
@@ -547,7 +554,7 @@ class _FifoSim(_Sim):
     deliver the head of a nonempty channel, invoke the next item of a live
     process with no op in flight, or crash a process that has an at_time
     crash. Times are step numbers, so a config's times only order each
-    process's items. All else is _Sim's; the heap _complete feeds is unread.
+    process's items. All else is _Sim's, whose heap stays empty.
     """
 
     def __init__(self, config: SimConfig):
@@ -555,6 +562,10 @@ class _FifoSim(_Sim):
         n = config.n
         self.channels = [[deque() for _ in range(n)] for _ in range(n)]
         self.busy = []      # (sender, recipient) of every nonempty channel
+        self.starters = []  # the processes that may invoke, ascending
+
+    def _ready(self, proc, at):
+        insort(self.starters, proc)
 
     def _send(self, proc, obj, payload, recipients, chain, now):
         msg = MessageRecord(now, proc, payload, chain, recipients, obj)
@@ -569,14 +580,13 @@ class _FifoSim(_Sim):
 
     def _run(self) -> RunResult:
         rng, alive, busy, states = self.rng, self.alive, self.busy, self.states
+        starters = self.starters
         handle, nothing = self.module.handle_message, protocol.NOTHING
-        traced = self.module is protocol and len(states[0]) == 1
+        traced = self.traced
         at_time = [crash.proc for crash in self.config.crashes
                    if crash.at_time is not None]
         step = 0
         while True:
-            starters = [proc for proc, queue in enumerate(self.queues) if queue
-                        and alive[proc] and self.current_op[proc] is None]
             delivering, starting = len(busy), len(busy) + len(starters)
             enabled = starting + len(at_time)
             if not enabled:
@@ -599,13 +609,15 @@ class _FifoSim(_Sim):
                     self._after_transition(proc, msg.object_id, eff,
                                            msg.chain, step)
             elif pick < starting:
-                proc = starters[pick - delivering]
+                proc = starters.pop(pick - delivering)
                 self._invoke(proc, step)
             else:
                 proc = at_time.pop(pick - starting)
                 alive[proc] = False
             if not alive[proc]:     # it crashed in this step
                 busy[:] = [pair for pair in busy if pair[1] != proc]
+                if proc in starters:
+                    starters.remove(proc)
             elif traced:
                 self.vc_trace.append((proc, step, states[proc][0].view_stamps))
         return self._result()

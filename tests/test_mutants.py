@@ -6,7 +6,7 @@ A mutant is a list of one-line edits of current `protocol` functions'
 source. Each function it edits is compiled in `protocol`'s namespace and
 patched over the module global, which is how the simulator calls it. Each
 mutant runs only the runs recorded as killing it: sweep runs under
-sim.run_simulation and, for two mutants, any-FIFO runs under sim.run_fifo.
+sim.run_simulation and, for three mutants, any-FIFO runs under sim.run_fifo.
 Every one must fail its criterion under the mutant and pass without it. So a
 change that weakens a gate, or rewrites a line a mutant edits, fails here
 instead of passing silently.
@@ -26,16 +26,16 @@ from sweep import fifo_config, sweep_config
 
 READY_AT_HALF = (
     "compute_validable",
-    "ready = {key for key, g in pending.items() if g.known * 2 > n}",
-    "ready = {key for key, g in pending.items() if g.known * 2 >= n}")
+    "if entry.known * 2 > n and key not in ready:",
+    "if entry.known * 2 >= n and key not in ready:")
 
 # name -> ([(function, line as written, line as mutated), ...], criterion ->
 # the first killing (n, seed) sweep runs). Kill totals when recorded, over
 # the C1 sweep (n = 2, 3, 5, 7, seeds 0-499) plus the even-n runs (n = 4, 6,
 # seeds 0-499) for the first three, over the C1 sweep for the others:
 #   no dependency fixpoint: C1 155, C3 1,266;
-#   ahead at half: C1 2, C3 86;
-#   ready set at half: C1 4, C3 8;
+#   ahead at half: C1 64, C3 1,216;
+#   ready set at half: C1 4, C3 7;
 #   snapshot never waits: C1 2,000;
 #   snapshot waits on any pending entry: wait 571;
 #   relay with the writer's stamp: C1 3, C3 234;
@@ -45,18 +45,18 @@ READY_AT_HALF = (
 MUTANTS = {
     "no dependency fixpoint": (
         [("compute_validable",
-          "blocked = [key for key in pending if key not in ready]",
-          "blocked = []")],
+          "reached = _clear_closure(pending, key, n)",
+          "reached = {key}")],
         {"C1": [(5, 1), (5, 20), (5, 27)], "C3": [(3, 1), (3, 2), (3, 5)]}),
     "ahead at half": (
-        [("compute_validable",
-          "if ahead[other] * 2 <= n:",
-          "if ahead[other] * 2 < n:")],
-        {"C1": [(4, 293), (6, 388)], "C3": [(4, 15), (4, 22), (4, 24)]}),
+        [("_clear_closure",
+          "if count * 2 <= n and other not in reached:",
+          "if count * 2 < n and other not in reached:")],
+        {"C1": [(4, 2), (4, 6), (4, 14)], "C3": [(2, 0), (2, 1), (2, 2)]}),
     "ready set at half": (
         [READY_AT_HALF],
-        {"C1": [(4, 36), (4, 129), (4, 441)],
-         "C3": [(4, 36), (4, 52), (4, 104)]}),
+        {"C1": [(4, 129), (4, 165), (4, 231)],
+         "C3": [(4, 36), (4, 85), (4, 129)]}),
     "snapshot never waits": (
         [("invoke_snapshot",
           "if state.view_stamps[state.me] < state.written:",
@@ -81,8 +81,8 @@ MUTANTS = {
     "ready set and trigger at half": (
         [READY_AT_HALF,
          ("handle_message",
-          "if entry.known * 2 > n and not _blocked(pending, key, n):",
-          "if entry.known * 2 >= n and not _blocked(pending, key, n):")],
+          "if entry.known * 2 > n and _clear_closure(pending, key, n) is not None:",
+          "if entry.known * 2 >= n and _clear_closure(pending, key, n) is not None:")],
         {"C1": [(2, 0), (2, 1), (2, 2)], "C3": [(2, 0), (2, 1), (2, 2)]}),
     "waiting snapshot never returns": (
         [("handle_message",
@@ -92,12 +92,14 @@ MUTANTS = {
 }
 
 # name -> criterion -> the first killing (n, seed, crashes) runs of the
-# any-FIFO gate (sweep.fifo_config), for the two mutants whose C1-sweep kills
-# are rarest. Kill totals over that gate's seeds 0-499 in each half:
-#   ahead at half: C1 2, C3 9;
+# any-FIFO gate (sweep.fifo_config), for the three mutants whose C1-sweep
+# kills are rarest. Kill totals over that gate's seeds 0-499 in each half:
+#   ahead at half: C1 19, C3 189;
+#   ready set at half: C3 1;
 #   relay with the writer's stamp: C1 5, C3 122.
 FIFO_KILLS = {
     "ahead at half": {"C3": [(6, 226, 0), (4, 236, 0), (4, 242, 0)]},
+    "ready set at half": {"C3": [(4, 290, 0)]},
     "relay with the writer's stamp": {"C3": [(5, 9, 0), (6, 10, 0),
                                              (4, 14, 0)]},
 }

@@ -231,15 +231,6 @@ class TestComputeValidable:
         assert compute_validable(pending, 3) == [(1, 1), (2, 1)]
 
 
-def deliver_all(states, eff_queue):
-    """Synchronous flood delivery; fine for handler-level tests."""
-    while eff_queue:
-        msg = eff_queue.pop(0)
-        for state in states:
-            eff = handle_message(state, msg)
-            eff_queue.extend(eff.broadcasts)
-
-
 class TestHandleMessage:
     def test_third_distinct_stamp_validates(self):
         state = init(5, 3)
@@ -456,9 +447,10 @@ def test_incremental_counts_match_the_reference_fixpoint(case, data):
             # skips the pass here: the pass must have nothing to validate
             assert expected == []
         else:
-            # handle_message runs the pass exactly when the stamped entry
-            # is not blocked, and the pass then validates that entry
-            assert protocol._blocked(pending, key, n) == (expected == [])
+            # handle_message runs the pass exactly when the stamped entry's
+            # closure is clear, and the pass then validates that entry
+            assert (protocol._clear_closure(pending, key, n) is None) == (
+                expected == [])
             assert expected == [] or key in expected
         validable = agree()
         while validable:

@@ -179,10 +179,11 @@ def test_delay_draw_is_random_uniform_bit_for_bit(delay):
 
 def test_event_cap_stops_the_run_not_quiescent(monkeypatch):
     monkeypatch.setattr(sim, "EVENT_CAP", 40)
-    run = snapshot_run(3, random_workload(3, 12, seed=0))
-    assert run.metrics.quiescent is False
-    assert len(run.delivery_log) + len(run.history) == 40
-    assert '"quiescent":false' in serialize_run(run)["metrics"]
+    for runner in RUNNERS:
+        run = snapshot_run(3, random_workload(3, 12, seed=0), runner=runner)
+        assert run.metrics.quiescent is False
+        assert len(run.delivery_log) + len(run.history) == 40
+        assert '"quiescent":false' in serialize_run(run)["metrics"]
 
 
 def count_sends(monkeypatch):
