@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 from math import inf
 from operator import attrgetter, getitem, le, mul
 
-from .histories import OpRecord, compact_json, op_id
+from .histories import OpRecord, compact_json, op_error, op_id
 from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
 
 # The exhaustive oracles refuse a history with more operations than this.
@@ -49,52 +49,32 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     return True
 
 
-# exact types: a bool is an int subclass and is refused
-_TIME_TYPES = frozenset((int, float))
-_INT = frozenset((int,))
-
 _SEQ = attrgetter("seq")
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
-    """Refuse a malformed op, for which no verdict is defined: a process,
-    seq, object id, write value, snapshot cell, read target or read result
-    that is not an int (a bool is refused too, rather than read as 0 or 1),
-    a t_inv or t_ret that is not an int or float or is NaN (infinite times
-    are kept), a process outside 0..n-1, an unknown kind, a completed
-    snapshot whose result is not a vector of n cells, a read whose target is
-    not a cell, an op that returns before it is invoked, two ops of one
-    process with the same seq (on any object), or an op after one of its
-    process's ops that never returned (a process runs one op at a time, so
-    only its last op can be cut off).
+    """Refuse a malformed op, for which no verdict is defined: one that
+    histories.op_error refuses (infinite times are kept), a process outside
+    0..n-1, a returned snapshot whose result is not n cells, a read whose
+    target is not a cell, two ops of one process with the same seq (on any
+    object), or an op after one of its process's ops that never returned (a
+    process runs one op at a time, so only its last op can be cut off).
 
     Returns the process order: one queue per process id, each in seq order,
     of the ops a legal order accounts for. Those are every op that returned,
     and every write, since one cut off by a crash may still have taken
     effect."""
-    procs = range(n)
-    queues = [[] for _ in procs]
+    queues = [[] for _ in range(n)]
     for rec in history:
-        kind, proc, t_inv, t_ret = rec.kind, rec.proc, rec.t_inv, rec.t_ret
-        if kind == WRITE:
-            fits = type(rec.value) is int
-        elif kind == SNAPSHOT:
-            result = rec.result
-            fits = (t_ret is None
-                    or isinstance(result, (tuple, list)) and len(result) == n
-                    and _INT.issuperset(map(type, result)))
-        elif kind == READ:
-            target = rec.target
-            fits = (type(target) is int and target in procs
-                    and (t_ret is None or type(rec.result) is int))
-        else:
-            fits = False
-        if not (fits and type(proc) is int and proc in procs
-                and type(rec.seq) is int and type(rec.object_id) is int
-                and type(t_inv) in _TIME_TYPES and t_inv == t_inv
-                and (t_ret is None
-                     or type(t_ret) in _TIME_TYPES and t_inv <= t_ret)):
-            raise CheckRefusal(f"malformed op in an n={n} history: {rec}")
+        error = op_error(rec)
+        if error is None:
+            # past op_error only a read has a target; other results are vectors
+            proc, result, target = rec.proc, rec.result, rec.target
+            if not (proc < n and (target < n if target is not None
+                                  else result is None or len(result) == n)):
+                error = f"a process, target or result outside n={n}"
+        if error is not None:
+            raise CheckRefusal(f"malformed op ({error}): {rec}")
         queues[proc].append(rec)
     for proc, queue in enumerate(queues):
         if not queue:

@@ -266,13 +266,14 @@ def validate_config(config: SimConfig) -> None:
         if action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {action!r}")
-        if action == WRITE and type(value) is not int:
-            raise ConfigError(f"write by process {proc} has value "
-                              f"{value!r}, not an int")
-        if action == READ and (type(target) is not int
-                               or not 0 <= target < config.n):
-            raise ConfigError(f"read by process {proc} targets cell "
-                              f"{target!r}, not an int in 0..{config.n - 1}")
+        # the history holds only the fields an op's kind uses
+        if not ((type(value) is int if action == WRITE else value is None)
+                and (type(target) is int and 0 <= target < config.n
+                     if action == READ else target is None)):
+            raise ConfigError(
+                f"{action} by process {proc} has value {value!r} and target "
+                f"{target!r}: only a write takes a value (an int), only a "
+                f"read a target (an int in 0..{config.n - 1})")
         if proc in crash_time and at >= crash_time[proc]:
             raise ConfigError(
                 f"workload schedules process {proc} at {at} "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -88,6 +89,61 @@ def test_progress_line_names_every_compared_metric():
                                            LOWER | {"unit": "MB"}]) == (
         "sweep seed 0 pair 3 change: items_per_s 281.25 1/s, "
         "peak_rss_mb 27.5 MB")
+
+
+# the end-to-end metrics every perfbench result line reports
+COMPARED = [entry["name"] for entry in json.loads(
+    (bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def stubbed_job(monkeypatch, tmp_path, outcomes):
+    """Run main() on one case with run_once stubbed: each call takes the
+    next of `outcomes`, True for a correct run, False for one that is not,
+    or an exception to raise. Returns main's exit and the --out document."""
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: None)
+    outcomes = iter(outcomes)
+
+    def run_once(checkout, workload, seed, seconds):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return {"correct": outcome, "metrics": {
+            name: {"value": 1.0} for name in COMPARED}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD",
+                                      "--out", str(out), "--cases", "sweep:0"])
+    try:
+        code = bench_pairs.main()
+    except SystemExit as exc:
+        code = exc.code
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(),
+                    reason="needs a git checkout")
+@pytest.mark.parametrize("failure", [
+    False, bench_pairs.RunFailed("perfbench failed")],
+    ids=["not-correct", "failed"])
+def test_a_failed_run_keeps_the_runs_before_it(monkeypatch, tmp_path, failure):
+    code, document = stubbed_job(monkeypatch, tmp_path, [True] * 5 + [failure])
+    assert code not in (0, None)
+    assert document["complete"] is False and "summary" not in document
+    assert [(run["pair"], run["side"]) for run in document["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+        (2, "parent")]
+
+
+@pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(),
+                    reason="needs a git checkout")
+def test_a_complete_job_is_summarized(monkeypatch, tmp_path):
+    code, document = stubbed_job(monkeypatch, tmp_path,
+                                 [True] * (2 * bench_pairs.PAIRS))
+    assert code == 0
+    assert document["complete"] is True and len(document["runs"]) == 20
+    assert {row["metric"] for row in document["summary"]} == set(COMPARED)
 
 
 def benchmarks_under(directory: Path) -> list:

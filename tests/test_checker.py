@@ -198,6 +198,13 @@ def test_unsortable_seq_is_refused_not_a_type_error(check):
     replace(W(0, 0, 1), object_id=1.0),
     replace(W(0, 0, 1), object_id="0"),
     replace(W(0, 0, 1), object_id=None),
+    replace(W(0, 0, 1), seq=-1),
+    replace(W(0, 0, 1), object_id=-1),
+    replace(W(0, 0, 1), run_seed=1.0),
+    replace(W(0, 0, 1), target=1),
+    OpRecord(0, 0, "snapshot", 0.0, 1.0, value=1, result=(0, 0)),
+    OpRecord(0, 0, "snapshot", 0.0, None, result=(0, 0)),
+    OpRecord(0, 0, "read", 0.0, 1.0, value=1, target=0, result=0),
 ], ids=["read-target-negative", "read-target-none", "snapshot-arity",
         "snapshot-result-none", "write-value-none", "unknown-kind",
         "returns-before-invoked", "read-target-bool", "read-result-bool",
@@ -205,7 +212,9 @@ def test_unsortable_seq_is_refused_not_a_type_error(check):
         "cut-off-write-t-inv-none", "string-times", "t-ret-bool",
         "t-inv-bool", "cut-off-write-t-inv-nan", "cut-off-snapshot-t-inv-nan",
         "object-id-bool", "object-id-float", "object-id-string",
-        "object-id-none"])
+        "object-id-none", "seq-negative", "object-id-negative",
+        "run-seed-float", "write-with-target", "snapshot-with-value",
+        "cut-off-snapshot-with-result", "read-with-value"])
 def test_malformed_ops_are_refused(check, op):
     with pytest.raises(CheckRefusal):
         check([op], 2)

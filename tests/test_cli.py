@@ -137,9 +137,9 @@ DEKKER_SAME_SEQ = [
     '{"proc":1,"seq":0,"op":"write","t_inv":0,"t_ret":1,"value":1,"object_id":1}',
     '{"proc":1,"seq":1,"op":"snapshot","t_inv":1,"t_ret":2,"result":[0,0],"object_id":0}']
 
-# an op that returns before it is invoked; an op after a never-returned op
-# of its process on another object; the same-seq Dekker trace in both orders
-# of p0's lines
+# an op that returns before it is invoked (refused by the trace reader);
+# an op after a never-returned op of its process on another object; the
+# same-seq Dekker trace in both orders of p0's lines
 REFUSED_TRACES = {
     "returns-before-invoked": [
         '{"proc":0,"seq":0,"op":"write","t_inv":5,"t_ret":1,"value":1}'],

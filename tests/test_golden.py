@@ -23,6 +23,7 @@ import pytest
 from seqsnap import sim
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
+from seqsnap.histories import record_from_json
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import CrashSpec, SimConfig, SyncDelay, run_simulation
@@ -138,9 +139,17 @@ def test_forced_self_cases_drop_the_crashing_senders_own_copy():
             r for r in cut.recipients if r != crash.proc]
 
 
+def assert_history_reads_back(run):
+    """The run's history document reads back as the run's records."""
+    document = sim.history_document(run.history)
+    assert list(map(record_from_json, document.splitlines())) == run.history
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_its_golden_digest(name):
-    assert run_digest(CASES[name]()) == GOLDEN[name]
+    run = CASES[name]()
+    assert run_digest(run) == GOLDEN[name]
+    assert_history_reads_back(run)
 
 
 def test_run_stopped_at_the_event_cap_matches_its_golden_digest(monkeypatch):
@@ -148,6 +157,7 @@ def test_run_stopped_at_the_event_cap_matches_its_golden_digest(monkeypatch):
     run = run_simulation(sweep_config(5, 9))
     assert not run.metrics.quiescent
     assert run_digest(run) == GOLDEN["capped-n5-s9"]
+    assert_history_reads_back(run)
 
 
 def golden_histories():

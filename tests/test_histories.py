@@ -1,10 +1,15 @@
+from dataclasses import replace
 from math import inf, nan
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
+                             check_sc_fast)
 from seqsnap.histories import (OpRecord, TraceFormatError, history_lines,
                                infer_process_count, is_time, load_history,
-                               record_from_json)
+                               op_error, record_from_json, record_to_json)
+from seqsnap.rounds import check_composition
 from seqsnap.sim import SimConfig, history_document, run_simulation
 from seqsnap.workloads import random_workload
 
@@ -60,6 +65,14 @@ BAD_LINES = {
     "not-an-object": '[{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1}]',
     "t_inv-401-digits": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 1%s, "value": 1}' % ("0" * 400),
     "value-4301-digits": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": %s}' % ("1" * 4301),
+    "returns-before-invoked": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 5, "t_ret": 1, "value": 1}',
+    "seq-negative": '{"proc": 0, "seq": -1, "op": "write", "t_inv": 0, "value": 1}',
+    "object-id-negative": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1, "object_id": -1}',
+    "write-with-target": '{"proc": 0, "seq": 0, "op": "write", "t_inv": 0, "value": 1, "target": 0}',
+    "snapshot-with-value": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": 1, "result": [0], "value": 1}',
+    "cut-off-snapshot-with-result": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "result": [0]}',
+    "t_ret-null": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": null}',
+    "read-with-value": '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0, "result": 0, "value": 1}',
 }
 
 
@@ -101,3 +114,59 @@ def test_process_count_inferred_from_snapshots_and_procs():
     history = [OpRecord(0, 0, "snapshot", 0.0, 1.0, result=(0, 0, 0))]
     assert infer_process_count(history) == 3
     assert infer_process_count([]) == 1
+
+
+TIMES = st.integers(-10**6, 10**6) | st.floats(allow_nan=False,
+                                              allow_infinity=False)
+IDS = st.integers(0, 2**64)
+# values the rule refuses in some field, and a few it accepts in some
+STRAY = [None, True, False, -1, 7, 1.5, "1", nan, inf, -inf, (0,), [0],
+         (True,), "scan"]
+FIELDS = ["kind", "proc", "seq", "t_inv", "t_ret", "value", "result",
+          "target", "object_id", "run_seed"]
+
+
+@st.composite
+def records(draw):
+    """A record of the trace format, then perhaps one field set to a value
+    from STRAY."""
+    kind = draw(st.sampled_from(["write", "snapshot", "read"]))
+    t_inv, t_ret = sorted(draw(st.lists(TIMES, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        t_ret = None
+    result = None
+    if t_ret is not None and kind == "snapshot":
+        result = tuple(draw(st.lists(st.integers(), max_size=4)))
+    elif t_ret is not None and kind == "read":
+        result = draw(st.integers())
+    rec = OpRecord(
+        draw(IDS), draw(IDS), kind, t_inv, t_ret,
+        value=draw(st.integers()) if kind == "write" else None,
+        result=result, target=draw(IDS) if kind == "read" else None,
+        object_id=draw(IDS), run_seed=draw(st.integers(-2**64, 2**64)))
+    field = draw(st.sampled_from([None, *FIELDS]))
+    if field is not None:
+        rec = replace(rec, **{field: draw(st.sampled_from(STRAY))})
+    return rec
+
+
+@given(records())
+@settings(max_examples=500, deadline=None)
+def test_the_writer_refuses_a_record_or_writes_one_that_reads_back(rec):
+    error = op_error(rec)
+    finite = is_time(rec.t_inv) and (rec.t_ret is None or is_time(rec.t_ret))
+    if error is None and finite:
+        line = record_to_json(rec)
+        back = record_from_json(line)
+        # a list of cells reads back as their tuple
+        assert back == (replace(rec, result=tuple(rec.result))
+                        if type(rec.result) is list else rec)
+        assert record_to_json(back) == line
+        return
+    with pytest.raises(ValueError):
+        record_to_json(rec)
+    if error is not None:
+        for check in (check_sc_fast, check_sc_brute, check_lin_brute,
+                      check_composition):
+            with pytest.raises(CheckRefusal):
+                check([rec], 4)

@@ -423,7 +423,9 @@ def test_invariant_checks_report_violations():
         ("C3", lambda run: run.vc_trace.append((1, 9.0, (0, 5, 0)))),
         ("C4", lambda run: setattr(run.states[1][0], "view_stamps", (0, 0, 0))),
         ("wait", lambda run: setattr(run.history[0], "t_ret", 0.5)),
-        ("drained", lambda run: setattr(run.history[2], "t_ret", None)),
+        # a snapshot that never returned has no result
+        ("drained", lambda run: (setattr(run.history[2], "t_ret", None),
+                                 setattr(run.history[2], "result", None))),
         ("drained", lambda run: setattr(run.states[1][0], "deferred", 4)),
         ("messages", lambda run: run.metrics.messages_per_update.update(
             {(0, 0, 1): 10})),
@@ -772,6 +774,10 @@ class TestConfigValidation:
         ("snapshot", [], [(0, 5.0)]),
         ("snapshot", None, []),
         ("snapshot", [], None),
+        # a field the action does not take: its history could not hold it
+        ("snapshot", [WorkItem(0, 0.0, "snapshot", value=5)], []),
+        ("snapshot", [WorkItem(0, 0.0, "write", value=5, target=1)], []),
+        ("abd", [WorkItem(0, 0.0, "read", value=9, target=1)], []),
     ], ids=["on-send-0", "on-send-negative", "recipient-above-n",
             "recipient-negative", "read-target-above-n",
             "read-target-negative", "read-without-target",
@@ -785,7 +791,8 @@ class TestConfigValidation:
             "recipient-bool", "recipients-not-a-sequence",
             "crash-at-time-and-on-send", "crash-at-neither",
             "item-times-backwards", "unknown-protocol", "item-tuple",
-            "crash-tuple", "workload-none", "crashes-none"])
+            "crash-tuple", "workload-none", "crashes-none",
+            "snapshot-with-value", "write-with-target", "read-with-value"])
     def test_malformed_crash_or_item_rejected(self, protocol, workload,
                                               crashes):
         with pytest.raises(ConfigError):

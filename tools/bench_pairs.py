@@ -18,9 +18,12 @@ core count, both commits and a digest of each side's ``src/`` and
 that metric's ``better`` direction, whether a claimed gain holds
 (``claim_holds``) and whether the metric fell beyond its ``bound``
 (``regressed``). After writing it, prints one line per case and metric of
-that summary to standard error. Stopped by SIGTERM, it kills its running
-benchmark, removes both checkouts and exits 143. Stdlib only; run from the
-root of a git checkout.
+that summary to standard error. A run that fails or is not correct ends
+the job: the runs before it are written to ``--out`` with ``"complete":
+false``, the failure and no summary, and the tool exits 1. Stopped by
+SIGTERM, it kills its running benchmark, removes both checkouts and exits
+143 without writing ``--out``. Stdlib only; run from the root of a git
+checkout.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ CASES = [("sweep", 0), ("oracle", 0), ("quorum", 0), ("sweep", 1), ("wide", 0)]
 PAIRS = 10
 # a gain is claimed only when the change wins nine pairs in ten
 CLAIM_WINS = 9
+
+
+class RunFailed(Exception):
+    """A perfbench run failed or was not correct."""
 
 
 def git(*args: str) -> bytes:
@@ -84,8 +91,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"perfbench failed in {checkout} ({workload}, seed "
-                         f"{seed}, exit {proc.returncode}):\n{proc.stderr}")
+        raise RunFailed(f"perfbench failed in {checkout} ({workload}, seed "
+                        f"{seed}, exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
     result.update(next(json.loads(line) for line in lines
                        if line.startswith('{"environment"')))
@@ -188,19 +195,25 @@ def main() -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export_revision(parent_commit, sides["parent"])
         export_working_tree(sides["change"])
-        runs = []
-        for workload, seed in args.cases:
-            for pair in range(PAIRS):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_once(sides[side], workload, seed, seconds)
-                    if not result["correct"]:
-                        raise SystemExit(f"{side} is not correct on {workload}, "
-                                         f"seed {seed}: {result}")
-                    runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                 "side": side, "result": result})
-                    print(progress_line(runs[-1], benchmark["end_to_end"]),
-                          file=sys.stderr, flush=True)
+        runs, failure = [], None
+        try:
+            for workload, seed in args.cases:
+                for pair in range(PAIRS):
+                    order = (("parent", "change") if pair % 2 == 0
+                             else ("change", "parent"))
+                    for side in order:
+                        result = run_once(sides[side], workload, seed, seconds)
+                        if not result["correct"]:
+                            raise RunFailed(f"{side} is not correct on "
+                                            f"{workload}, seed {seed}: "
+                                            f"{result}")
+                        runs.append({"workload": workload, "seed": seed,
+                                     "pair": pair, "side": side,
+                                     "result": result})
+                        print(progress_line(runs[-1], benchmark["end_to_end"]),
+                              file=sys.stderr, flush=True)
+        except RunFailed as exc:
+            failure = str(exc)
         digests = {side: source_digest(path) for side, path in sides.items()}
     document = {
         "python": platform.python_version(),
@@ -210,10 +223,16 @@ def main() -> int:
                    "sources_sha256": digests["change"]},
         "seconds_per_run": seconds,
         "pairs": PAIRS,
-        "summary": summarize(runs, args.cases, benchmark["end_to_end"]),
-        "runs": runs,
+        "complete": failure is None,
     }
+    if failure is None:
+        document["summary"] = summarize(runs, args.cases, benchmark["end_to_end"])
+    else:
+        document["failure"] = failure
+    document["runs"] = runs
     args.out.write_text(json.dumps(document, indent=1) + "\n")
+    if failure is not None:
+        raise SystemExit(failure)
     for row in document["summary"]:
         print(summary_line(row), file=sys.stderr)
     return 0
