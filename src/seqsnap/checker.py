@@ -2,10 +2,11 @@
 
 `check_sc_fast` is the structural checker for snapshot histories: it resolves
 snapshot results to per-writer versions, tests four order conditions, and
-builds an explicit witness order which it verifies by replay, so every accept
-carries a proof. `check_sc_brute` / `check_lin_brute` enumerate interleavings
-outright and are the authoritative oracles on small histories; the brute
-search folds per-object states, so it also serves composed histories.
+builds an explicit witness order, which those conditions make legal (its
+docstring proves it), so every accept carries a witness.
+`check_sc_brute` / `check_lin_brute` enumerate interleavings outright and
+are the authoritative oracles on small histories; the brute search folds
+per-object states, so it also serves composed histories.
 
 Rejections carry a certificate: a sufficient (not necessarily minimal)
 subset of operations witnessing the violation.
@@ -53,7 +54,8 @@ _SEQ = attrgetter("seq")
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
-    """Refuse a malformed op, for which no verdict is defined: one that
+    """Refuse a process count n that is not an int >= 1 (a bool is not),
+    and a malformed op, for which no verdict is defined: one that
     histories.op_error refuses (infinite times are kept), a process outside
     0..n-1, a returned snapshot whose result is not n cells, a read whose
     target is not a cell, two ops of one process with the same seq (on any
@@ -64,6 +66,8 @@ def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
     of the ops a legal order accounts for. Those are every op that returned,
     and every write, since one cut off by a crash may still have taken
     effect."""
+    if type(n) is not int or n < 1:
+        raise CheckRefusal(f"process count {n!r} is not an int >= 1")
     queues = [[] for _ in range(n)]
     for rec in history:
         error = op_error(rec)
@@ -167,18 +171,17 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     Accepts iff (1) all snapshot version vectors are pairwise comparable,
     (2) each snapshot's own component equals the number of its own preceding
     writes (which also bounds it below every later own write), and (3) the
-    vectors are nondecreasing along each process order - and the witness
-    assembled from these facts replays legally. A 0 in the cell of a writer
-    that wrote 0 may be version 0 or that write, so such a history goes to
-    the exhaustive oracle. The ops judged are those _check_ops counts; a
-    write that never returned is kept as if complete, since it is its
-    process's last op and, if no snapshot shows it, can go last in the
+    vectors are nondecreasing along each process order. A 0 in the cell of
+    a writer that wrote 0 may be version 0 or that write, so such a history
+    goes to the exhaustive oracle. The ops judged are those _check_ops
+    counts; a write that never returned is kept as if complete, since it is
+    its process's last op and, if no snapshot shows it, can go last in the
     witness.
 
-    Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass,
-    the witness cannot fail its check on a history that passed _check_ops,
-    so the fallback to the oracle after that check cannot be reached and
-    stays as safety code only:
+    Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass
+    on a history that passed _check_ops, the witness assembled from these
+    facts is legal and contains every process order, so it is returned
+    without being replayed:
     - the witness puts each writer's version-w write just before the first
       snapshot in the sorted chain whose component reaches w. Components
       never decrease along the chain, so exactly versions 1..v[q] of each
@@ -243,12 +246,7 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
                            reason="incomparable snapshots")
 
     witness = _build_witness(queues, chain_vecs, chain_snaps)
-    if (contains_process_order(witness, list(chain.from_iterable(queues)))
-            and replay_legal(witness, n)):
-        return Verdict(True, witness=list(map(op_id, witness)))
-    # unreachable (see the docstring); the oracle keeps the verdict exact
-    # rather than guess
-    return check_sc_brute(history, n)
+    return Verdict(True, witness=list(map(op_id, witness)))
 
 
 def _build_witness(queues, chain_vecs, chain_snaps):
@@ -360,33 +358,32 @@ def _search_steps(queues, n):
     Returns None when a snapshot or read asks for a value that can never be
     in its cell; only writes are cut off in _check_ops's queues, so every
     such op returned and must be placed."""
+    # (object id, writer, value) of every write; 0 is in every cell at first
+    written = {(rec.object_id, rec.proc, rec.value)
+               for rec in chain.from_iterable(queues) if rec.kind == WRITE}
     registers = {}
-    written = {}
-    for rec in chain.from_iterable(queues):
-        obj = rec.object_id
-        if obj not in registers:
-            registers[obj] = [0] * n
-        if rec.kind == WRITE:
-            written.setdefault((obj, rec.proc), {0}).add(rec.value)
-    initial = {0}
     steps = []
     for queue in queues:
         row = []
         for rec in queue:
             obj, kind = rec.object_id, rec.kind
+            cells = registers.get(obj)
+            if cells is None:
+                cells = registers[obj] = [0] * n
             if kind == WRITE:
-                cell, value = rec.proc, rec.value
-            elif kind == SNAPSHOT:
+                row.append((rec, cells, rec.proc, rec.value, True,
+                            rec.t_ret is not None, rec.t_inv))
+                continue
+            if kind == SNAPSHOT:
                 cell, value = None, list(rec.result)
                 for q, got in enumerate(value):
-                    if got not in written.get((obj, q), initial):
+                    if got and (obj, q, got) not in written:
                         return None
             else:
                 cell, value = rec.target, rec.result
-                if value not in written.get((obj, cell), initial):
+                if value and (obj, cell, value) not in written:
                     return None
-            row.append((rec, registers[obj], cell, value, kind == WRITE,
-                        rec.t_ret is not None, rec.t_inv))
+            row.append((rec, cells, cell, value, False, True, rec.t_inv))
         row.append(None)
         steps.append(row)
     return steps

@@ -148,11 +148,17 @@ def history_lines(history: list[OpRecord]) -> list[str]:
     return list(map(record_to_json, history))
 
 
+# the keys a trace line may hold; record_to_json writes them in sorted order
+FIELDS = frozenset(("object_id", "op", "proc", "result", "run_seed", "seq",
+                    "t_inv", "t_ret", "target", "value"))
+
+
 def record_from_json(line: str, lineno: int = 0) -> OpRecord:
     """The record of one line: built from its JSON fields (a list becomes a
     tuple, an absent object_id or run_seed is 0), then refused with
     TraceFormatError if op_error or is_time refuses it. A JSON null is
-    refused: the writer leaves an unset field out."""
+    refused: the writer leaves an unset field out. A key outside FIELDS is
+    refused too, since the line would not read back to its own bytes."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -163,6 +169,9 @@ def record_from_json(line: str, lineno: int = 0) -> OpRecord:
         raise TraceFormatError(lineno, "record is not a JSON object")
     if None in doc.values():
         raise TraceFormatError(lineno, "a field is null")
+    unknown = doc.keys() - FIELDS
+    if unknown:
+        raise TraceFormatError(lineno, f"unknown field {min(unknown)!r}")
     result = doc.get("result")
     try:
         rec = OpRecord(

@@ -2,7 +2,8 @@
 digests and the protocol invariant checks all run: the two workload
 generators alternate by seed, crashes use the full budget, and the workload
 is trimmed to the crashes. Also the one snapshot mutant that the checker
-cross-validation and the golden verdict digests judge, the digest of
+cross-validation and the golden verdict digests judge, the replay of an
+accepted witness that the checker tests assert, the digest of
 everything a run leaves behind that the golden run digests and the C1 sweep
 digest pin, and the configs of the runs that sim.run_fifo drives in any FIFO
 order. seqsnap.gates judges their runs."""
@@ -13,6 +14,8 @@ import hashlib
 import random
 from dataclasses import replace
 
+from seqsnap.checker import contains_process_order, replay_legal
+from seqsnap.histories import op_id
 from seqsnap.seqspec import SNAPSHOT, WRITE
 from seqsnap.sim import CrashSpec, SimConfig, serialize_run
 from seqsnap.workloads import (random_crashes, random_workload,
@@ -49,6 +52,21 @@ def run_digest(run) -> str:
     h.update(repr(run.validation_log).encode())
     h.update(repr(sorted(run.crashed)).encode())
     return h.hexdigest()
+
+
+def assert_witness_holds(verdict, history, n, realtime=False):
+    """An accepted witness replays legally and holds, in process order (and
+    in real-time order if asked), every op that returned plus whichever
+    cut-off writes it placed."""
+    by_id = {op_id(r): r for r in history}
+    witness = [by_id[i] for i in verdict.witness]
+    assert replay_legal(witness, n)
+    included = [r for r in history
+                if r.completed or (r.kind == WRITE and op_id(r) in verdict.witness)]
+    assert contains_process_order(witness, included)
+    assert not realtime or not any(
+        later.completed and later.t_ret < earlier.t_inv
+        for k, earlier in enumerate(witness) for later in witness[k + 1:])
 
 
 def mutate_history(history, n, rng):

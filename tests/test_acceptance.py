@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 
+from seqsnap import checker
 from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
@@ -25,8 +27,9 @@ from seqsnap.sim import (CrashSpec, SimConfig, run_fifo, run_simulation,
                          serialize_run)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, fifo_config, fifo_crash_case,
-                   mutate_history, run_digest, sweep_config)
+from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, assert_witness_holds,
+                   fifo_config, fifo_crash_case, mutate_history, run_digest,
+                   sweep_config)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -44,12 +47,14 @@ def sweep_results():
     """Every run of the C1 sweep and of the even-n runs, judged: the failing
     (n, seed) runs of each criterion, and the C1 sweep's digest."""
     failures = defaultdict(list)
+    histories = []
     runs = waited_snapshots = 0
     digest = hashlib.sha256()
     for n in SWEEP_NS + EVEN_NS:
         for seed in range(SEEDS_PER_N):
             run = run_simulation(sweep_config(n, seed))
             runs += 1
+            histories.append((n, run.history))
             if n in SWEEP_NS:
                 digest.update(run_digest(run).encode())
             for criterion, violations in judge(run).items():
@@ -59,7 +64,7 @@ def sweep_results():
                 rec.kind == "snapshot" and rec.completed
                 and rec.t_ret > rec.t_inv for rec in run.history)
     return {"runs": runs, "failures": failures, "digest": digest.hexdigest(),
-            "waited_snapshots": waited_snapshots}
+            "waited_snapshots": waited_snapshots, "histories": histories}
 
 
 def test_c1_safety_sweep_every_history_sequentially_consistent(sweep_results):
@@ -72,6 +77,21 @@ def test_c1_safety_sweep_every_history_sequentially_consistent(sweep_results):
 
 def test_c1_sweep_bytes_match_their_golden_digest(sweep_results):
     assert sweep_results["digest"] == C1_SWEEP_DIGEST
+
+
+def test_c1_fast_accepts_need_no_replay_and_no_oracle(sweep_results):
+    # check_sc_fast returns the witness it builds; the C2 cross-validation
+    # replays the witnesses
+    def never(*args):
+        raise AssertionError("check_sc_fast replayed its witness or searched")
+
+    histories = sweep_results["histories"]
+    with mock.patch.multiple(checker, replay_legal=never,
+                             contains_process_order=never,
+                             check_sc_brute=never):
+        accepted = sum(check_sc_fast(history, n).accepted
+                       for n, history in histories)
+    assert accepted == len(histories) == sweep_results["runs"]
 
 
 def test_c2_checker_cross_validation_on_10k_histories():
@@ -93,6 +113,8 @@ def test_c2_checker_cross_validation_on_10k_histories():
             brute = check_sc_brute(history, n)
             if fast.accepted != brute.accepted:
                 disagreements.append((n, seed))
+            if fast.accepted:
+                assert_witness_holds(fast, history, n)
             checked += 1
         seed += 1
     assert disagreements == []

@@ -4,7 +4,6 @@ import random
 from dataclasses import replace
 from itertools import accumulate, chain, combinations
 from math import inf
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,7 @@ from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
 from seqsnap.histories import OpRecord, op_id
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.seqspec import initial_state, seq_step
-from sweep import mutate_history
+from sweep import assert_witness_holds, mutate_history
 
 
 def W(proc, seq, value, t_inv=None, t_ret=None):
@@ -161,6 +160,16 @@ SAME_SEQ = [W(0, 0, 1), replace(S(0, 0, [0, 0]), object_id=1)]
 def test_malformed_op_ids_are_refused(check, history):
     with pytest.raises(CheckRefusal):
         check(history, 2)
+
+
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute, check_composition])
+@pytest.mark.parametrize("n", [2.5, 0, -1, True, None, "2"],
+                         ids=["float", "zero", "negative", "bool", "none",
+                              "string"])
+def test_a_process_count_that_is_not_a_positive_int_is_refused(check, n):
+    with pytest.raises(CheckRefusal, match="process count"):
+        check([], n)
 
 
 @pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
@@ -338,21 +347,6 @@ def test_lin_accept_implies_sc_accept(case):
         assert check_sc_brute(history, n).accepted
 
 
-def assert_witness_holds(verdict, history, n, realtime=False):
-    """An accepted witness replays legally and holds, in process order (and
-    in real-time order if asked), every op that returned plus whichever
-    cut-off writes it placed."""
-    by_id = {op_id(r): r for r in history}
-    witness = [by_id[i] for i in verdict.witness]
-    assert replay_legal(witness, n)
-    included = [r for r in history
-                if r.completed or (r.kind == "write" and op_id(r) in verdict.witness)]
-    assert contains_process_order(witness, included)
-    assert not realtime or not any(
-        later.completed and later.t_ret < earlier.t_inv
-        for k, earlier in enumerate(witness) for later in witness[k + 1:])
-
-
 @given(tiny_history())
 @settings(max_examples=200, deadline=None)
 def test_accepted_witnesses_replay_legally(case):
@@ -423,11 +417,9 @@ def mid_history(draw):
 @given(mid_history())
 @settings(max_examples=300, deadline=None)
 def test_witness_construction_never_needs_the_oracle(case):
-    # With no oracle budget the fallback after the witness check can only
-    # refuse, so a CheckRefusal here means a witness failed to replay.
+    # check_sc_fast returns its witness unreplayed; replay it here
     n, history = case
-    with mock.patch.object(checker, "BRUTE_BOUND", 0):
-        verdict = check_sc_fast(history, n)
+    verdict = check_sc_fast(history, n)
     if verdict.accepted:
         by_id = {op_id(r): r for r in history}
         witness = [by_id[i] for i in verdict.witness]

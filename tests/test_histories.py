@@ -73,6 +73,7 @@ BAD_LINES = {
     "cut-off-snapshot-with-result": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "result": [0]}',
     "t_ret-null": '{"proc": 0, "seq": 0, "op": "snapshot", "t_inv": 0, "t_ret": null}',
     "read-with-value": '{"proc": 0, "seq": 0, "op": "read", "t_inv": 0, "t_ret": 1, "target": 0, "result": 0, "value": 1}',
+    "misspelt-target": '{"object_id":0,"op":"write","proc":0,"run_seed":0,"seq":0,"t_inv":0,"value":1,"targte":1}',
 }
 
 
@@ -81,6 +82,11 @@ def test_bad_field_rejected_with_line_number(line):
     with pytest.raises(TraceFormatError) as err:
         record_from_json(line, 3)
     assert err.value.lineno == 3
+
+
+def test_unknown_key_is_named():
+    with pytest.raises(TraceFormatError, match="unknown field 'targte'"):
+        record_from_json(BAD_LINES["misspelt-target"], 1)
 
 
 class FloatTime(float):

@@ -11,8 +11,7 @@ from seqsnap.rounds import (DisciplineError, RoundConfig, check_composition,
 from seqsnap.sim import (CrashSpec, SimConfig, WorkItem, run_simulation,
                          serialize_run)
 from seqsnap.workloads import encode_value
-from sweep import mutate_history
-from test_checker import assert_witness_holds
+from sweep import assert_witness_holds, mutate_history
 
 
 def test_single_round_degenerates_to_plain_run():
