@@ -3,10 +3,11 @@
 `check_sc_fast` is the structural checker for snapshot histories: it resolves
 snapshot results to per-writer versions, tests four order conditions, and
 builds an explicit witness order, which those conditions make legal (its
-docstring proves it), so every accept carries a witness.
-`check_sc_brute` / `check_lin_brute` enumerate interleavings outright and
-are the authoritative oracles on small histories; the brute search folds
-per-object states, so it also serves composed histories.
+docstring proves it), so every accept carries a witness and none is
+replayed: `replay_legal` and `contains_process_order` are the tests' replay
+of a witness. `check_sc_brute` / `check_lin_brute` enumerate interleavings
+outright and are the authoritative oracles on small histories; the brute
+search folds per-object states, so it also serves composed histories.
 
 Rejections carry a certificate: a sufficient (not necessarily minimal)
 subset of operations witnessing the violation.

@@ -65,7 +65,8 @@ def is_time(t) -> bool:
 
 def op_error(rec: OpRecord) -> str | None:
     """The one rule for an operation record: the reason `rec` breaks it, or
-    None. The trace writer, the trace reader and the checkers apply it.
+    None. The trace writer and reader, the checkers and
+    sim.validate_config (on each work item) apply it.
 
     kind is write, snapshot or read. proc, seq and object_id are
     non-negative exact ints and run_seed is an exact int (a bool is

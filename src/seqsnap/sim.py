@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import abd, protocol
-from .histories import OpRecord, compact_json, history_lines, is_time
+from .histories import OpRecord, compact_json, history_lines, is_time, op_error
 from .seqspec import READ, SNAPSHOT, WRITE
 
 EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
@@ -251,29 +251,23 @@ def validate_config(config: SimConfig) -> None:
         if not isinstance(item, WorkItem):
             raise ConfigError(f"workload entry {item!r} is not a WorkItem")
         proc, at, action, value, target, object_id = item
-        # ids and values are written to the history as JSON integers; a bool
-        # would be written as true/false
-        if type(proc) is not int or not 0 <= proc < config.n:
-            raise ConfigError(f"workload references out-of-range process {proc!r}")
-        if type(object_id) is not int or object_id < 0:
-            raise ConfigError(f"workload references object {object_id!r}: "
-                              f"objects are non-negative ints")
+        if action not in actions:
+            raise ConfigError(f"{config.protocol} protocol cannot run "
+                              f"action {action!r}")
+        # the history holds the item as a record, so the record rule judges
+        # its fields (a bool id or value would be written as true/false)
+        error = op_error(OpRecord(proc, 0, action, at, value=value,
+                                  target=target, object_id=object_id,
+                                  run_seed=config.seed))
+        if error is not None:
+            raise ConfigError(f"malformed workload item ({error}): {item!r}")
+        if not (proc < config.n and (target is None or target < config.n)):
+            raise ConfigError(f"workload item {item!r} is outside n={config.n}")
         if object_id and module is abd:
             raise ConfigError("the register baseline runs on object 0 only")
         if not is_time(at):
             raise ConfigError(f"workload schedules process {proc} at "
                               f"{at!r}, not a time")
-        if action not in actions:
-            raise ConfigError(f"{config.protocol} protocol cannot run "
-                              f"action {action!r}")
-        # the history holds only the fields an op's kind uses
-        if not ((type(value) is int if action == WRITE else value is None)
-                and (type(target) is int and 0 <= target < config.n
-                     if action == READ else target is None)):
-            raise ConfigError(
-                f"{action} by process {proc} has value {value!r} and target "
-                f"{target!r}: only a write takes a value (an int), only a "
-                f"read a target (an int in 0..{config.n - 1})")
         if proc in crash_time and at >= crash_time[proc]:
             raise ConfigError(
                 f"workload schedules process {proc} at {at} "
@@ -586,17 +580,19 @@ class _FifoSim(_Sim):
         traced = self.traced
         at_time = [crash.proc for crash in self.config.crashes
                    if crash.at_time is not None]
-        step = 0
+        step = events = 0   # steps, and the transitions among them
         while True:
             delivering, starting = len(busy), len(busy) + len(starters)
             enabled = starting + len(at_time)
             if not enabled:
                 break
-            if step >= EVENT_CAP:
+            if events >= EVENT_CAP:
                 self.metrics.quiescent = False
                 break
             pick = rng.randrange(enabled)
             step += 1
+            # deliveries and invocations are transitions; a crash is not
+            events += pick < starting
             if pick < delivering:
                 sender, proc = busy[pick]
                 channel = self.channels[sender][proc]
@@ -626,7 +622,7 @@ class _FifoSim(_Sim):
 
 def run_fifo(config: SimConfig) -> RunResult:
     """Execute the workload in any FIFO order (_FifoSim), to quiescence or
-    EVENT_CAP steps."""
+    EVENT_CAP transitions (deliveries and invocations, as in run_simulation)."""
     return _FifoSim(config).run()
 
 

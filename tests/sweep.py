@@ -5,19 +5,24 @@ is trimmed to the crashes. Also the one snapshot mutant that the checker
 cross-validation and the golden verdict digests judge, the replay of an
 accepted witness that the checker tests assert, the digest of
 everything a run leaves behind that the golden run digests and the C1 sweep
-digest pin, and the configs of the runs that sim.run_fifo drives in any FIFO
-order. seqsnap.gates judges their runs."""
+digest pin, the configs of the runs that sim.run_fifo drives in any FIFO
+order, the simulator without its FIFO clamp that the non-FIFO gate runs, and
+the composed runs of the golden verdict digests. seqsnap.gates judges their
+runs."""
 
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import replace
+from heapq import heappush
 
+from seqsnap import sim
 from seqsnap.checker import contains_process_order, replay_legal
 from seqsnap.histories import op_id
+from seqsnap.rounds import RoundConfig
 from seqsnap.seqspec import SNAPSHOT, WRITE
-from seqsnap.sim import CrashSpec, SimConfig, serialize_run
+from seqsnap.sim import CrashSpec, MessageRecord, SimConfig, serialize_run
 from seqsnap.workloads import (random_crashes, random_workload,
                                trim_for_crashes, write_heavy_workload)
 
@@ -119,3 +124,29 @@ def fifo_config(n: int, seed: int, crashes: int = 0) -> SimConfig:
         else:
             specs.append(CrashSpec(proc, at_time=last_at[proc] + 1))
     return SimConfig(n=n, seed=seed, workload=workload, crashes=specs)
+
+
+class NonFifoSim(sim._Sim):
+    """The simulator with each channel's FIFO clamp taken out: a copy arrives
+    at its drawn time, so it may overtake an earlier copy on its channel.
+    This breaks the paper's model; the non-FIFO gate shows what it costs."""
+
+    def _send(self, proc, obj, payload, recipients, chain, now):
+        msg = MessageRecord(now, proc, payload, chain, recipients, obj)
+        send_index = self.send_count[proc]
+        for recipient in recipients:
+            if recipient == proc:
+                self.own_copies.append(msg)
+                continue
+            at = self.arrival(self.rng, now, proc, recipient, send_index)
+            heappush(self.heap, (at, self.next_seq(), recipient, msg))
+        self.message_log.append(msg)
+
+
+def golden_round_config(seed: int) -> RoundConfig:
+    """The composed run with this seed (0..9) whose history and mutants the
+    golden verdict digests judge: n = 2 or 3, one to three rounds, and at
+    n = 3 one crash during a broadcast."""
+    n = (2, 3)[seed % 2]
+    crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)] if n > 2 else []
+    return RoundConfig(n=n, rounds=1 + seed % 3, seed=seed, crashes=crashes)

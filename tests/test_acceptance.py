@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from seqsnap import checker
+from seqsnap import checker, rounds
 from seqsnap.bench import measure_abd, measure_snapshot
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, verdict_document)
@@ -27,8 +27,9 @@ from seqsnap.sim import (CrashSpec, SimConfig, run_fifo, run_simulation,
                          serialize_run)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, assert_witness_holds,
-                   fifo_config, fifo_crash_case, mutate_history, run_digest,
+from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, NonFifoSim,
+                   assert_witness_holds, fifo_config, fifo_crash_case,
+                   golden_round_config, mutate_history, run_digest,
                    sweep_config)
 
 SEEDS_PER_N = 500
@@ -40,6 +41,11 @@ C1_SWEEP_DIGEST = \
 # The same over the any-FIFO gate's 2,000 sim.run_fifo runs, in run order
 FIFO_DIGEST = \
     "ac8e891175017fd37b1a7469289a446c7759363615d9be15f3019ddb76a86141"
+# SHA-256 of the repr of the non-FIFO gate's failing runs: the list of
+# (n, seed, sorted failed criteria), n in NON_FIFO_NS and seed in order
+NON_FIFO_DIGEST = \
+    "503732bfe779ea41fa093505f5013d594aefa39990d5756a47dc7f3691e4efb1"
+NON_FIFO_NS = (3, 5, 7)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +236,24 @@ def test_c1_holds_in_any_fifo_order_even_with_a_slow_self_channel():
           f"{crashed_total} crashes, every criterion met")
 
 
+def test_fifo_channels_are_needed_for_safety():
+    """The model's FIFO assumption is needed: with each channel's clamp
+    taken out (NonFifoSim), the sweep configs at n = 3, 5 and 7, seeds
+    0-199, break C1, not only C3."""
+    failing = []
+    for n in NON_FIFO_NS:
+        for seed in range(200):
+            verdicts = judge(NonFifoSim(sweep_config(n, seed)).run())
+            failed = sorted(c for c, violations in verdicts.items() if violations)
+            if failed:
+                failing.append((n, seed, failed))
+    c1 = sum("C1" in failed for _n, _seed, failed in failing)
+    assert c1 > 0
+    assert hashlib.sha256(repr(failing).encode()).hexdigest() == NON_FIFO_DIGEST
+    print(f"\nnon-FIFO PASS: without the FIFO clamp {len(failing)} of "
+          f"{200 * len(NON_FIFO_NS)} runs fail a criterion, {c1} of them C1")
+
+
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):
     assert sweep_results["failures"]["C4"] == []
     assert sweep_results["failures"]["drained"] == []
@@ -316,25 +340,46 @@ def test_c7_scripted_scenarios_reproduce_the_validation_patterns():
           "updates validated everywhere")
 
 
+def c8_config(seed):
+    n = (3, 5)[seed % 2]
+    crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)] if seed % 3 == 0 else []
+    return RoundConfig(n=n, rounds=2 + seed % 4, seed=seed, crashes=crashes)
+
+
 def test_c8_round_compositions_accepted():
     combos = 0
     for seed in range(100):
-        n = (3, 5)[seed % 2]
-        rounds = 2 + (seed % 4)
-        crashes = []
-        if seed % 3 == 0:
-            crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)]
-        run = run_rounds(RoundConfig(n=n, rounds=rounds, seed=seed,
-                                     crashes=crashes))
+        config = c8_config(seed)
+        run = run_rounds(config)
         assert run.metrics.quiescent, seed
-        verdict = check_composition(run.history, n)
+        verdict = check_composition(run.history, config.n)
         assert verdict.accepted, (seed, verdict.reason)
+        assert_witness_holds(verdict, run.history, config.n)
         combos += 1
     small = run_rounds(RoundConfig(n=2, rounds=2, seed=1))
     assert len(small.history) <= 10
     assert check_sc_brute(small.history, 2).accepted
     print(f"\nC8 PASS: {combos} round-structured runs composed consistently; "
           f"small instance confirmed by the exhaustive composed check")
+
+
+def test_c8_compositions_need_no_replay_and_no_oracle():
+    # check_composition splices the per-object witnesses, which the round
+    # rule makes a legal order; test_c8_round_compositions_accepted replays
+    # them
+    def never(*args):
+        raise AssertionError("check_composition replayed a splice or searched")
+
+    configs = [c8_config(seed) for seed in range(100)]
+    configs += [golden_round_config(seed) for seed in range(10)]
+    with mock.patch.multiple(checker, seq_step=never, replay_legal=never,
+                             contains_process_order=never,
+                             check_sc_brute=never), \
+            mock.patch.object(rounds, "check_sc_brute", never):
+        accepted = sum(check_composition(run_rounds(config).history,
+                                         config.n).accepted
+                       for config in configs)
+    assert accepted == len(configs) == 110
 
 
 def test_c9_repeating_any_run_is_byte_identical():

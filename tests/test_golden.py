@@ -28,7 +28,8 @@ from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import CrashSpec, SimConfig, SyncDelay, run_simulation
 from seqsnap.workloads import abd_workload, random_workload
-from sweep import mutate_history, run_digest, sweep_config
+from sweep import (golden_round_config, mutate_history, run_digest,
+                   sweep_config)
 
 OPS = 40
 
@@ -180,10 +181,8 @@ def golden_histories():
     for seed in range(20):
         cases.append((run_simulation(abd_config(3, 8, seed)).history, 3))
     for seed in range(10):
-        n = (2, 3)[seed % 2]
-        crashes = [CrashSpec(seed % n, on_send=1 + seed % 5)] if n > 2 else []
-        with_mutants(run_rounds(RoundConfig(n=n, rounds=1 + seed % 3, seed=seed,
-                                            crashes=crashes)).history, n)
+        config = golden_round_config(seed)
+        with_mutants(run_rounds(config).history, config.n)
     return cases
 
 

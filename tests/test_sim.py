@@ -178,12 +178,18 @@ def test_delay_draw_is_random_uniform_bit_for_bit(delay):
 
 
 def test_event_cap_stops_the_run_not_quiescent(monkeypatch):
+    # the cap counts deliveries and invocations: a crash at a time instant,
+    # here after process 2's last item, is not a transition under either
+    # runner
     monkeypatch.setattr(sim, "EVENT_CAP", 40)
-    for runner in RUNNERS:
-        run = snapshot_run(3, random_workload(3, 12, seed=0), runner=runner)
-        assert run.metrics.quiescent is False
-        assert len(run.delivery_log) + len(run.history) == 40
-        assert '"quiescent":false' in serialize_run(run)["metrics"]
+    workload = random_workload(3, 12, seed=0)
+    last = max(item.at for item in workload if item.proc == 2)
+    for crashes in ([], [CrashSpec(2, at_time=last + 1)]):
+        for runner in RUNNERS:
+            run = snapshot_run(3, workload, crashes=crashes, runner=runner)
+            assert run.metrics.quiescent is False
+            assert len(run.delivery_log) + len(run.history) == 40
+            assert '"quiescent":false' in serialize_run(run)["metrics"]
 
 
 def count_sends(monkeypatch):
