@@ -57,11 +57,11 @@ _SEQ = attrgetter("seq")
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
     """Refuse a process count n that is not an int >= 1 (a bool is not),
     and a malformed op, for which no verdict is defined: one that
-    histories.op_error refuses (infinite times are kept), a process outside
-    0..n-1, a returned snapshot whose result is not n cells, a read whose
-    target is not a cell, two ops of one process with the same seq (on any
-    object), or an op after one of its process's ops that never returned (a
-    process runs one op at a time, so only its last op can be cut off).
+    histories.op_error refuses given n (a process, read target or returned
+    snapshot that does not fit n; infinite times are kept), two ops of one
+    process with the same seq (on any object), or an op after one of its
+    process's ops that never returned (a process runs one op at a time, so
+    only its last op can be cut off).
 
     Returns the process order: one queue per process id, each in seq order,
     of the ops a legal order accounts for. Those are every op that returned,
@@ -71,16 +71,10 @@ def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
         raise CheckRefusal(f"process count {n!r} is not an int >= 1")
     queues = [[] for _ in range(n)]
     for rec in history:
-        error = op_error(rec)
-        if error is None:
-            # past op_error only a read has a target; other results are vectors
-            proc, result, target = rec.proc, rec.result, rec.target
-            if not (proc < n and (target < n if target is not None
-                                  else result is None or len(result) == n)):
-                error = f"a process, target or result outside n={n}"
+        error = op_error(rec, n)
         if error is not None:
             raise CheckRefusal(f"malformed op ({error}): {rec}")
-        queues[proc].append(rec)
+        queues[rec.proc].append(rec)
     for proc, queue in enumerate(queues):
         if not queue:
             continue

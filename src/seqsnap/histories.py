@@ -3,9 +3,9 @@
 One JSON object per line with fields: run_seed, proc, seq, op, t_inv, t_ret
 (absent while incomplete), value (writes), result (completed snapshots: the
 full vector; reads: the returned scalar), target (reads) and object_id.
-A line holds a record that op_error, the one rule for an operation record,
-accepts and whose times pass is_time, the one rule for a time, which the
-simulator's config checks apply too. The checkers apply op_error as well.
+A line holds a record that trace_error accepts: op_error, the one rule for
+an operation record, and is_time, the one rule for a time, on its times.
+sim.validate_config applies trace_error and the checkers op_error, given n.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def is_time(t) -> bool:
         return False
 
 
-def op_error(rec: OpRecord) -> str | None:
+def op_error(rec: OpRecord, n: int | None = None) -> str | None:
     """The one rule for an operation record: the reason `rec` breaks it, or
     None. The trace writer and reader, the checkers and
     sim.validate_config (on each work item) apply it.
@@ -75,7 +75,8 @@ def op_error(rec: OpRecord) -> str | None:
     are set: a write's value (an int), a read's target (a non-negative int)
     and, once the op has returned, a snapshot's result (a tuple or list of
     ints) or a read's (an int). Infinite times pass here; a trace holds
-    finite times only, so its writer and reader add is_time."""
+    finite times only, so its writer and reader add is_time. Given n, proc
+    and a read's target are below n and a returned snapshot has n cells."""
     kind, t_inv, t_ret = rec.kind, rec.t_inv, rec.t_ret
     value, result, target = rec.value, rec.result, rec.target
     if kind == WRITE:
@@ -100,6 +101,11 @@ def op_error(rec: OpRecord) -> str | None:
             and type(object_id) is int and object_id >= 0
             and type(rec.run_seed) is int):
         return "an id that is not a non-negative int"
+    # past the kind's rule only a read has a target; other results are vectors
+    if n is not None and not (proc < n and (
+            target < n if target is not None
+            else result is None or len(result) == n)):
+        return f"a process, target or result outside n={n}"
     # exact types (a bool is an int subclass); `is` beats `in (int, float)`
     if not ((type(t_inv) is float or type(t_inv) is int) and t_inv == t_inv
             and (t_ret is None or (type(t_ret) is float or type(t_ret) is int)
@@ -108,9 +114,9 @@ def op_error(rec: OpRecord) -> str | None:
     return None
 
 
-def _trace_error(rec: OpRecord) -> str | None:
+def trace_error(rec: OpRecord, n: int | None = None) -> str | None:
     """op_error, and is_time for each time: a trace holds finite times."""
-    error = op_error(rec)
+    error = op_error(rec, n)
     if error is None and not (is_time(rec.t_inv) and (
             rec.t_ret is None or is_time(rec.t_ret))):
         return "a time that is not finite"
@@ -126,7 +132,7 @@ def record_to_json(rec: OpRecord) -> str:
     Raises ValueError on a record that op_error or is_time refuses, so the
     writer refuses a record rather than drop a field, and every line it
     writes record_from_json reads back as the same record."""
-    error = _trace_error(rec)
+    error = trace_error(rec)
     if error is not None:
         raise ValueError(f"{error}: {rec!r}")
     kind, t_ret, result = rec.kind, rec.t_ret, rec.result
@@ -183,7 +189,7 @@ def record_from_json(line: str, lineno: int = 0) -> OpRecord:
             run_seed=doc.get("run_seed", 0))
     except KeyError as exc:
         raise TraceFormatError(lineno, f"missing field {exc}") from exc
-    error = _trace_error(rec)
+    error = trace_error(rec)
     if error is not None:
         raise TraceFormatError(lineno, error)
     return rec

@@ -15,9 +15,10 @@ while handling m is charged m's chain length (0 if it completed at
 invocation).
 
 validate_config refuses a config before any event runs unless every time
-it gives is a time by the trace format's one rule (histories.is_time) and
-its delays cannot carry a run past the largest time, so every time a run
-writes is one the trace reader reads back.
+it gives is a time (histories.is_time), its delays cannot carry a run past
+the largest time, and the record it builds of each work item, the one the
+run invokes, passes the trace rule (histories.trace_error): so a run writes
+only what the trace reader reads back.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import abd, protocol
-from .histories import OpRecord, compact_json, history_lines, is_time, op_error
+from .histories import (OpRecord, compact_json, history_lines, is_time,
+                        trace_error)
 from .seqspec import READ, SNAPSHOT, WRITE
 
 EVENT_CAP = 1_000_000   # transitions after which a run stops, not quiescent
@@ -191,7 +193,9 @@ PROTOCOLS = {"snapshot": (protocol, (WRITE, SNAPSHOT)),
              "abd": (abd, (WRITE, READ))}
 
 
-def validate_config(config: SimConfig) -> None:
+def validate_config(config: SimConfig) -> list[list[OpRecord]]:
+    """Each process's queue of its work items' records, in seq order (see
+    _Sim); ConfigError for a config no run may start from."""
     # plain ints: n sizes every table, and the seed is written to the history
     # as a JSON integer, which the trace reader requires
     if type(config.n) is not int or config.n < 1:
@@ -246,7 +250,7 @@ def validate_config(config: SimConfig) -> None:
                                   f"{crash.at_time!r}, not a time")
             crash_time[crash.proc] = crash.at_time
     module, actions = PROTOCOLS[config.protocol]
-    last_at = {}
+    queues = [[] for _ in range(config.n)]
     for item in config.workload:
         if not isinstance(item, WorkItem):
             raise ConfigError(f"workload entry {item!r} is not a WorkItem")
@@ -254,35 +258,33 @@ def validate_config(config: SimConfig) -> None:
         if action not in actions:
             raise ConfigError(f"{config.protocol} protocol cannot run "
                               f"action {action!r}")
-        # the history holds the item as a record, so the record rule judges
-        # its fields (a bool id or value would be written as true/false)
-        error = op_error(OpRecord(proc, 0, action, at, value=value,
-                                  target=target, object_id=object_id,
-                                  run_seed=config.seed))
+        # the trace rule judges the item's record (a bool id or value would
+        # be written as true/false); seq is set once proc names a queue
+        rec = OpRecord(proc, 0, action, at, None, value, None, target,
+                       object_id, config.seed)
+        error = trace_error(rec, config.n)
         if error is not None:
             raise ConfigError(f"malformed workload item ({error}): {item!r}")
-        if not (proc < config.n and (target is None or target < config.n)):
-            raise ConfigError(f"workload item {item!r} is outside n={config.n}")
         if object_id and module is abd:
             raise ConfigError("the register baseline runs on object 0 only")
-        if not is_time(at):
-            raise ConfigError(f"workload schedules process {proc} at "
-                              f"{at!r}, not a time")
         if proc in crash_time and at >= crash_time[proc]:
             raise ConfigError(
                 f"workload schedules process {proc} at {at} "
                 f"after its crash at {crash_time[proc]}")
-        if at < last_at.get(proc, 0.0):
+        queue = queues[proc]
+        if at < (queue[-1].t_inv if queue else 0.0):
             raise ConfigError(f"workload times for process {proc} go backwards")
-        last_at[proc] = at
+        rec.seq = len(queue)
+        queue.append(rec)
     # A transition's copies arrive at most one transit after it, so no run's
     # time passes the latest workload time plus EVENT_CAP transits (scripted
     # times are all given); the factor leaves room for the sums' rounding.
-    latest = max(last_at.values(), default=0)
+    latest = max((queue[-1].t_inv for queue in queues if queue), default=0)
     if isinstance(config.delay, AsyncDelay) and not is_time(
             (latest + EVENT_CAP * float(config.delay.high)) * (1 + 1e-9)):
         raise ConfigError(f"{EVENT_CAP} transits of up to {config.delay.high!r}"
                           f" after time {latest!r} pass the largest time")
+    return queues
 
 
 class _Sim:
@@ -301,10 +303,13 @@ class _Sim:
     sender at its send time, and the loop drains it before popping the
     heap: no heap entry is earlier than the transition that sent a copy,
     and every copy still queued was sent by that or an earlier transition.
+
+    queues[proc] holds the records validate_config built of proc's items.
+    A queued record's t_inv is its earliest start, until _invoke sets it.
     """
 
     def __init__(self, config: SimConfig):
-        validate_config(config)
+        self.queues = list(map(deque, validate_config(config)))
         self.config = config
         n = config.n
         objects = 1 + max((item.object_id for item in config.workload), default=0)
@@ -323,11 +328,7 @@ class _Sim:
         self.only = tuple((dest,) for dest in range(n))
         self.alive = [True] * n
         self.current_op = [None] * n
-        self.op_count = [0] * n
         self.send_count = [0] * n
-        self.queues = [deque() for _ in range(n)]
-        for item in config.workload:
-            self.queues[item.proc].append(item)
         self.crash_on_send = [None] * n
         for crash in config.crashes:
             if crash.on_send is not None:
@@ -348,7 +349,7 @@ class _Sim:
     def run(self) -> RunResult:
         for proc, queue in enumerate(self.queues):
             if queue:
-                self._ready(proc, queue[0].at)
+                self._ready(proc, queue[0].t_inv)
         # A run makes no reference cycles, so reference counting frees all it
         # drops; the cyclic collector would only rescan its live logs.
         collecting = gc.isenabled()
@@ -426,24 +427,20 @@ class _Sim:
     def _invoke(self, proc, now):
         assert self.current_op[proc] is None, \
             "invocation while an op is mid-flight"
-        item = self.queues[proc].popleft()
-        rec = OpRecord(proc=proc, seq=self.op_count[proc],
-                       kind=item.action, t_inv=now, value=item.value,
-                       target=item.target, object_id=item.object_id,
-                       run_seed=self.config.seed)
-        self.op_count[proc] += 1
+        rec = self.queues[proc].popleft()
+        rec.t_inv = now
         self.history.append(rec)
         self.current_op[proc] = rec
         # each function is read from the run's module at call time, so a
         # patched one sees every invocation
-        module, obj = self.module, item.object_id
+        module, obj, kind = self.module, rec.object_id, rec.kind
         state = self.states[proc][obj]
-        if item.action == WRITE:
-            eff = module.invoke_write(state, item.value)
-        elif item.action == SNAPSHOT:
+        if kind == WRITE:
+            eff = module.invoke_write(state, rec.value)
+        elif kind == SNAPSHOT:
             eff = module.invoke_snapshot(state)
         else:
-            eff = module.invoke_read(state, item.target)
+            eff = module.invoke_read(state, rec.target)
         self._after_transition(proc, obj, eff, 0, now)
 
     def _after_transition(self, proc, obj, eff, cause_chain, now):
@@ -530,7 +527,7 @@ class _Sim:
         self.current_op[proc] = None
         queue = self.queues[proc]
         if queue:
-            self._ready(proc, max(queue[0].at, now))
+            self._ready(proc, max(queue[0].t_inv, now))
 
     def _ready(self, proc, at):
         """`proc`, alive with no op in flight, may invoke its next item from

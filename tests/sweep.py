@@ -6,9 +6,10 @@ cross-validation and the golden verdict digests judge, the replay of an
 accepted witness that the checker tests assert, the digest of
 everything a run leaves behind that the golden run digests and the C1 sweep
 digest pin, the configs of the runs that sim.run_fifo drives in any FIFO
-order, the simulator without its FIFO clamp that the non-FIFO gate runs, and
-the composed runs of the golden verdict digests. seqsnap.gates judges their
-runs."""
+order, the simulator without its FIFO clamp that the non-FIFO gate runs, the
+simulator and configs with half the processes crashing that the half-crash
+gate runs, and the composed runs of the golden verdict digests.
+seqsnap.gates judges their runs."""
 
 from __future__ import annotations
 
@@ -141,6 +142,39 @@ class NonFifoSim(sim._Sim):
             at = self.arrival(self.rng, now, proc, recipient, send_index)
             heappush(self.heap, (at, self.next_seq(), recipient, msg))
         self.message_log.append(msg)
+
+
+class HalfCrashSim(sim._Sim):
+    """The simulator with the crash budget lifted: validate_config, which
+    allows fewer than half the processes to crash, judges the config without
+    its crashes, and the run then takes them all. This breaks the paper's
+    majority assumption; the half-crash gate shows what it costs."""
+
+    def __init__(self, config):
+        super().__init__(replace(config, crashes=[]))
+        self.config = config
+        for crash in config.crashes:
+            if crash.on_send is not None:
+                self.crash_on_send[crash.proc] = crash
+
+
+HALF_CRASH_NS = (2, 4, 6)
+
+
+def half_crash_config(n: int, seed: int) -> SimConfig:
+    """The config of one half-crash run at even n: n/2 seeded processes
+    crash, three in four during one of their first three broadcasts (if
+    they make that many), the rest at a time in [5, 40]; the workload is
+    random_workload's 40 ops, trimmed to the crashes."""
+    rng = random.Random(f"half:{n}:{seed}")
+    crashes = []
+    for proc in rng.sample(range(n), n // 2):
+        if rng.random() < 0.75:
+            crashes.append(CrashSpec(proc, on_send=rng.randint(1, 3)))
+        else:
+            crashes.append(CrashSpec(proc, at_time=rng.uniform(5, 40)))
+    workload = trim_for_crashes(random_workload(n, OPS_PER_RUN, seed), crashes)
+    return SimConfig(n=n, seed=seed, workload=workload, crashes=crashes)
 
 
 def golden_round_config(seed: int) -> RoundConfig:

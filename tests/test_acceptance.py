@@ -27,10 +27,10 @@ from seqsnap.sim import (CrashSpec, SimConfig, run_fifo, run_simulation,
                          serialize_run)
 from seqsnap.workloads import (abd_workload, random_crashes, random_workload,
                                trim_for_crashes)
-from sweep import (EVEN_NS, FIFO_NS, SWEEP_NS, NonFifoSim,
-                   assert_witness_holds, fifo_config, fifo_crash_case,
-                   golden_round_config, mutate_history, run_digest,
-                   sweep_config)
+from sweep import (EVEN_NS, FIFO_NS, HALF_CRASH_NS, SWEEP_NS, HalfCrashSim,
+                   NonFifoSim, assert_witness_holds, fifo_config,
+                   fifo_crash_case, golden_round_config, half_crash_config,
+                   mutate_history, run_digest, sweep_config)
 
 SEEDS_PER_N = 500
 # SHA-256 over the run_digest texts of the C1 sweep's runs, n in SWEEP_NS
@@ -46,6 +46,9 @@ FIFO_DIGEST = \
 NON_FIFO_DIGEST = \
     "503732bfe779ea41fa093505f5013d594aefa39990d5756a47dc7f3691e4efb1"
 NON_FIFO_NS = (3, 5, 7)
+# The same over the half-crash gate's failing runs, n in HALF_CRASH_NS
+HALF_CRASH_DIGEST = \
+    "7290583e4ee192ccfcc91b2630936174b95c11de750785f19e002d50aa80a102"
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +255,28 @@ def test_fifo_channels_are_needed_for_safety():
     assert hashlib.sha256(repr(failing).encode()).hexdigest() == NON_FIFO_DIGEST
     print(f"\nnon-FIFO PASS: without the FIFO clamp {len(failing)} of "
           f"{200 * len(NON_FIFO_NS)} runs fail a criterion, {c1} of them C1")
+
+
+def test_a_majority_is_needed_for_liveness_not_for_safety():
+    """The model's majority assumption is needed for liveness only: with
+    half the processes crashing (HalfCrashSim), the configs at n = 2, 4 and
+    6, seeds 0-199, still meet stuck, C1, wait, C3 and messages on every
+    run, but at each n some run leaves an update of a correct writer short
+    of a correct process (C4)."""
+    failing = []
+    for n in HALF_CRASH_NS:
+        for seed in range(200):
+            verdicts = judge(HalfCrashSim(half_crash_config(n, seed)).run())
+            failed = sorted(c for c, violations in verdicts.items() if violations)
+            assert not {"stuck", "C1", "wait", "C3", "messages"} & set(failed)
+            if failed:
+                failing.append((n, seed, failed))
+    assert {n for n, _seed, failed in failing if "C4" in failed} == \
+        set(HALF_CRASH_NS)
+    assert hashlib.sha256(repr(failing).encode()).hexdigest() == \
+        HALF_CRASH_DIGEST
+    print(f"\nhalf-crash PASS: with n/2 crashes {len(failing)} of "
+          f"{200 * len(HALF_CRASH_NS)} runs fail liveness, none safety")
 
 
 def test_c4_every_correct_update_reaches_every_correct_process(sweep_results):

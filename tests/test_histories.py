@@ -8,7 +8,8 @@ from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast)
 from seqsnap.histories import (OpRecord, TraceFormatError, history_lines,
                                infer_process_count, is_time, load_history,
-                               op_error, record_from_json, record_to_json)
+                               op_error, record_from_json, record_to_json,
+                               trace_error)
 from seqsnap.rounds import check_composition
 from seqsnap.sim import SimConfig, history_document, run_simulation
 from seqsnap.workloads import random_workload
@@ -107,6 +108,21 @@ class IntTime(int):
         "none"])
 def test_time_rule(t, ok):
     assert is_time(t) is ok
+
+
+@pytest.mark.parametrize("rec, fits", [
+    (OpRecord(3, 0, "write", 0.0, value=1), 4),
+    (OpRecord(0, 0, "read", 0.0, target=3), 4),
+    (OpRecord(0, 0, "read", 0.0, 1.0, result=0, target=3), 4),
+    (OpRecord(0, 0, "snapshot", 0.0, 1.0, result=(0, 0)), 2),
+    (OpRecord(0, 0, "snapshot", 0.0, 1.0, result=(0, 0, 0, 0)), 4),
+], ids=["proc-n", "read-target-n", "returned-read-target-n",
+        "snapshot-short", "snapshot-long"])
+def test_the_record_rule_given_n_refuses_what_n_cells_cannot_hold(rec, fits):
+    # `fits` is a process count the record fits; at n = 3 it does not fit
+    assert op_error(rec) is None and trace_error(rec) is None
+    assert op_error(rec, fits) is None and trace_error(rec, fits) is None
+    assert op_error(rec, 3) is not None and trace_error(rec, 3) is not None
 
 
 def test_unknown_op_kind_rejected():

@@ -478,6 +478,55 @@ def test_different_seeds_differ():
     assert serialize_run(run_a) != serialize_run(run_b)
 
 
+ONE_RECORD_CONFIGS = [
+    sweep_config(5, 1),
+    SimConfig(n=3, seed=2, protocol="abd", workload=abd_workload(3, 24, 2)),
+]
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("config", ONE_RECORD_CONFIGS, ids=["snapshot", "abd"])
+def test_each_work_item_becomes_one_record(monkeypatch, runner, config):
+    """validate_config builds the record of each work item, in its process's
+    queue in seq order with its item's time as t_inv, and the run invokes
+    that record: a run builds no other."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    real = sim.OpRecord
+    monkeypatch.setattr(sim, "OpRecord", counting)
+    queues = sim.validate_config(config)
+    assert len(built) == len(config.workload)
+    assert [rec for queue in queues for rec in queue] == \
+        sorted(built, key=lambda rec: (rec.proc, rec.seq))
+    for proc, queue in enumerate(queues):
+        items = [item for item in config.workload if item.proc == proc]
+        assert [(rec.proc, rec.seq, rec.kind, rec.t_inv, rec.value,
+                 rec.target, rec.object_id, rec.run_seed)
+                for rec in queue] == [
+            (proc, seq, item.action, item.at, item.value, item.target,
+             item.object_id, config.seed) for seq, item in enumerate(items)]
+    del built[:]
+    run = runner(config)
+    assert len(built) == len(config.workload)
+    assert {id(rec) for rec in run.history} <= {id(rec) for rec in built}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_a_config_carries_no_record_into_its_next_run(runner):
+    # records are mutable (an invocation sets t_inv, a return t_ret), so
+    # each run builds its own
+    config = sweep_config(5, 1)
+    first, second = runner(config), runner(config)
+    assert first.history
+    assert not {id(rec) for rec in first.history} & {
+        id(rec) for rec in second.history}
+    assert serialize_run(first) == serialize_run(second)
+
+
 def record_stamps(monkeypatch, run_config):
     """Run a config with every protocol transition wrapped to record its
     process and its stamps tuple right after the call. Returns the run and
