@@ -1,13 +1,15 @@
 """Decide whether recorded histories admit a legal total order.
 
-`check_sc_fast` is the structural checker for snapshot histories: it resolves
-snapshot results to per-writer versions, tests four order conditions, and
-builds an explicit witness order, which those conditions make legal (its
-docstring proves it), so every accept carries a witness and none is
-replayed: `replay_legal` and `contains_process_order` are the tests' replay
-of a witness. `check_sc_brute` / `check_lin_brute` enumerate interleavings
-outright and are the authoritative oracles on small histories; the brute
-search folds per-object states, so it also serves composed histories.
+`check_sc_fast` is the structural checker for snapshot histories: one pass
+over the process order resolves snapshot results to per-writer versions,
+and one walk over the snapshots sorted by version vector tests their
+comparability and deals the witness order, which the order conditions make
+legal (its docstring proves it), so every accept carries a witness and none
+is replayed: `replay_legal` and `contains_process_order` are the tests'
+replay of a witness. `check_sc_brute` / `check_lin_brute` enumerate
+interleavings outright and are the authoritative oracles on small
+histories; the brute search folds per-object states, so it also serves
+composed histories.
 
 Rejections carry a certificate: a sufficient (not necessarily minimal)
 subset of operations witnessing the violation.
@@ -16,9 +18,9 @@ subset of operations witnessing the violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from math import inf
-from operator import attrgetter, getitem, le, mul
+from operator import attrgetter, getitem, le, mul, ne
 
 from .histories import OpRecord, compact_json, op_error, op_id
 from .seqspec import READ, SNAPSHOT, WRITE, initial_state, seq_step
@@ -105,83 +107,38 @@ def contains_process_order(records: list[OpRecord], included: list[OpRecord]) ->
 
 
 # ---------------------------------------------------------------------------
-# version resolution
-
-
-def _snapshot_vectors(queues):
-    """Resolve each completed snapshot to a vector of per-writer versions.
-
-    Version w of writer p is p's w-th write in process order; version 0 is
-    the initial cell. Takes the process order from _check_ops. Returns the
-    snapshots in process order, their vectors in the same order (None when
-    a snapshot claims a value its writer never wrote), the writers that
-    wrote 0, and the rejecting Verdict if there is one."""
-    version_of = []
-    zero_writers = []
-    snaps = []
-    for p, queue in enumerate(queues):
-        table = {}
-        version = 0
-        for rec in queue:
-            kind = rec.kind
-            if kind == WRITE:
-                version += 1
-                if rec.value in table:
-                    raise CheckRefusal(
-                        f"process {p} wrote value {rec.value} twice; version "
-                        f"resolution needs unique values per writer")
-                table[rec.value] = version
-            elif kind == SNAPSHOT:
-                snaps.append(rec)
-        # a 0 no write claims is the initial cell
-        if 0 in table:
-            zero_writers.append(p)
-        else:
-            table[0] = 0
-        version_of.append(table)
-    vectors = []
-    for rec in snaps:
-        vector = tuple(map(dict.get, version_of, rec.result))
-        if None in vector:
-            q = vector.index(None)
-            return snaps, None, zero_writers, Verdict(
-                False, certificate=[op_id(rec)],
-                reason=f"snapshot claims value {rec.result[q]} for cell {q}, "
-                       f"never written")
-        vectors.append(vector)
-    return snaps, vectors, zero_writers, None
-
-
-def _componentwise_leq(u, v) -> bool:
-    return all(map(le, u, v))
-
-
-# ---------------------------------------------------------------------------
 # fast structural check
 
 
 def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
     """Structural acceptance test for snapshot histories.
 
-    Accepts iff (1) all snapshot version vectors are pairwise comparable,
-    (2) each snapshot's own component equals the number of its own preceding
-    writes (which also bounds it below every later own write), and (3) the
-    vectors are nondecreasing along each process order. A 0 in the cell of
-    a writer that wrote 0 may be version 0 or that write, so such a history
-    goes to the exhaustive oracle. The ops judged are those _check_ops
-    counts; a write that never returned is kept as if complete, since it is
-    its process's last op and, if no snapshot shows it, can go last in the
-    witness.
+    Version w of writer p is p's w-th write in process order; version 0 is
+    the initial cell. Each completed snapshot resolves to a vector of
+    per-writer versions, and the check accepts iff (1) all vectors are
+    pairwise comparable, (2) each snapshot's own component equals the
+    number of its own preceding writes (which also bounds it below every
+    later own write), and (3) the vectors are nondecreasing along each
+    process order. A 0 in the cell of a writer that wrote 0 may be version
+    0 or that write, so such a history goes to the exhaustive oracle. The
+    ops judged are those _check_ops counts; a write that never returned is
+    kept as if complete, since it is its process's last op and, if no
+    snapshot shows it, can go last in the witness.
 
-    Malformed ops (see _check_ops) are refused on entry. Once (1)-(3) pass
-    on a history that passed _check_ops, the witness assembled from these
-    facts is legal and contains every process order, so it is returned
-    without being replayed:
-    - the witness puts each writer's version-w write just before the first
-      snapshot in the sorted chain whose component reaches w. Components
-      never decrease along the chain, so exactly versions 1..v[q] of each
-      writer q are replayed before a snapshot with vector v;
-    - so each snapshot replays its own vector;
+    Malformed ops (see _check_ops) are refused on entry, and a writer that
+    wrote one value twice is refused too. One pass over the process order
+    lists each writer's writes and counts each snapshot's own earlier
+    writes; (2) and (3) are then tested in (proc, seq) order. One walk over
+    the vectors' stable sort tests (1) on each adjacent pair (componentwise
+    <= is transitive, so that covers every pair) and deals the witness:
+    before each snapshot, every writer q's writes between the previous
+    vector's component and this one's. Once (1)-(3) pass on a history that passed
+    _check_ops, that witness is legal and contains every process order, so
+    it is returned without being replayed:
+    - components never decrease along the chain, so exactly versions
+      1..v[q] of each writer q are replayed before a snapshot with vector v,
+      and each snapshot replays its own vector; the writes no snapshot shows
+      go last;
     - (3) and the sort by vector, stable from process order, keep each
       process's snapshots in its order, (2) places its own writes before a
       snapshot exactly when they precede it, and one writer's writes keep
@@ -196,73 +153,79 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
         objects.add(rec.object_id)
     if len(objects) > 1:
         raise CheckRefusal("multi-object history: use the composition checker")
-    snaps, vectors, zero_writers, rejection = _snapshot_vectors(queues)
-    if rejection is not None:
-        return rejection
+    writes = []         # writes[p][w - 1] is version w of writer p
+    version_of = []     # per writer: value -> version
+    zero_writers = []
+    snaps = []          # completed snapshots in (proc, seq) order
+    own = []            # own writes before each snapshot
+    for p, queue in enumerate(queues):
+        mine = []
+        table = {}
+        for rec in queue:
+            if rec.kind == WRITE:
+                if rec.value in table:
+                    raise CheckRefusal(
+                        f"process {p} wrote value {rec.value} twice; version "
+                        f"resolution needs unique values per writer")
+                mine.append(rec)
+                table[rec.value] = len(mine)
+            else:
+                snaps.append(rec)
+                own.append(len(mine))
+        # a 0 no write claims is the initial cell
+        if 0 in table:
+            zero_writers.append(p)
+        else:
+            table[0] = 0
+        writes.append(mine)
+        version_of.append(table)
+    vectors = []
+    for rec in snaps:
+        vector = tuple(map(dict.get, version_of, rec.result))
+        if None in vector:
+            q = vector.index(None)
+            return Verdict(False, certificate=[op_id(rec)],
+                           reason=f"snapshot claims value {rec.result[q]} for "
+                                  f"cell {q}, never written")
+        vectors.append(vector)
     # A writer that wrote 0 makes a 0 in its cell mean either version 0 or
     # that write; version resolution cannot tell, so the oracle decides.
     if zero_writers and any(rec.result[q] == 0
                             for rec in snaps for q in zero_writers):
         return check_sc_brute(history, n)
 
-    position = 0        # snaps and vectors run in process order too
-    for proc, queue in enumerate(queues):
-        writes_before = 0
-        last_write = prev_snap = prev_vec = None
-        for rec in queue:
-            if rec.kind == WRITE:
-                writes_before += 1
-                last_write = rec
-                continue
-            vec = vectors[position]
-            position += 1
-            if vec[proc] != writes_before:
-                cert = [op_id(rec)]
-                if last_write is not None:
-                    cert.append(op_id(last_write))
-                return Verdict(False, certificate=cert,
-                               reason=f"snapshot by {proc} shows version "
-                                      f"{vec[proc]} of its own cell after "
-                                      f"{writes_before} own writes")
-            if prev_vec is not None and not _componentwise_leq(prev_vec, vec):
-                return Verdict(False, certificate=[op_id(prev_snap), op_id(rec)],
-                               reason=f"snapshots of process {proc} go backwards")
-            prev_snap, prev_vec = rec, vec
+    prev_snap = None
+    for rec, count, vec in zip(snaps, own, vectors):
+        proc = rec.proc
+        if vec[proc] != count:
+            cert = [op_id(rec)]
+            if count:
+                cert.append(op_id(writes[proc][count - 1]))
+            return Verdict(False, certificate=cert,
+                           reason=f"snapshot by {proc} shows version "
+                                  f"{vec[proc]} of its own cell after "
+                                  f"{count} own writes")
+        if (prev_snap is not None and prev_snap.proc == proc
+                and not all(map(le, prev_vec, vec))):
+            return Verdict(False, certificate=[op_id(prev_snap), op_id(rec)],
+                           reason=f"snapshots of process {proc} go backwards")
+        prev_snap, prev_vec = rec, vec
 
-    # stable, so snapshots with equal vectors stay in process order
-    order = sorted(range(len(snaps)), key=vectors.__getitem__)
-    chain_snaps = [snaps[k] for k in order]
-    chain_vecs = [vectors[k] for k in order]
-    for k in range(1, len(order)):
-        if not _componentwise_leq(chain_vecs[k - 1], chain_vecs[k]):
-            return Verdict(False,
-                           certificate=[op_id(chain_snaps[k - 1]),
-                                        op_id(chain_snaps[k])],
-                           reason="incomparable snapshots")
-
-    witness = _build_witness(queues, chain_vecs, chain_snaps)
-    return Verdict(True, witness=list(map(op_id, witness)))
-
-
-def _build_witness(queues, chain_vecs, chain_snaps):
-    """Place each writer's version-w write right before the first snapshot
-    of the chain whose vector reaches w; leftovers go at the end. Writes are
-    dealt in process order, so each slot is already in (proc, seq) order."""
-    end = len(chain_snaps)
-    slots = [[] for _ in range(end + 1)]
-    for proc, queue in enumerate(queues):
-        position = 0
-        writes = (rec for rec in queue if rec.kind == WRITE)
-        for version, rec in enumerate(writes, 1):
-            while position < end and chain_vecs[position][proc] < version:
-                position += 1
-            slots[position].append(rec)
     witness = []
-    for idx, snap in enumerate(chain_snaps):
-        witness.extend(slots[idx])
-        witness.append(snap)
-    witness.extend(slots[-1])
-    return witness
+    prev_snap, prev_vec = None, (0,) * n
+    # stable, so snapshots with equal vectors stay in process order
+    for k in sorted(range(len(snaps)), key=vectors.__getitem__):
+        rec, vec = snaps[k], vectors[k]
+        if not all(map(le, prev_vec, vec)):
+            return Verdict(False, certificate=[op_id(prev_snap), op_id(rec)],
+                           reason="incomparable snapshots")
+        for q in compress(range(n), map(ne, prev_vec, vec)):
+            witness += writes[q][prev_vec[q]:vec[q]]
+        witness.append(rec)
+        prev_snap, prev_vec = rec, vec
+    for q in range(n):
+        witness += writes[q][prev_vec[q]:]
+    return Verdict(True, witness=list(map(op_id, witness)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from .checker import (CheckRefusal, check_lin_brute, check_sc_brute,
 from .histories import TraceFormatError, infer_process_count, load_history
 from .rounds import RoundConfig, check_composition, run_rounds
 from .scenarios import SCENARIOS, replay_scripted
-from .sim import (AsyncDelay, ConfigError, SimConfig, SyncDelay,
-                  history_document, run_simulation, validate_config,
-                  write_run_files)
+from .sim import (AsyncDelay, ConfigError, SimConfig, SyncDelay, _Sim,
+                  history_document, write_run_files)
 
 OK, REJECTED, USAGE = 0, 1, 2
 
@@ -113,9 +112,11 @@ def _cmd_simulate(args) -> int:
     items = workloads.trim_for_crashes(items, crashes)
     config = SimConfig(n=args.n, seed=args.seed, protocol=protocol,
                        delay=args.delay, workload=items, crashes=crashes)
-    validate_config(config)     # an invalid config leaves no --out behind
+    # building the run validates the config and each op's record, so an
+    # invalid config leaves no --out behind and no record is built twice
+    simulation = _Sim(config)
     out = _out_dir(args.out)
-    for path in write_run_files(run_simulation(config), out):
+    for path in write_run_files(simulation.run(), out):
         print(path)
     return OK
 

@@ -31,38 +31,78 @@ def S(proc, seq, result, t_inv=None, t_ret=None):
                     result=tuple(result))
 
 
-def derive_versions(queues, n):
-    """checker._snapshot_vectors keyed by op id: (mapping from each
-    completed snapshot's op id to its version vector, None), or (None, the
-    rejecting Verdict)."""
-    snaps, vectors, _, rejection = checker._snapshot_vectors(queues)
-    if rejection is not None:
-        return None, rejection
-    return {op_id(rec): vector for rec, vector in zip(snaps, vectors)}, None
-
-
 class TestDeriveVersions:
+    """Version resolution, seen through check_sc_fast's witness,
+    certificate or refusal: a snapshot sits in the witness just after the
+    writes of the versions it resolves to."""
+
     def test_initial_values_resolve_to_version_zero(self):
-        versions, rejection = derive_versions(
-            checker._check_ops([S(0, 0, [0, 0])], 2), 2)
-        assert rejection is None
-        assert versions[(0, 0, 0)] == (0, 0)
+        # p1's 0 is p0's version 0, so p1's snapshot precedes p0's write
+        verdict = check_sc_fast([W(0, 0, 1), S(1, 0, [0, 0])], 2)
+        assert verdict.accepted
+        assert verdict.witness == [(0, 1, 0), (0, 0, 0)]
 
     def test_value_maps_to_write_index(self):
-        h = [W(0, 0, 1), W(0, 1, 2), S(1, 0, [2, 0])]
-        versions, rejection = derive_versions(checker._check_ops(h, 2), 2)
-        assert rejection is None
-        assert versions[(0, 1, 0)] == (2, 0)
+        h = [W(0, 0, 1), W(0, 1, 2), W(0, 2, 3), S(1, 0, [2, 0])]
+        verdict = check_sc_fast(h, 2)
+        assert verdict.accepted
+        assert verdict.witness == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 0, 2)]
 
     def test_unknown_value_rejects(self):
-        h = [W(0, 0, 1), S(1, 0, [9, 0])]
-        versions, rejection = derive_versions(checker._check_ops(h, 2), 2)
-        assert versions is None and not rejection.accepted
-        assert rejection.certificate == [(0, 1, 0)]
+        verdict = check_sc_fast([W(0, 0, 1), S(1, 0, [9, 0])], 2)
+        assert not verdict.accepted and verdict.witness is None
+        assert verdict.certificate == [(0, 1, 0)]
+        assert verdict.reason == "snapshot claims value 9 for cell 0, never written"
 
     def test_duplicate_written_values_refused(self):
-        with pytest.raises(CheckRefusal):
-            derive_versions(checker._check_ops([W(0, 0, 5), W(0, 1, 5)], 2), 2)
+        with pytest.raises(CheckRefusal, match="wrote value 5 twice"):
+            check_sc_fast([W(0, 0, 5), W(0, 1, 5)], 2)
+
+
+# Each history breaks two of check_sc_fast's conditions; the reason is the
+# earlier one's in the order: a writer's repeated value (refused), a
+# never-written value, the written-zero route to the oracle, then own-cell
+# and backwards in (proc, seq) order, then incomparable snapshots.
+REJECTION_ORDER = [
+    pytest.param([S(0, 0, [0, 9]), W(1, 0, 5), W(1, 1, 5)], 2, CheckRefusal,
+                 id="duplicate-before-never-written"),
+    pytest.param([W(0, 0, 1), S(0, 1, [0, 0]), S(1, 0, [0, 7])], 2,
+                 "snapshot claims value 7 for cell 1, never written",
+                 id="never-written-on-1-before-own-cell-on-0"),
+    pytest.param([W(0, 0, 0), S(1, 0, [0, 0]), S(1, 1, [0, 9])], 2,
+                 "snapshot claims value 9 for cell 1, never written",
+                 id="never-written-before-written-zero"),
+    pytest.param([W(1, 0, 3), S(1, 1, [0, 0]), W(0, 0, 0)], 2,
+                 "no legal interleaving contains the process order",
+                 id="written-zero-before-own-cell"),
+    pytest.param([W(0, 0, 1), W(0, 1, 2), S(0, 2, [1, 0]),
+                  S(1, 0, [2, 0]), S(1, 1, [1, 0])], 2,
+                 "snapshot by 0 shows version 1 of its own cell after 2 own writes",
+                 id="own-cell-on-0-before-backwards-on-1"),
+    pytest.param([S(0, 0, [0, 1]), S(0, 1, [0, 0]),
+                  W(1, 0, 1), S(1, 1, [0, 0])], 2,
+                 "snapshots of process 0 go backwards",
+                 id="backwards-on-0-before-own-cell-on-1"),
+    pytest.param([W(0, 0, 1), W(1, 0, 1),
+                  S(2, 0, [1, 0, 0]), S(2, 1, [0, 1, 0])], 3,
+                 "snapshots of process 2 go backwards",
+                 id="backwards-pair-also-incomparable"),
+    pytest.param([W(0, 0, 1), S(0, 1, [1, 0, 0]), W(1, 0, 1),
+                  S(1, 1, [0, 1, 0]), W(2, 0, 1), S(2, 1, [0, 0, 0])], 3,
+                 "snapshot by 2 shows version 0 of its own cell after 1 own writes",
+                 id="own-cell-before-incomparable"),
+]
+
+
+@pytest.mark.parametrize("history, n, reason", REJECTION_ORDER)
+def test_the_earlier_condition_names_the_rejection(history, n, reason):
+    if reason is CheckRefusal:
+        with pytest.raises(CheckRefusal, match="twice"):
+            check_sc_fast(history, n)
+        return
+    verdict = check_sc_fast(history, n)
+    assert not verdict.accepted
+    assert verdict.reason == reason
 
 
 class TestFastChecker:

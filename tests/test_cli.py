@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seqsnap import cli
+from seqsnap import cli, sim
 from seqsnap.cli import main
 from seqsnap.histories import OpRecord
 from seqsnap.sim import history_document
@@ -68,15 +68,33 @@ def test_output_directory_that_is_a_file_is_an_input_error(tmp_path, capsys,
     def never(*args):
         raise AssertionError("the run started")
 
-    for name in ("run_simulation", "run_rounds", "replay_scripted",
+    for name in ("run_rounds", "replay_scripted",
                  "load_history", "check_sc_fast", "check_sc_brute",
                  "check_lin_brute", "check_composition"):
         monkeypatch.setattr(cli, name, never)
+    # simulate builds its run, which validates the config, then starts it
+    monkeypatch.setattr(cli._Sim, "run", never)
     taken = tmp_path / "taken"
     taken.write_text("kept")
     assert main(command + ["--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "kept"
+
+
+def test_simulate_builds_one_record_per_op(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    real = sim.OpRecord
+    monkeypatch.setattr(sim, "OpRecord", counting)
+    out = tmp_path / "run"
+    assert main(["simulate", "--n", "3", "--seed", "1", "--ops", "12",
+                 "--out", str(out)]) == 0
+    assert len(built) == 12
+    assert len((out / "history.jsonl").read_text().splitlines()) == 12
 
 
 def test_check_accepts_real_run(tmp_path, capsys):
