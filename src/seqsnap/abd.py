@@ -10,8 +10,9 @@ pair it saw, and then it returns that value. Both operation kinds block,
 unlike the snapshot protocol's zero-latency writes.
 
 State is single-owner and driven by the same simulator as the snapshot
-protocol; messages reuse the Effect container, and its shared empty NOTHING,
-from `protocol`.
+protocol, which names each message's sender, as a FIFO channel does: replies
+go back to it, and a phase counts one reply per sender. Transitions reuse
+the Effect container, and its shared empty NOTHING, from `protocol`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ class Tag(NamedTuple):
 
 class QueryMsg(NamedTuple):
     reg: int
-    sender: int
     op_ref: tuple
 
 
 class QueryReply(NamedTuple):
     value: int
     tag: Tag
-    sender: int
     op_ref: tuple
 
 
@@ -47,12 +46,10 @@ class PropagateMsg(NamedTuple):
     reg: int
     value: int
     tag: Tag
-    sender: int
     op_ref: tuple
 
 
 class Ack(NamedTuple):
-    sender: int
     op_ref: tuple
 
 
@@ -103,8 +100,7 @@ def _propagate(state: AbdState, eff: Effect, value: int, tag: Tag) -> None:
     """Move the operation in flight to its propagate phase for (value, tag)."""
     phase = state.phase
     phase.querying, phase.value, phase.replies = False, value, {}
-    eff.broadcasts.append(PropagateMsg(phase.reg, value, tag, state.me,
-                                       phase.op_ref))
+    eff.broadcasts.append(PropagateMsg(phase.reg, value, tag, phase.op_ref))
 
 
 def invoke_write(state: AbdState, value: int) -> Effect:
@@ -118,26 +114,25 @@ def invoke_write(state: AbdState, value: int) -> Effect:
 def invoke_read(state: AbdState, target: int) -> Effect:
     eff = Effect()
     phase = _begin(state, READ, target, querying=True)
-    eff.broadcasts.append(QueryMsg(target, state.me, phase.op_ref))
+    eff.broadcasts.append(QueryMsg(target, phase.op_ref))
     return eff
 
 
-def handle_message(state: AbdState, msg) -> Effect:
+def handle_message(state: AbdState, sender: int, msg) -> Effect:
     kind = type(msg)
     # a reply or an ack is one directed send; the fields it leaves empty are
     # empty tuples, as in NOTHING, not three fresh lists, and tuple.__new__
     # builds the message without the NamedTuple's generated __new__ frame
     if kind is QueryMsg:
         reply = tuple.__new__(QueryReply, (state.values[msg.reg],
-                                           state.tags[msg.reg], state.me,
-                                           msg.op_ref))
-        return Effect((), ((reply, msg.sender),), (), ())
+                                           state.tags[msg.reg], msg.op_ref))
+        return Effect((), ((reply, sender),), (), ())
     if kind is PropagateMsg:
         if state.tags[msg.reg] < msg.tag:
             state.tags[msg.reg] = msg.tag
             state.values[msg.reg] = msg.value
-        ack = tuple.__new__(Ack, (state.me, msg.op_ref))
-        return Effect((), ((ack, msg.sender),), (), ())
+        ack = tuple.__new__(Ack, (msg.op_ref,))
+        return Effect((), ((ack, sender),), (), ())
     if kind is not QueryReply and kind is not Ack:
         raise TypeError(f"unknown message {msg!r}")
     phase = state.phase
@@ -148,7 +143,7 @@ def handle_message(state: AbdState, msg) -> Effect:
         # propagate, changes nothing
         return NOTHING
     replies = phase.replies
-    replies[msg.sender] = (msg.tag, msg.value) if phase.querying else None
+    replies[sender] = (msg.tag, msg.value) if phase.querying else None
     if len(replies) * 2 <= state.n:     # short of a strict majority
         return NOTHING
     eff = Effect()

@@ -53,7 +53,7 @@ def replay_legal(records: list[OpRecord], n: int) -> bool:
     return True
 
 
-_SEQ = attrgetter("seq")
+_PROC_SEQ = attrgetter("proc", "seq")
 
 
 def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
@@ -65,32 +65,36 @@ def _check_ops(history: list[OpRecord], n: int) -> list[list[OpRecord]]:
     process's ops that never returned (a process runs one op at a time, so
     only its last op can be cut off).
 
-    Returns the process order: one queue per process id, each in seq order,
-    of the ops a legal order accounts for. Those are every op that returned,
-    and every write, since one cut off by a crash may still have taken
-    effect."""
+    Returns the process order: one queue per process that has an op, in
+    ascending process order, each in seq order, of the ops a legal order
+    accounts for. Those are every op that returned, and every write, since
+    one cut off by a crash may still have taken effect. A process with no op
+    has no queue, so the queues are as many as the history's processes, not
+    n."""
     if type(n) is not int or n < 1:
         raise CheckRefusal(f"process count {n!r} is not an int >= 1")
-    queues = [[] for _ in range(n)]
     for rec in history:
         error = op_error(rec, n)
         if error is not None:
             raise CheckRefusal(f"malformed op ({error}): {rec}")
-        queues[rec.proc].append(rec)
-    for proc, queue in enumerate(queues):
-        if not queue:
-            continue
-        queue.sort(key=_SEQ)
-        prev = queue[0]
-        for rec in queue[1:]:
-            if rec.seq == prev.seq:
-                raise CheckRefusal(f"process {proc} repeats seq {rec.seq}")
-            if prev.t_ret is None:
-                raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
-                                   f"{proc} that never returned")
-            prev = rec
-        # only the last op can be cut off; a cut-off write stays
-        if prev.t_ret is None and prev.kind != WRITE:
+    queues = []
+    prev = None
+    for rec in sorted(history, key=_PROC_SEQ):
+        if prev is None or rec.proc != prev.proc:
+            queue = [rec]
+            queues.append(queue)
+        elif rec.seq == prev.seq:
+            raise CheckRefusal(f"process {rec.proc} repeats seq {rec.seq}")
+        elif prev.t_ret is None:
+            raise CheckRefusal(f"op {op_id(rec)} follows an op of process "
+                               f"{rec.proc} that never returned")
+        else:
+            queue.append(rec)
+        prev = rec
+    # only the last op can be cut off; a cut-off write stays
+    for queue in queues:
+        last = queue[-1]
+        if last.t_ret is None and last.kind != WRITE:
             queue.pop()
     return queues
 
@@ -153,35 +157,44 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
         objects.add(rec.object_id)
     if len(objects) > 1:
         raise CheckRefusal("multi-object history: use the composition checker")
-    writes = []         # writes[p][w - 1] is version w of writer p
-    version_of = []     # per writer: value -> version
+    writes = {}         # writes[p][w - 1] is version w of writer p
+    version_of = {}     # per writer: value -> version
     zero_writers = []
     snaps = []          # completed snapshots in (proc, seq) order
     own = []            # own writes before each snapshot
-    for p, queue in enumerate(queues):
+    for queue in queues:
         mine = []
         table = {}
         for rec in queue:
             if rec.kind == WRITE:
                 if rec.value in table:
                     raise CheckRefusal(
-                        f"process {p} wrote value {rec.value} twice; version "
-                        f"resolution needs unique values per writer")
+                        f"process {rec.proc} wrote value {rec.value} twice; "
+                        f"version resolution needs unique values per writer")
                 mine.append(rec)
                 table[rec.value] = len(mine)
             else:
                 snaps.append(rec)
                 own.append(len(mine))
-        # a 0 no write claims is the initial cell
-        if 0 in table:
-            zero_writers.append(p)
-        else:
-            table[0] = 0
-        writes.append(mine)
-        version_of.append(table)
+        if mine:
+            p = mine[0].proc
+            # a 0 no write claims is the initial cell
+            if 0 in table:
+                zero_writers.append(p)
+            else:
+                table[0] = 0
+            writes[p] = mine
+            version_of[p] = table
+    # one table per cell, built only when a snapshot holds all n cells; a
+    # cell no one writes holds only the initial 0
+    tables = []
+    if snaps:
+        tables = [{0: 0}] * n
+        for p, table in version_of.items():
+            tables[p] = table
     vectors = []
     for rec in snaps:
-        vector = tuple(map(dict.get, version_of, rec.result))
+        vector = tuple(map(dict.get, tables, rec.result))
         if None in vector:
             q = vector.index(None)
             return Verdict(False, certificate=[op_id(rec)],
@@ -212,7 +225,7 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
         prev_snap, prev_vec = rec, vec
 
     witness = []
-    prev_snap, prev_vec = None, (0,) * n
+    prev_snap, prev_vec = None, (0,) * len(tables)
     # stable, so snapshots with equal vectors stay in process order
     for k in sorted(range(len(snaps)), key=vectors.__getitem__):
         rec, vec = snaps[k], vectors[k]
@@ -223,8 +236,8 @@ def check_sc_fast(history: list[OpRecord], n: int) -> Verdict:
             witness += writes[q][prev_vec[q]:vec[q]]
         witness.append(rec)
         prev_snap, prev_vec = rec, vec
-    for q in range(n):
-        witness += writes[q][prev_vec[q]:]
+    for q, mine in writes.items():
+        witness += mine[prev_vec[q]:] if snaps else mine
     return Verdict(True, witness=list(map(op_id, witness)))
 
 
@@ -309,17 +322,23 @@ def _interleave_search(queues: list[list[OpRecord]], n: int, realtime: bool):
 
 def _search_steps(queues, n):
     """Decode each op of the queues into a step (record, its object's
-    register list, the cell, the value, is-write, returned, t_inv): a write
+    registers, the cell, the value, is-write, returned, t_inv): a write
     sets cell to value, a read compares cell with value, and a snapshot
-    (cell None) compares the whole list with its result as a list. Each
-    queue ends in None, so a queue that is used up needs no length test.
+    (cell None) compares the whole list with its result as a list. An
+    object with a snapshot holds its n cells in a list, as the snapshot
+    does; any other object holds only the cells its ops name, in a dict.
+    Each queue ends in None, so a queue that is used up needs no length test.
     Returns None when a snapshot or read asks for a value that can never be
     in its cell; only writes are cut off in _check_ops's queues, so every
     such op returned and must be placed."""
     # (object id, writer, value) of every write; 0 is in every cell at first
-    written = {(rec.object_id, rec.proc, rec.value)
-               for rec in chain.from_iterable(queues) if rec.kind == WRITE}
+    written = set()
     registers = {}
+    for rec in chain.from_iterable(queues):
+        if rec.kind == WRITE:
+            written.add((rec.object_id, rec.proc, rec.value))
+        elif rec.kind == SNAPSHOT and rec.object_id not in registers:
+            registers[rec.object_id] = [0] * n
     steps = []
     for queue in queues:
         row = []
@@ -327,8 +346,9 @@ def _search_steps(queues, n):
             obj, kind = rec.object_id, rec.kind
             cells = registers.get(obj)
             if cells is None:
-                cells = registers[obj] = [0] * n
+                cells = registers[obj] = {}
             if kind == WRITE:
+                cells[rec.proc] = 0     # at 0 already; names it in a dict
                 row.append((rec, cells, rec.proc, rec.value, True,
                             rec.t_ret is not None, rec.t_inv))
                 continue
@@ -341,6 +361,7 @@ def _search_steps(queues, n):
                 cell, value = rec.target, rec.result
                 if value and (obj, cell, value) not in written:
                     return None
+                cells[cell] = 0
             row.append((rec, cells, cell, value, False, True, rec.t_inv))
         row.append(None)
         steps.append(row)

@@ -13,7 +13,8 @@ processes have stamped it and no update that must be ordered before it is
 still blocked; validating folds the value into the local view.
 
 A state is one process of one object, and the module never learns which:
-the simulator routes each message to the state of the object that sent it.
+the simulator routes each message to the state of the object that sent it,
+and names the process that sent it, as a FIFO channel names its sender.
 
 Each state is single-owner: transitions mutate the passed state in place
 (the view and its stamps are tuples that a validation replaces, so snapshot
@@ -37,17 +38,16 @@ INF = float("inf")
 class UpdateMsg(NamedTuple):
     """Relay of one update. (writer, stamp) identifies the update globally.
 
-    relay_stamp is the stamp attached by the process that sent this copy; for
-    the writer's own initial broadcast it equals the update stamp. The
-    protocol builds it with tuple.__new__, without the Python frame of the
-    generated __new__.
+    relay_stamp is the stamp attached by the process that sent this copy,
+    which handle_message is given; for the writer's own initial broadcast it
+    equals the update stamp. The protocol builds it with tuple.__new__,
+    without the Python frame of the generated __new__.
     """
 
     value: int
     writer: int
     stamp: int
     relay_stamp: int
-    sender: int
 
 
 @dataclass
@@ -129,7 +129,7 @@ def _broadcast_own(state: ProcState, eff: Effect, value: int) -> None:
     state.clock += 1
     state.written = state.clock
     eff.broadcasts.append(tuple.__new__(UpdateMsg, (
-        value, state.me, state.clock, state.clock, state.me)))
+        value, state.me, state.clock, state.clock)))
     _admit(state, (state.me, state.clock), value)
 
 
@@ -232,8 +232,8 @@ def _retire(state: ProcState, key: tuple) -> PendingUpdate:
     return entry
 
 
-def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
-    """Process one delivered update message.
+def handle_message(state: ProcState, sender: int, msg: UpdateMsg) -> Effect:
+    """Process one update message delivered from process `sender`.
 
     A stale copy (of an already-validated update) changes nothing. Any other
     copy records its sender's stamp on the update's entry `e`, and the
@@ -248,7 +248,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
     returns something exactly when it returns `e`.
     """
     eff = NOTHING
-    value, writer, stamp, relay_stamp, sender = msg
+    value, writer, stamp, relay_stamp = msg
     if stamp > state.view_stamps[writer]:
         key = (writer, stamp)
         pending = state.pending
@@ -258,7 +258,7 @@ def handle_message(state: ProcState, msg: UpdateMsg) -> Effect:
             # from its send until it validates): relay it stamped
             state.clock += 1
             eff = Effect([tuple.__new__(UpdateMsg, (
-                value, writer, stamp, state.clock, state.me))])
+                value, writer, stamp, state.clock))])
             entry = _admit(state, key, value)
         # Record only the sender's stamp. The writer's own stamp must come
         # from the writer's copy: a relay says nothing about the order the

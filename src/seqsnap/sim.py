@@ -366,9 +366,9 @@ class _Sim:
         own_copies = self.own_copies
         next_own_copy = own_copies.popleft
         # Deliveries call the protocol's handler on the recipient's state of
-        # the record's object (its one state, unless the run spans several).
-        # The handler is read from its module once per run, so a handler
-        # patched before the run sees every delivery.
+        # the record's object (its one state, unless the run spans several),
+        # with the record's sender. The handler is read from its module once
+        # per run, so a handler patched before the run sees every delivery.
         handle = self.module.handle_message
         by_object = len(self.states[0]) > 1
         targets = [states if by_object else states[0] for states in self.states]
@@ -404,7 +404,7 @@ class _Sim:
                 state = targets[proc]
                 if by_object:
                     state = state[msg.object_id]
-                eff = handle(state, msg.payload)
+                eff = handle(state, msg.sender, msg.payload)
                 if eff is not nothing:
                     after_transition(proc, msg.object_id, eff, msg.chain, time)
             # Sample the stamps as the transition left them: a reading of the
@@ -598,7 +598,7 @@ class _FifoSim(_Sim):
                     busy[pick] = busy[-1]
                     busy.pop()
                 self.delivery_log.append((step, proc, msg))
-                eff = handle(states[proc][msg.object_id], msg.payload)
+                eff = handle(states[proc][msg.object_id], sender, msg.payload)
                 if eff is not nothing:
                     self._after_transition(proc, msg.object_id, eff,
                                            msg.chain, step)
@@ -638,30 +638,22 @@ def vc_total_order_violations(vc_trace) -> list:
     return bad
 
 
-def correct_original_updates(run: RunResult) -> list:
-    """(object_id, writer, stamp) of every update whose initial broadcast was
-    made by a process that never crashed in this run. A process never relays
-    its own update, so a copy its writer sent is the initial broadcast."""
-    out = []
-    for msg in run.message_log:
-        payload = msg.payload
-        if (isinstance(payload, protocol.UpdateMsg)
-                and payload.sender == payload.writer
-                and payload.writer not in run.crashed):
-            out.append((msg.object_id, payload.writer, payload.stamp))
-    return out
-
-
 def liveness_violations(run: RunResult) -> list:
     """(update, process) pairs where a correct process has not, at
-    quiescence, caught up with an update broadcast by a correct process."""
+    quiescence, caught up with an update broadcast by a correct process. A
+    process never relays its own update, so a copy its writer sent is the
+    initial broadcast."""
+    crashed, states = run.crashed, run.states
+    correct = [proc for proc in range(run.config.n) if proc not in crashed]
     bad = []
-    for obj, writer, stamp in correct_original_updates(run):
-        for proc in range(run.config.n):
-            if proc in run.crashed:
-                continue
-            if run.states[proc][obj].view_stamps[writer] < stamp:
-                bad.append(((obj, writer, stamp), proc))
+    for msg in run.message_log:
+        payload, writer = msg.payload, msg.sender
+        if (type(payload) is protocol.UpdateMsg and payload.writer == writer
+                and writer not in crashed):
+            obj, stamp = msg.object_id, payload.stamp
+            for proc in correct:
+                if states[proc][obj].view_stamps[writer] < stamp:
+                    bad.append(((obj, writer, stamp), proc))
     return bad
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate, chain, combinations
 from math import inf
@@ -12,7 +13,7 @@ from seqsnap import checker
 from seqsnap.checker import (CheckRefusal, check_lin_brute, check_sc_brute,
                              check_sc_fast, replay_legal,
                              contains_process_order)
-from seqsnap.histories import OpRecord, op_id
+from seqsnap.histories import OpRecord, infer_process_count, op_id
 from seqsnap.rounds import RoundConfig, check_composition, run_rounds
 from seqsnap.seqspec import initial_state, seq_step
 from sweep import assert_witness_holds, mutate_history
@@ -687,3 +688,31 @@ def test_checks_leave_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("check", [check_sc_fast, check_sc_brute,
+                                   check_lin_brute, check_composition])
+@pytest.mark.parametrize("history", [
+    [W(10 ** 5, 0, 1)],
+    [R(0, 0, 10 ** 5, 0)],
+], ids=["write by process 1e5", "read of cell 1e5"])
+def test_check_memory_follows_the_trace_not_the_process_ids(check, history):
+    """A one-op trace whose id is 10**5 is checked in memory sized by the
+    trace: no table, queue or register per process id. The check accepts
+    it, or refuses single-cell reads where it did before."""
+    n = infer_process_count(history)
+    assert n == 10 ** 5 + 1
+    tracemalloc.start()
+    try:
+        try:
+            verdict = check(history, n)
+        except CheckRefusal as refusal:
+            assert history[0].kind == "read"
+            assert check in (check_sc_fast, check_composition)
+            assert "single-cell reads" in str(refusal)
+        else:
+            assert verdict.accepted
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6

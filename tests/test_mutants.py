@@ -69,14 +69,14 @@ MUTANTS = {
         {"wait": [(5, 0), (5, 1), (5, 2)]}),
     "relay with the writer's stamp": (
         [("handle_message",
-          "value, writer, stamp, state.clock, state.me))])",
-          "value, writer, stamp, stamp, state.me))])")],
+          "value, writer, stamp, state.clock))])",
+          "value, writer, stamp, stamp))])")],
         {"C1": [(5, 233), (5, 290), (7, 184)],
          "C3": [(3, 3), (3, 4), (3, 6)]}),
     "no relay": (
         [("handle_message",
-          "value, writer, stamp, state.clock, state.me))])",
-          "value, writer, stamp, state.clock, state.me))][:0])")],
+          "value, writer, stamp, state.clock))])",
+          "value, writer, stamp, state.clock))][:0])")],
         {"C4": [(2, 0), (2, 1), (2, 2)]}),
     "ready set and trigger at half": (
         [READY_AT_HALF,

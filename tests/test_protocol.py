@@ -112,7 +112,7 @@ class TestWrite:
         state = init(5, 4)
         eff = invoke_write(state, 1)
         assert state.clock == 1
-        assert eff.broadcasts == [UpdateMsg(1, 4, 1, 1, 4)]
+        assert eff.broadcasts == [UpdateMsg(1, 4, 1, 1)]
         assert eff.completions == [("write", None)]
 
     def test_write_with_own_pending_is_buffered(self):
@@ -150,15 +150,15 @@ class TestSnapshot:
         # both completions hand out the state's own view tuple, which a
         # later validation replaces and never changes
         state = init(3, 0)
-        handle_message(state, invoke_write(state, 5).broadcasts[0])
+        handle_message(state, 0, invoke_write(state, 5).broadcasts[0])
         assert invoke_snapshot(state) is protocol.NOTHING
         [(kind, waited)] = handle_message(
-            state, UpdateMsg(5, 0, 1, 4, 1)).completions
+            state, 1, UpdateMsg(5, 0, 1, 4)).completions
         assert kind == "snapshot" and waited is state.view
         [(kind, immediate)] = invoke_snapshot(state).completions
         assert kind == "snapshot" and immediate is state.view
-        relay = handle_message(state, UpdateMsg(7, 1, 1, 1, 1)).broadcasts[0]
-        assert handle_message(state, relay).validated == [(1, 1)]
+        relay = handle_message(state, 1, UpdateMsg(7, 1, 1, 1)).broadcasts[0]
+        assert handle_message(state, 0, relay).validated == [(1, 1)]
         assert state.view == (5, 7, 0)
         assert waited == immediate == (5, 0, 0)
 
@@ -177,7 +177,7 @@ class TestSnapshot:
         state = init(1, 0)
         eff = invoke_write(state, 5)
         msg = eff.broadcasts[0]
-        eff = handle_message(state, msg)  # own copy, instant
+        eff = handle_message(state, 0, msg)  # own copy, instant
         assert eff.validated == [(0, 1)]
         eff = invoke_snapshot(state)
         assert eff.completions == [("snapshot", (5,))]
@@ -234,10 +234,10 @@ class TestComputeValidable:
 class TestHandleMessage:
     def test_third_distinct_stamp_validates(self):
         state = init(5, 3)
-        eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
+        eff = handle_message(state, 4, UpdateMsg(1, 4, 1, 1))
         assert eff.broadcasts[0].relay_stamp == 1  # relayed with own stamp
-        handle_message(state, eff.broadcasts[0])  # own copy
-        eff = handle_message(state, UpdateMsg(1, 4, 1, 1, 2))
+        handle_message(state, 3, eff.broadcasts[0])  # own copy
+        eff = handle_message(state, 2, UpdateMsg(1, 4, 1, 1))
         assert eff.validated == [(4, 1)]
         assert state.view_stamps[4] == 1 and state.view[4] == 1
 
@@ -245,22 +245,22 @@ class TestHandleMessage:
         state = init(3, 0)
         state.view_stamps = (0, 5, 0)
         before = copy.deepcopy(state)
-        eff = handle_message(state, UpdateMsg(9, 1, 3, 3, 1))
+        eff = handle_message(state, 1, UpdateMsg(9, 1, 3, 3))
         assert state == before
         assert not eff.broadcasts and not eff.validated
 
     def test_duplicate_sighting_only_updates_stamp(self):
         state = init(5, 0)
-        handle_message(state, UpdateMsg(1, 4, 1, 1, 4))
+        handle_message(state, 4, UpdateMsg(1, 4, 1, 1))
         clock_after_first = state.clock
-        eff = handle_message(state, UpdateMsg(1, 4, 1, 7, 2))
+        eff = handle_message(state, 2, UpdateMsg(1, 4, 1, 7))
         assert not eff.broadcasts
         assert state.clock == clock_after_first
         assert state.pending[(4, 1)].seen[2] == 7
 
     def test_writer_stamp_not_learned_from_relays(self):
         state = init(5, 0)
-        handle_message(state, UpdateMsg(1, 4, 1, 3, 2))
+        handle_message(state, 2, UpdateMsg(1, 4, 1, 3))
         assert state.pending[(4, 1)].seen[4] == INF
         assert state.pending[(4, 1)].seen[2] == 3
 
@@ -278,45 +278,45 @@ class TestHandleMessage:
         calls = self.count_passes(monkeypatch)
         state = init(3, 0)
         state.view_stamps = (0, 5, 0)
-        assert handle_message(state, UpdateMsg(9, 1, 5, 5, 1)) is protocol.NOTHING
-        assert handle_message(state, UpdateMsg(9, 1, 3, 8, 2)) is protocol.NOTHING
+        assert handle_message(state, 1, UpdateMsg(9, 1, 5, 5)) is protocol.NOTHING
+        assert handle_message(state, 2, UpdateMsg(9, 1, 3, 8)) is protocol.NOTHING
         assert calls == []
 
     def test_only_a_majority_stamp_runs_the_validation_pass(self, monkeypatch):
         calls = self.count_passes(monkeypatch)
         state = init(4, 0)
-        relay = handle_message(state, UpdateMsg(1, 3, 1, 1, 3)).broadcasts[0]
+        relay = handle_message(state, 3, UpdateMsg(1, 3, 1, 1)).broadcasts[0]
         assert calls == []
         # two stamps of four are no strict majority: nothing to do
-        assert handle_message(state, UpdateMsg(1, 3, 1, 7, 2)) is protocol.NOTHING
+        assert handle_message(state, 2, UpdateMsg(1, 3, 1, 7)) is protocol.NOTHING
         assert calls == []
         # our own relay copy brings the third stamp
-        eff = handle_message(state, relay)
+        eff = handle_message(state, 0, relay)
         assert calls == [1] and eff.validated == [(3, 1)]
 
     def test_a_majority_stamp_behind_a_blocker_runs_no_pass(self, monkeypatch):
         calls = self.count_passes(monkeypatch)
         state = init(3, 0)
         # p1 relays b = (2, 1), then writes a = (1, 2): p1 stamped b first
-        relay_b = handle_message(state, UpdateMsg(5, 2, 1, 1, 1)).broadcasts[0]
-        relay_a = handle_message(state, UpdateMsg(7, 1, 2, 2, 1)).broadcasts[0]
+        relay_b = handle_message(state, 1, UpdateMsg(5, 2, 1, 1)).broadcasts[0]
+        relay_a = handle_message(state, 1, UpdateMsg(7, 1, 2, 2)).broadcasts[0]
         # our own copy gives a a majority, but a waits on b, which has one
         # stamp: the pass would find nothing, so it does not run
-        assert handle_message(state, relay_a) is protocol.NOTHING
+        assert handle_message(state, 0, relay_a) is protocol.NOTHING
         assert state.pending[(1, 2)].known == 2
         assert calls == []
         # the blocker's majority stamp runs the pass, which validates both
-        eff = handle_message(state, relay_b)
+        eff = handle_message(state, 0, relay_b)
         assert calls == [2] and eff.validated == [(1, 2), (2, 1)]
 
     def test_buffered_write_flushes_on_validation(self):
         state = init(3, 0)
         eff = invoke_write(state, 5)
         own = eff.broadcasts[0]
-        handle_message(state, own)
+        handle_message(state, 0, own)
         invoke_write(state, 6)  # buffered behind (0, 1)
         assert state.deferred == 6
-        eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
+        eff = handle_message(state, 1, UpdateMsg(5, 0, 1, 4))
         assert eff.validated == [(0, 1)]
         assert state.deferred is None
         flush = eff.broadcasts[0]
@@ -328,27 +328,28 @@ class TestHandleMessage:
         # snapshot must not complete in it
         state = init(3, 0)
         eff = invoke_write(state, 5)
-        handle_message(state, eff.broadcasts[0])
+        handle_message(state, 0, eff.broadcasts[0])
         invoke_write(state, 6)
         eff = invoke_snapshot(state)
         assert state.snapshot_pending
-        eff = handle_message(state, UpdateMsg(5, 0, 1, 4, 1))
+        eff = handle_message(state, 1, UpdateMsg(5, 0, 1, 4))
         assert state.snapshot_pending
         assert all(kind != "snapshot" for kind, _ in eff.completions)
         flush = eff.broadcasts[0]
         # nor in a receipt of another process's update before the flush's
         # own copy: the flushed update is pending from its send
-        eff = handle_message(state, UpdateMsg(7, 1, 1, 1, 1))
+        eff = handle_message(state, 1, UpdateMsg(7, 1, 1, 1))
         assert eff.completions == [] and state.snapshot_pending
-        handle_message(state, flush)
-        eff = handle_message(state, UpdateMsg(6, 0, flush.stamp, 9, 2))
+        handle_message(state, 0, flush)
+        eff = handle_message(state, 2, UpdateMsg(6, 0, flush.stamp, 9))
         assert eff.completions == [("snapshot", (6, 0, 0))]
         assert not state.snapshot_pending
 
 
 @st.composite
 def message_soup(draw):
-    """A batch of well-formed updates by writers 1 and 2 observed by p0."""
+    """A batch of well-formed updates by writers 1 and 2 observed by p0, each
+    as (sender, message)."""
     msgs = []
     for writer in (1, 2):
         stamps = draw(st.lists(st.integers(1, 4), min_size=0, max_size=3,
@@ -358,8 +359,8 @@ def message_soup(draw):
                                     unique=True))
             for sender in senders:
                 relay = stamp if sender == writer else draw(st.integers(1, 9))
-                msgs.append(UpdateMsg(stamp * 10 + writer, writer, stamp,
-                                      relay, sender))
+                msgs.append((sender, UpdateMsg(stamp * 10 + writer, writer,
+                                               stamp, relay)))
     order = draw(st.permutations(msgs))
     return list(order)
 
@@ -369,9 +370,9 @@ def message_soup(draw):
 def test_handler_is_deterministic_and_stamps_monotone(msgs):
     state_a, state_b = init(3, 0), init(3, 0)
     prev_stamps = list(state_a.view_stamps)
-    for msg in msgs:
-        eff_a = handle_message(state_a, msg)
-        eff_b = handle_message(state_b, msg)
+    for sender, msg in msgs:
+        eff_a = handle_message(state_a, sender, msg)
+        eff_b = handle_message(state_b, sender, msg)
         assert state_a == state_b and eff_a == eff_b
         assert all(a >= b for a, b in zip(state_a.view_stamps, prev_stamps))
         prev_stamps = list(state_a.view_stamps)
@@ -382,10 +383,11 @@ def test_handler_is_deterministic_and_stamps_monotone(msgs):
 def test_at_most_one_entry_per_update_and_no_own_entry_leak(msgs):
     state = init(3, 0)
     seen_keys = set()
-    for msg in msgs:
-        eff = handle_message(state, msg)
+    for sender, msg in msgs:
+        eff = handle_message(state, sender, msg)
+        # p0 writes nothing here, so a broadcast is a relay with a fresh stamp
         for bc in eff.broadcasts:
-            assert bc.sender == 0
+            assert bc.relay_stamp == state.clock
         keys = list(state.pending)
         assert len(keys) == len(set(keys))
         assert sum(1 for (w, _s) in keys if w == 0) <= 1
@@ -467,7 +469,7 @@ def asks_nothing(eff):
 
 def test_nothing_is_shared_and_cannot_grow():
     with pytest.raises(AttributeError):
-        protocol.NOTHING.broadcasts.append(UpdateMsg(1, 0, 1, 1, 0))
+        protocol.NOTHING.broadcasts.append(UpdateMsg(1, 0, 1, 1))
     with pytest.raises(AttributeError):
         protocol.NOTHING.validated.append((0, 1))
     assert asks_nothing(protocol.NOTHING)

@@ -13,7 +13,7 @@ from seqsnap.gates import judge, judge_history
 from seqsnap.histories import (OpRecord, TraceFormatError, compact_json,
                                record_from_json)
 from seqsnap.protocol import UpdateMsg
-from seqsnap.rounds import RoundConfig, run_rounds
+from seqsnap.rounds import RoundConfig, round_workload, run_rounds
 from seqsnap.scenarios import replay_scripted
 from seqsnap.sim import (AsyncDelay, ConfigError, CrashSpec, ScriptedDelays,
                          SimConfig, SyncDelay, WorkItem, liveness_violations,
@@ -136,7 +136,7 @@ def test_stamps_unique_per_sender_and_originals_self_stamped():
         for msg in run.message_log:
             payload = msg.payload
             relay_stamps.setdefault(msg.sender, []).append(payload.relay_stamp)
-            if payload.sender == payload.writer:
+            if msg.sender == payload.writer:
                 assert payload.relay_stamp == payload.stamp
         for sender, stamps in relay_stamps.items():
             assert len(stamps) == len(set(stamps))
@@ -289,9 +289,9 @@ def test_run_restores_the_collector_state(monkeypatch):
     during = []
     handle = protocol.handle_message
 
-    def recorded(state, payload):
+    def recorded(state, sender, payload):
         during.append(gc.isenabled())
-        return handle(state, payload)
+        return handle(state, sender, payload)
 
     monkeypatch.setattr(protocol, "handle_message", recorded)
     workload = random_workload(3, 6, seed=1)
@@ -325,9 +325,9 @@ def test_self_delivery_precedes_next_same_time_invocation(monkeypatch):
         steps.append(("write", value))
         return write(state, value)
 
-    def recorded_handle(state, payload):
-        steps.append(("receive", state.me, payload.sender))
-        return handle(state, payload)
+    def recorded_handle(state, sender, payload):
+        steps.append(("receive", state.me, sender))
+        return handle(state, sender, payload)
 
     monkeypatch.setattr(protocol, "invoke_write", recorded_write)
     monkeypatch.setattr(protocol, "handle_message", recorded_handle)
@@ -342,40 +342,63 @@ def test_self_delivery_precedes_next_same_time_invocation(monkeypatch):
 
 
 def recorded_handler(monkeypatch, module):
-    """Patch module.handle_message to record each call's (state, message)."""
+    """Patch module.handle_message to record each call's (state, sender,
+    message)."""
     calls = []
     handle = module.handle_message
 
-    def recorded(state, payload):
-        calls.append((state, payload))
-        return handle(state, payload)
+    def recorded(state, sender, payload):
+        calls.append((state, sender, payload))
+        return handle(state, sender, payload)
 
     monkeypatch.setattr(module, "handle_message", recorded)
     return calls
 
 
 def assert_every_delivery_handled(calls, run):
+    """Each delivery, in order, called the handler on the recipient's state
+    of the record's object, with the record's sender and payload."""
     assert len(calls) == len(run.delivery_log) > 0
-    for (state, payload), (_time, to, msg) in zip(calls, run.delivery_log):
+    for (state, sender, payload), (_time, to, msg) in zip(calls,
+                                                          run.delivery_log):
         assert payload is msg.payload
+        assert sender == msg.sender
         assert state is run.states[to][msg.object_id]
 
 
-@pytest.mark.parametrize("make_run", [
-    lambda: snapshot_run(4, random_workload(4, 30, seed=3), seed=3,
-                         crashes=[CrashSpec(1, on_send=2)]),
-    lambda: run_simulation(SimConfig(n=5, seed=4, protocol="abd",
-                                     workload=abd_workload(5, 30, 4))),
-    lambda: run_rounds(RoundConfig(n=5, rounds=3, seed=2,
-                                   crashes=[CrashSpec(3, on_send=2)])),
+def composed_config():
+    crashes = [CrashSpec(3, on_send=2)]
+    rounds = RoundConfig(n=5, rounds=3, seed=2, crashes=crashes)
+    return SimConfig(n=5, seed=2, crashes=crashes, workload=trim_for_crashes(
+        round_workload(rounds), crashes))
+
+
+@pytest.mark.parametrize("module, make_config", [
+    (protocol, lambda: SimConfig(n=4, seed=3, delay=AsyncDelay(0.5, 3.0),
+                                 workload=random_workload(4, 30, seed=3),
+                                 crashes=[CrashSpec(1, on_send=2)])),
+    (abd, lambda: SimConfig(n=5, seed=4, protocol="abd",
+                            workload=abd_workload(5, 30, 4))),
+    (protocol, composed_config),
 ], ids=["snapshot", "abd", "composed"])
-def test_every_delivery_names_its_message_record(make_run):
-    run = make_run()
-    sent = {id(msg) for msg in run.message_log}
-    assert run.delivery_log
-    for time, to, msg in run.delivery_log:
-        assert id(msg) in sent
-        assert to in msg.recipients and time >= msg.time
+def test_every_delivery_names_its_message_record(monkeypatch, module,
+                                                 make_config):
+    calls = recorded_handler(monkeypatch, module)
+    for runner in RUNNERS:
+        calls.clear()
+        run = runner(make_config())
+        sent = {id(msg) for msg in run.message_log}
+        for time, to, msg in run.delivery_log:
+            assert id(msg) in sent
+            assert to in msg.recipients and time >= msg.time
+        assert_every_delivery_handled(calls, run)
+
+
+def test_no_message_names_its_sender():
+    """The simulator alone names a copy's sender: no payload carries one."""
+    for kind in (UpdateMsg, abd.QueryMsg, abd.QueryReply, abd.PropagateMsg,
+                 abd.Ack):
+        assert "sender" not in kind._fields
 
 
 def test_a_patched_abd_handler_sees_every_delivery(monkeypatch):
@@ -582,8 +605,8 @@ def test_trace_shows_stamps_that_change_without_a_validation(monkeypatch):
     honest = run_simulation(sweep_config(3, 0))
     real = protocol.handle_message
 
-    def mutant(state, msg):
-        eff = real(state, msg)
+    def mutant(state, sender, msg):
+        eff = real(state, sender, msg)
         stamps = state.view_stamps    # raised below, reported nowhere
         state.view_stamps = (stamps[0] + 1,) + stamps[1:]
         return eff
